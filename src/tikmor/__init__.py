@@ -44,7 +44,13 @@ from .ntm import (
     step_interval,
     step_size,
 )
-from .pntm import PntmConfig, PntmResult, pntm_solve, projected_newton_system
+from .pntm import (
+    KrylovResult,
+    PntmConfig,
+    PntmResult,
+    pntm_solve,
+    projected_newton_system,
+)
 from .problems import (
     InverseProblem,
     RelativeStats,
@@ -83,6 +89,7 @@ __all__ = [
     "ImageView",
     "InfeasibleDiscrepancyError",
     "InverseProblem",
+    "KrylovResult",
     "LinearOperator",
     "MatrixMarketError",
     "NtmConfig",

@@ -29,6 +29,18 @@ Configuration is a flat INI file (sections of key=value pairs) with one
     points = 25
     spacing = log
 
+Solver keys besides ``method``, by method (defaults are those of the
+config dataclasses; any other key, or a value the solver rejects, is a
+config error):
+
+* ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2),
+  ``omega``, ``dinv`` (exact_svd | lemma_bound)
+* pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_small``,
+  ``inner_large``, ``rule``, ``omega``
+* gbit: ``alpha0``, ``tol``, ``max_iter``
+* sirt: ``max_iter``, ``stop_at_discrepancy`` (true | false)
+* cgls-pc: ``max_iter``
+
 Subcommands: ``run`` executes every solver on every seeded repetition and
 writes per-run trace CSVs, runs.csv, summary.csv and a manifest;
 ``curve`` samples the discrepancy curve on an alpha grid; ``gen`` writes
@@ -43,9 +55,9 @@ import configparser
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -74,10 +86,10 @@ from .reference import (
     gbit_solve,
     sirt_solve,
 )
+from .trace import write_csv
 
 logger = logging.getLogger(__name__)
 
-SOLVER_METHODS = ("ntm", "pntm", "gbit", "sirt", "cgls-pc")
 PROBLEM_TYPES = {
     "randomuniform": "random_uniform",
     "random_uniform": "random_uniform",
@@ -91,6 +103,13 @@ PROBLEM_TYPES = {
 
 class ConfigError(TikmorError):
     """Experiment configuration is invalid."""
+
+
+def _parse_flag(raw) -> bool:
+    value = raw.strip().lower()
+    if value not in configparser.ConfigParser.BOOLEAN_STATES:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return configparser.ConfigParser.BOOLEAN_STATES[value]
 
 
 @dataclass
@@ -131,70 +150,74 @@ class ProblemSpec:
         raise ConfigError(f"unknown problem type {self.kind!r}")
 
 
+def _run_ntm(problem, cfg):
+    r = ntm_solve(problem, cfg)
+    return r.x, r.alpha, r.n_iter, r.converged, r.residual_norm, r.trace
+
+
+def _run_krylov(solve):
+    def run(problem, cfg):
+        r = solve(problem, cfg)
+        return r.x, r.alpha, r.n_outer, r.converged, r.residual_norm, r.trace
+
+    return run
+
+
+def _run_sirt(problem, opts):
+    r = sirt_solve(problem, **opts)
+    return r.x, None, r.n_iter, r.reached_discrepancy, r.residual_norm, r.trace
+
+
+def _run_cgls_pc(problem, opts):
+    if isinstance(problem.operator, PriorconditionedOperator):
+        # problem already carries the smoothing transform
+        r = cgls(problem.operator, problem.b, problem.discrepancy_target, **opts)
+    else:
+        reg = RegularizationMatrix(problem.operator.cols)
+        r = cgls_priorconditioned(problem, reg, **opts)
+    return r.x, None, r.n_iter, r.converged, r.residual_norm, r.trace
+
+
+class Method(NamedTuple):
+    config: Callable  # keyword fields -> the options ``run`` takes
+    keys: dict  # INI key -> (field, parser)
+    run: Callable  # (problem, options) -> (x, alpha, iters, converged, res_norm, trace)
+
+
+_START_KEYS = {"alpha0": ("alpha0", float), "tol": ("tol", float)}
+_RULE_KEYS = {"rule": ("variant", str), "omega": ("omega", float)}
+_RULE_FIELDS = {f.name for f in fields(StepRule)}
+
+METHODS = {
+    "ntm": Method(NtmConfig, {
+        **_START_KEYS, "max_iter": ("max_iter", int), **_RULE_KEYS,
+        "dinv": ("dinv_mode", str),
+    }, _run_ntm),
+    "pntm": Method(PntmConfig, {
+        **_START_KEYS, "outer_max": ("outer_iter_max", int),
+        "inner_small": ("inner_cap_small", int),
+        "inner_large": ("inner_cap_large", int), **_RULE_KEYS,
+    }, _run_krylov(pntm_solve)),
+    "gbit": Method(GbitConfig, {
+        **_START_KEYS, "max_iter": ("max_iter", int),
+    }, _run_krylov(gbit_solve)),
+    "sirt": Method(dict, {
+        "max_iter": ("max_iter", int),
+        "stop_at_discrepancy": ("stop_at_discrepancy", _parse_flag),
+    }, _run_sirt),
+    "cgls-pc": Method(dict, {"max_iter": ("max_iter", int)}, _run_cgls_pc),
+}
+SOLVER_METHODS = tuple(METHODS)
+
+
 @dataclass
 class SolverSpec:
     label: str
     method: str
-    options: dict = field(default_factory=dict)
+    config: object  # what METHODS[method].config built from the section
 
     def run(self, problem: InverseProblem):
-        o = self.options
-        if self.method == "ntm":
-            rule = StepRule(
-                variant=o.get("rule", "case2"),
-                omega=o.get("omega", 0.9),
-                dinv_mode=o.get("dinv", "exact_svd"),
-            )
-            cfg = NtmConfig(
-                alpha0=o.get("alpha0", 1.0),
-                tol=o.get("tol", 1e-3),
-                max_iter=int(o.get("max_iter", 500)),
-                step_rule=rule,
-            )
-            r = ntm_solve(problem, cfg)
-            return r.x, r.alpha, r.n_iter, r.converged, r.residual_norm, r.trace
-        if self.method == "pntm":
-            rule = StepRule(
-                variant=o.get("rule", "case2"), omega=o.get("omega", 0.9)
-            )
-            cfg = PntmConfig(
-                alpha0=o.get("alpha0", 1.0),
-                tol=o.get("tol", 1e-3),
-                outer_iter_max=int(o.get("outer_max", 100)),
-                inner_cap_small=int(o.get("inner_small", 10)),
-                inner_cap_large=int(o.get("inner_large", 10000)),
-                step_rule=rule,
-            )
-            r = pntm_solve(problem, cfg)
-            return r.x, r.alpha, r.n_outer, r.converged, r.residual_norm, r.trace
-        if self.method == "gbit":
-            cfg = GbitConfig(
-                alpha0=o.get("alpha0", 1.0),
-                tol=o.get("tol", 1e-3),
-                max_iter=int(o.get("max_iter", 100)),
-            )
-            r = gbit_solve(problem, cfg)
-            return r.x, r.alpha, r.n_outer, r.converged, r.residual_norm, r.trace
-        if self.method == "sirt":
-            r = sirt_solve(
-                problem,
-                max_iter=int(o.get("max_iter", 1000)),
-                stop_at_discrepancy=o.get("stop_at_discrepancy", True),
-            )
-            return r.x, None, r.n_iter, r.reached_discrepancy, r.residual_norm, r.trace
-        if self.method == "cgls-pc":
-            max_iter = int(o.get("max_iter", 1000))
-            if isinstance(problem.operator, PriorconditionedOperator):
-                # problem already carries the smoothing transform
-                r = cgls(
-                    problem.operator, problem.b, problem.discrepancy_target,
-                    max_iter=max_iter,
-                )
-            else:
-                reg = RegularizationMatrix(problem.operator.cols)
-                r = cgls_priorconditioned(problem, reg, max_iter=max_iter)
-            return r.x, None, r.n_iter, r.converged, r.residual_norm, r.trace
-        raise ConfigError(f"unknown solver method {self.method!r}")
+        return METHODS[self.method].run(problem, self.config)
 
 
 @dataclass
@@ -208,21 +231,26 @@ class ExperimentConfig:
     raw: Optional[configparser.ConfigParser] = None
 
 
-def _parse_solver_options(section) -> dict:
-    opts = {}
-    for key in section:
-        if key == "method":
-            continue
-        raw = section[key]
-        if key in ("rule", "dinv"):
-            opts[key] = raw.strip()
-        elif key in ("max_iter", "outer_max", "inner_small", "inner_large"):
-            opts[key] = int(raw)
-        elif key == "stop_at_discrepancy":
-            opts[key] = raw.strip().lower() in ("1", "true", "yes", "on")
-        else:
-            opts[key] = float(raw)
-    return opts
+def _solver_config(name, method, section):
+    """The method's options from its INI section, checked before any work."""
+    spec = METHODS[method]
+    kwargs, rule = {}, {}
+    try:
+        for key, raw in section.items():
+            if key == "method":
+                continue
+            if key not in spec.keys:
+                raise ConfigError(
+                    f"unknown key {key!r} in [{name}]; {method} accepts "
+                    f"{', '.join(spec.keys)}"
+                )
+            field_name, parse = spec.keys[key]
+            (rule if field_name in _RULE_FIELDS else kwargs)[field_name] = parse(raw)
+        if rule:
+            kwargs["step_rule"] = StepRule(**rule)
+        return spec.config(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid value in [{name}]: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -266,7 +294,7 @@ def load_config(path) -> ExperimentConfig:
                 f"choose from {', '.join(SOLVER_METHODS)}"
             )
         solvers.append(
-            SolverSpec(label=label, method=method, options=_parse_solver_options(cp[name]))
+            SolverSpec(label, method, _solver_config(name, method, cp[name]))
         )
     if not solvers:
         raise ConfigError("config needs at least one [solver <label>] section")
@@ -332,23 +360,6 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     return points
 
 
-def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(v) for v in row) + "\n")
-
-
 def _write_manifest(path, config: ExperimentConfig, seeds, statuses):
     lines = [
         f"package_version={__version__}",
@@ -396,7 +407,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                 (spec.label, rep, seed, iters, alpha, int(bool(conv)), resid, "")
             )
 
-    _write_csv(
+    write_csv(
         out / "runs.csv",
         ("method", "rep", "seed", "iters", "alpha", "converged", "res_norm", "error"),
         run_rows,
@@ -431,7 +442,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                 n_failed,
             )
         )
-    _write_csv(
+    write_csv(
         out / "summary.csv",
         ("method", "mean_iters", "sd_iters", "mean_alpha", "sd_alpha", "n_runs", "n_failed"),
         summary_rows,
@@ -447,7 +458,7 @@ def run_curve(config: ExperimentConfig) -> int:
     points = sample_discrepancy_curve(problem, config.curve_grid)
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "curve.csv", ("alpha", "res_norm"), points)
+    write_csv(out / "curve.csv", ("alpha", "res_norm"), points)
     logger.info("wrote %d curve points to %s", len(points), out / "curve.csv")
     return 0
 

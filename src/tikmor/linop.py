@@ -192,15 +192,11 @@ class PriorconditionedOperator(LinearOperator):
         return self.base.to_dense() @ self.reg.inverse_dense()
 
     def frobenius_norm(self):
-        # column sweep: ||A inv(L)||_F^2 = sum_j ||A inv(L) e_j||^2
-        total = 0.0
-        e = np.zeros(self.cols)
-        for j in range(self.cols):
-            e[j] = 1.0
-            col = self.matvec(e)
-            total += float(col @ col)
-            e[j] = 0.0
-        return float(np.sqrt(total))
+        if isinstance(self.reg, RegularizationMatrix):
+            # inv(L) = -triu(ones), so column j of A inv(L) is minus the sum
+            # of the first j + 1 columns of A
+            return float(np.linalg.norm(np.cumsum(self.base.to_dense(), axis=1)))
+        return float(np.linalg.norm(self.to_dense()))
 
 
 def as_operator(obj) -> LinearOperator:

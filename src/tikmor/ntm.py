@@ -29,12 +29,23 @@ from .trace import NTM_COLUMNS, SolveTrace
 SOLVE_RTOL = 1e-10
 
 
+def coupled_residual(matvec, rmatvec, b, eps):
+    """F(x, alpha) -> (F1, F2, ||A x - b||) for the operator given by its products."""
+
+    def F(x, alpha):
+        r = matvec(x) - b
+        F1 = rmatvec(r) + alpha * x
+        F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
+        return F1, F2, float(np.linalg.norm(r))
+
+    return F
+
+
 def eval_F(A, b, eps, x, alpha):
     """Stacked residual of the coupled system at (x, alpha)."""
     A = as_operator(A)
-    r = A.matvec(x) - np.asarray(b, dtype=float)
-    F1 = A.rmatvec(r) + alpha * np.asarray(x, dtype=float)
-    F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
+    F = coupled_residual(A.matvec, A.rmatvec, np.asarray(b, dtype=float), eps)
+    F1, F2, _ = F(np.asarray(x, dtype=float), alpha)
     return F1, F2
 
 
@@ -60,6 +71,11 @@ def solve_rescaled_system(G, x, alpha, F1, F2, rtol=SOLVE_RTOL):
     rhs = np.empty(n + 1)
     rhs[:n] = -F1
     rhs[n] = -F2 / alpha
+    if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
+        # F2 / alpha overflows once alpha underflows under case-3 clipping
+        raise SingularJacobianError(
+            f"rescaled Newton system is not finite at alpha = {alpha!r}"
+        )
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros(n), 0.0
@@ -155,11 +171,11 @@ def dinv_norm(A, x, alpha, mode="exact_svd", gram=None, lam1=None) -> float:
     ``exact_svd`` inverts the smallest singular value of the bordered
     matrix. ``lemma_bound`` evaluates the analytic upper bound
     (1 + ||x||/alpha)^2 * max(1/alpha, (alpha + lambda_1)/||x||), whose
-    overestimation only shrinks the safeguarded step.
+    overestimation only shrinks the safeguarded step. ``A`` is only read
+    when ``gram`` (or, for the bound, ``lam1``) is not given.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    A = as_operator(A)
     x = np.asarray(x, dtype=float)
     if mode == "lemma_bound":
         nx = float(np.linalg.norm(x))
@@ -171,7 +187,7 @@ def dinv_norm(A, x, alpha, mode="exact_svd", gram=None, lam1=None) -> float:
             return (1.0 + nx / alpha) ** 2 * max(1.0 / alpha, (alpha + lam1) / nx)
     if mode != "exact_svd":
         raise ValueError(f"unknown mode {mode!r}")
-    G = A.gram() if gram is None else gram
+    G = as_operator(A).gram() if gram is None else gram
     sigma_min = svdvals(bordered_matrix(G, x, alpha))[-1]
     if sigma_min == 0.0:
         return np.inf
@@ -298,6 +314,56 @@ def _check_discrepancy_feasible(b, eps):
         )
 
 
+class NewtonStep(NamedTuple):
+    """One point of a safeguarded Newton run; the step fields are None at the start."""
+
+    x: np.ndarray
+    alpha: float
+    res_norm: float
+    F_norm: float
+    gamma: Optional[float] = None
+    dinv: Optional[float] = None
+    theta: Optional[float] = None
+    case_id: Optional[int] = None
+    dir_norm: Optional[float] = None
+
+    @property
+    def row(self):
+        """The trace fields after ``iter``, in NTM_COLUMNS order."""
+        return (self.alpha, self.gamma, self.res_norm, self.F_norm,
+                self.dinv, self.theta, self.case_id)
+
+
+def newton_steps(G, F, x, alpha, rule, tol, cap, rtol=SOLVE_RTOL, lam1=None):
+    """Safeguarded Newton steps on the coupled system with Gram matrix G.
+
+    ``F(x, alpha)`` returns (F1, F2, ||r||), see ``coupled_residual``.
+    Yields the start point, then one record per step, and stops once
+    ||F|| < tol or after ``cap`` steps. ``lam1`` is lambda_1(G), needed
+    when the rule prices ||D^-1|| by the lemma bound.
+    """
+    F1, F2, res = F(x, alpha)
+    Fnorm = stacked_norm(F1, F2)
+    yield NewtonStep(x, alpha, res, Fnorm)
+    for _ in range(cap):
+        if Fnorm < tol:
+            return
+        dx, dalpha = solve_rescaled_system(G, x, alpha, F1, F2, rtol=rtol)
+        dinv = dinv_norm(None, x, alpha, mode=rule.dinv_mode, gram=G, lam1=lam1)
+        gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
+        gamma = step_size(
+            rule.variant, dx, dalpha, gamma_max, theta, dinv, gram_dx=G @ dx
+        )
+        x = x + gamma * dx
+        alpha = alpha + gamma * dalpha
+        if alpha <= 0:  # only underflow gets past the interval rule
+            raise SingularJacobianError("step safeguard failed to keep alpha positive")
+        F1, F2, res = F(x, alpha)
+        Fnorm = stacked_norm(F1, F2)
+        dir_norm = float(np.sqrt(dx @ dx + dalpha * dalpha))
+        yield NewtonStep(x, alpha, res, Fnorm, gamma, dinv, theta, case_id, dir_norm)
+
+
 def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> NtmResult:
     """Full-space Newton solve for (x, alpha).
 
@@ -320,54 +386,22 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> Nt
         if rule.dinv_mode == "lemma_bound"
         else None
     )
-    alpha = config.alpha0
-    x = normal_equation_solve(A, b, alpha, gram=G)
+    x = normal_equation_solve(A, b, config.alpha0, gram=G)
 
     trace = SolveTrace(columns=NTM_COLUMNS, extra_columns=("dir_norm",))
-    r = A.matvec(x) - b
-    F1 = A.rmatvec(r) + alpha * x
-    F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
-    Fnorm = stacked_norm(F1, F2)
-    trace.append(
-        0, alpha, None, float(np.linalg.norm(r)), Fnorm, None, None, None,
-        extra=(None,),
+    F = coupled_residual(A.matvec, A.rmatvec, b, eps)
+    steps = newton_steps(
+        G, F, x, config.alpha0, rule, config.tol, config.max_iter, lam1=lam1
     )
-
-    converged = False
-    n_iter = 0
-    for k in range(1, config.max_iter + 1):
-        if Fnorm < config.tol:
-            converged = True
-            break
-        dx, dalpha = solve_rescaled_system(G, x, alpha, F1, F2)
-        dinv = dinv_norm(A, x, alpha, mode=rule.dinv_mode, gram=G, lam1=lam1)
-        gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
-        gamma = step_size(
-            rule.variant, dx, dalpha, gamma_max, theta, dinv, gram_dx=G @ dx
-        )
-        x = x + gamma * dx
-        alpha = alpha + gamma * dalpha
-        if alpha <= 0:  # the interval rule guarantees this never trips
-            raise SingularJacobianError("step safeguard failed to keep alpha positive")
-        r = A.matvec(x) - b
-        F1 = A.rmatvec(r) + alpha * x
-        F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
-        Fnorm = stacked_norm(F1, F2)
-        dir_norm = float(np.sqrt(dx @ dx + dalpha * dalpha))
-        trace.append(
-            k, alpha, gamma, float(np.linalg.norm(r)), Fnorm, dinv, theta, case_id,
-            extra=(dir_norm,),
-        )
-        n_iter = k
-    else:
-        converged = Fnorm < config.tol
+    for k, step in enumerate(steps):
+        trace.append(k, *step.row, extra=(step.dir_norm,))
 
     return NtmResult(
-        x=x,
-        alpha=float(alpha),
+        x=step.x,
+        alpha=float(step.alpha),
         trace=trace,
-        converged=converged,
-        n_iter=n_iter,
-        residual_norm=float(np.linalg.norm(r)),
-        F_norm=Fnorm,
+        converged=step.F_norm < config.tol,
+        n_iter=k,
+        residual_norm=step.res_norm,
+        F_norm=step.F_norm,
     )

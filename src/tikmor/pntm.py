@@ -1,12 +1,13 @@
 """Projected Newton solve: the coupled system restricted to a growing
-Golub-Kahan subspace.
+Golub-Kahan subspace, and the Krylov outer loop it shares with GBiT.
 
 Each outer iteration expands the bidiagonalization by one column, warm
 starts from the projected Tikhonov solution at the current alpha, and
-runs safeguarded Newton steps on the small projected system. The outer
-loop stops only when the inner iterations converged *and* alpha has
-stagnated, since the projected system can be solved accurately long
-before the subspace is rich enough for the full problem.
+runs the safeguarded Newton steps of ``ntm.newton_steps`` on the small
+projected system. The outer loop stops only when the projected system is
+solved *and* alpha has stagnated, since the projected system can be
+solved accurately long before the subspace is rich enough for the full
+problem.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, svdvals
+from scipy.linalg import cho_factor, cho_solve
 
 from .bidiag import BidiagFactorization, init_bidiag
 from .errors import DegenerateRhsError
@@ -23,11 +24,9 @@ from .linop import as_operator
 from .ntm import (
     StepRule,
     _check_discrepancy_feasible,
-    bordered_matrix,
+    coupled_residual,
+    newton_steps,
     solve_rescaled_system,
-    stacked_norm,
-    step_interval,
-    step_size,
 )
 from .problems import InverseProblem
 from .trace import PNTM_COLUMNS, SolveTrace
@@ -51,10 +50,16 @@ class PntmConfig:
             raise ValueError("inner_cap_small must not exceed inner_cap_large")
         if self.outer_iter_max < 1:
             raise ValueError("outer_iter_max must be >= 1")
+        if self.step_rule.dinv_mode != "exact_svd":
+            raise ValueError(
+                "pntm prices ||D^-1|| exactly; dinv_mode must be exact_svd"
+            )
 
 
 @dataclass
-class PntmResult:
+class KrylovResult:
+    """Outcome of a Golub-Kahan solve (pntm or gbit); gbit takes no inner steps."""
+
     x: np.ndarray
     alpha: float
     trace: SolveTrace
@@ -67,10 +72,11 @@ class PntmResult:
     factorization: BidiagFactorization
 
 
+PntmResult = KrylovResult
+
+
 def projected_eval_F(B, c, eps, y, alpha):
-    r = B @ y - c
-    F1 = B.T @ r + alpha * y
-    F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
+    F1, F2, _ = coupled_residual(B.__matmul__, B.T.__matmul__, c, eps)(y, alpha)
     return F1, F2
 
 
@@ -88,9 +94,54 @@ def projected_newton_system(f: BidiagFactorization, y, alpha, eps):
     )
 
 
-def _projected_dinv(G, y, alpha) -> float:
-    sv = svdvals(bordered_matrix(G, y, alpha))
-    return float(1.0 / sv[-1]) if sv[-1] > 0 else np.inf
+def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
+    """Golub-Kahan outer loop shared by pntm and gbit.
+
+    Each iteration grows the factorization by one column and calls
+    ``update(k, B, c, G, g, alpha_prev) -> (y, alpha, F_norm, inner_steps)``
+    with G = B^T B and g = B^T c; ``update`` appends its own trace rows.
+    Stops once F_norm < tol and alpha moved by less than tol relative.
+    """
+    A = as_operator(problem.operator)
+    b = problem.b
+    _check_discrepancy_feasible(b, problem.discrepancy_target)
+
+    f = init_bidiag(A, b)
+    alpha_prev = alpha = alpha0
+    y = np.zeros(0)
+    Fnorm = np.inf
+    converged = False
+    total_inner = 0
+    n_outer = 0
+    for k in range(1, max_iter + 1):
+        n_outer = k
+        if f.can_expand():
+            f.expand()
+        if f.k == 0:
+            raise DegenerateRhsError(
+                "A^T b is numerically zero: no Krylov direction exists"
+            )
+        B, c = f.B, f.c
+        y, alpha, Fnorm, inner = update(k, B, c, B.T @ B, B.T @ c, alpha_prev)
+        total_inner += inner
+        if Fnorm < tol and abs(alpha - alpha_prev) / max(alpha_prev, 1e-300) < tol:
+            converged = True
+            break
+        alpha_prev = alpha
+
+    x = f.lift(y)
+    return KrylovResult(
+        x=x,
+        alpha=float(alpha),
+        trace=trace,
+        converged=converged,
+        n_outer=n_outer,
+        n_inner_total=total_inner,
+        residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
+        F_norm=float(Fnorm),
+        y=y,
+        factorization=f,
+    )
 
 
 def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> PntmResult:
@@ -102,95 +153,28 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     """
     if config is None:
         config = PntmConfig()
-    A = as_operator(problem.operator)
-    b = problem.b
     eps = problem.discrepancy_target
-    _check_discrepancy_feasible(b, eps)
-    rule = config.step_rule
-
-    f = init_bidiag(A, b)
     trace = SolveTrace(columns=PNTM_COLUMNS)
-    alpha_prev = config.alpha0
-    converged = False
-    total_inner = 0
-    row = 0
-    n_outer = 0
-    y = np.zeros(0)
-    alpha = alpha_prev
-    Fnorm = np.inf
 
-    for k in range(1, config.outer_iter_max + 1):
-        n_outer = k
-        if f.can_expand():
-            f.expand()
-        if f.k == 0:
-            raise DegenerateRhsError(
-                "A^T b is numerically zero: no Krylov direction exists"
-            )
-        B, c = f.B, f.c
-        dim = f.k
-        G = B.T @ B
-        g = B.T @ c
-
+    def update(k, B, c, G, g, alpha):
+        dim = G.shape[0]
         # warm start: projected Tikhonov solution at the carried alpha
-        alpha = alpha_prev
-        K = G + alpha * np.eye(dim)
-        y = cho_solve(cho_factor(K), g)
+        y = cho_solve(cho_factor(G + alpha * np.eye(dim)), g)
         warm_res = float(np.linalg.norm(B @ y - c))
         cap = (
             min(k, config.inner_cap_small)
             if warm_res > eps
             else config.inner_cap_large
         )
-
-        F1, F2 = projected_eval_F(B, c, eps, y, alpha)
-        Fnorm = stacked_norm(F1, F2)
-        row += 1
-        trace.append(
-            row, alpha, None, warm_res, Fnorm, None, None, None,
-            k, 0, dim, warm_res,
+        F = coupled_residual(B.__matmul__, B.T.__matmul__, c, eps)
+        steps = newton_steps(
+            G, F, y, alpha, config.step_rule, config.tol, cap,
+            rtol=PROJECTED_SOLVE_RTOL,
         )
-        flag = Fnorm < config.tol  # exact projected root needs no inner steps
-        if not flag:
-            for l in range(1, cap + 1):
-                dy, dalpha = solve_rescaled_system(
-                    G, y, alpha, F1, F2, rtol=PROJECTED_SOLVE_RTOL
-                )
-                dinv = _projected_dinv(G, y, alpha)
-                gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
-                gamma = step_size(
-                    rule.variant, dy, dalpha, gamma_max, theta, dinv, gram_dx=G @ dy
-                )
-                y = y + gamma * dy
-                alpha = alpha + gamma * dalpha
-                F1, F2 = projected_eval_F(B, c, eps, y, alpha)
-                Fnorm = stacked_norm(F1, F2)
-                total_inner += 1
-                row += 1
-                trace.append(
-                    row, alpha, gamma, float(np.linalg.norm(B @ y - c)), Fnorm,
-                    dinv, theta, case_id, k, l, dim, warm_res,
-                )
-                if Fnorm < config.tol:
-                    flag = True
-                    break
+        for l, step in enumerate(steps):
+            trace.append(len(trace) + 1, *step.row, k, l, dim, warm_res)
+        return step.x, step.alpha, step.F_norm, l
 
-        if flag and abs(alpha - alpha_prev) / max(alpha_prev, 1e-300) < config.tol:
-            converged = True
-            break
-        alpha_prev = alpha
-
-    x = f.lift(y)
-    residual = float(np.linalg.norm(A.matvec(x) - b))
-    return PntmResult(
-        x=x,
-        alpha=float(alpha),
-        trace=trace,
-        converged=converged,
-        n_outer=n_outer,
-        n_inner_total=total_inner,
-        residual_norm=residual,
-        F_norm=float(Fnorm),
-        y=y,
-        factorization=f,
+    return krylov_loop(
+        problem, config.alpha0, config.tol, config.outer_iter_max, trace, update
     )

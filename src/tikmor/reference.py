@@ -13,10 +13,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
-from .bidiag import BidiagFactorization, init_bidiag
-from .errors import DegenerateRhsError, ZeroSumError
+from .errors import ZeroSumError
 from .linop import PriorconditionedOperator, as_operator
-from .ntm import _check_discrepancy_feasible, stacked_norm
+from .ntm import stacked_norm
+from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
 from .trace import CGLS_COLUMNS, GBIT_COLUMNS, SIRT_COLUMNS, SolveTrace
 
@@ -37,24 +37,14 @@ class GbitConfig:
             raise ValueError("alpha0 and tol must be positive, max_iter >= 1")
 
 
-@dataclass
-class GbitResult:
-    x: np.ndarray
-    alpha: float
-    trace: SolveTrace
-    converged: bool
-    n_outer: int
-    residual_norm: float
-    F_norm: float
-    y: np.ndarray
-    factorization: BidiagFactorization
+GbitResult = KrylovResult
 
 
-def _projected_tikhonov(G, g, alpha, dim):
+def _projected_tikhonov(G, g, alpha):
     if alpha == 0.0:
         # secant update can in principle hit zero; fall back to least squares
         return np.linalg.lstsq(G, g, rcond=None)[0]
-    return cho_solve(cho_factor(G + alpha * np.eye(dim)), g)
+    return cho_solve(cho_factor(G + alpha * np.eye(G.shape[0])), g)
 
 
 def secant_alpha_update(eps, res_unreg, res_reg, alpha_prev):
@@ -80,35 +70,12 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     """
     if config is None:
         config = GbitConfig()
-    A = as_operator(problem.operator)
-    b = problem.b
     eps = problem.discrepancy_target
-    _check_discrepancy_feasible(b, eps)
-
-    f = init_bidiag(A, b)
     trace = SolveTrace(columns=GBIT_COLUMNS)
-    alpha_prev = config.alpha0
-    converged = False
-    y = np.zeros(0)
-    alpha = alpha_prev
-    Fnorm = np.inf
-    n_outer = 0
 
-    for k in range(1, config.max_iter + 1):
-        n_outer = k
-        if f.can_expand():
-            f.expand()
-        if f.k == 0:
-            raise DegenerateRhsError(
-                "A^T b is numerically zero: no Krylov direction exists"
-            )
-        B, c = f.B, f.c
-        dim = f.k
-        G = B.T @ B
-        g = B.T @ c
-
+    def update(k, B, c, G, g, alpha_prev):
         z = np.linalg.lstsq(B, c, rcond=None)[0]
-        y = _projected_tikhonov(G, g, alpha_prev, dim)
+        y = _projected_tikhonov(G, g, alpha_prev)
         res_z = float(np.linalg.norm(B @ z - c))
         res_y = float(np.linalg.norm(B @ y - c))
         if res_y == res_z:
@@ -122,24 +89,11 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
         F1 = (alpha - alpha_prev) * y
         F2 = 0.5 * (res_y * res_y - eps * eps)
         Fnorm = stacked_norm(F1, F2)
-        trace.append(k, alpha, res_y, Fnorm, dim, res_z)
+        trace.append(k, alpha, res_y, Fnorm, G.shape[0], res_z)
+        return y, alpha, Fnorm, 0
 
-        if Fnorm < config.tol and abs(alpha - alpha_prev) / alpha_prev < config.tol:
-            converged = True
-            break
-        alpha_prev = alpha
-
-    x = f.lift(y)
-    return GbitResult(
-        x=x,
-        alpha=float(alpha),
-        trace=trace,
-        converged=converged,
-        n_outer=n_outer,
-        residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
-        F_norm=float(Fnorm),
-        y=y,
-        factorization=f,
+    return krylov_loop(
+        problem, config.alpha0, config.tol, config.max_iter, trace, update
     )
 
 
@@ -199,7 +153,7 @@ class SirtResult:
 
 
 def sirt_solve(
-    problem: InverseProblem, max_iter, stop_at_discrepancy=True
+    problem: InverseProblem, max_iter=1000, stop_at_discrepancy=True
 ) -> SirtResult:
     """Stationary iteration x <- x + C A^T R (b - A x) from x = 0."""
     A = as_operator(problem.operator)

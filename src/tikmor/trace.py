@@ -2,7 +2,8 @@
 
 Every solver appends aligned rows; the CSV schema is fixed per solver so
 runs of different methods can be overlaid by downstream tooling. Missing
-values (e.g. alpha for SIRT) serialize as empty fields.
+values (e.g. alpha for SIRT) serialize as empty fields. ``write_csv``
+also writes the experiment tables of the CLI.
 """
 
 from __future__ import annotations
@@ -18,15 +19,23 @@ SIRT_COLUMNS = ("iter", "alpha", "res_norm")
 CGLS_COLUMNS = ("iter", "alpha", "res_norm")
 
 
-def _fmt(value) -> str:
+def format_cell(value) -> str:
+    """CSV text of one value: None empty, integers plain, strings as they
+    are, any other number by ``repr(float(value))`` (so NaN is ``nan``)."""
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if np.isnan(v):
-        return ""
-    return repr(v)
+    return repr(float(value))
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(format_cell(v) for v in row) + "\n")
 
 
 @dataclass
@@ -66,7 +75,4 @@ class SolveTrace:
         return len(self.rows)
 
     def write_csv(self, path):
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for row in self.rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        write_csv(path, self.columns, self.rows)

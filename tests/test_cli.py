@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from tikmor.cli import (
     main,
     sample_discrepancy_curve,
 )
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 BASE_CFG = """
 [experiment]
@@ -52,6 +56,44 @@ def test_invalid_solver_name_fails_before_work(tmp_path):
     with pytest.raises(ConfigError, match="invalid solver name"):
         load_config(path)
     assert main(["run", str(path)]) == 1
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    cfg = load_config(path)
+    assert cfg.solvers
+
+
+def append_solver(tmp_path, body):
+    # valid solvers come first, so nothing may run before the bad one is rejected
+    text = BASE_CFG.format(reps=1, out=tmp_path / "o") + f"\n[solver bad]\n{body}\n"
+    return write_cfg(tmp_path, text)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "method = gbit\nmax_iters = 3",  # typo of max_iter
+        "method = pntm\ndinv = lemma_bound",  # ntm-only key
+    ],
+)
+def test_unknown_solver_key_fails_before_work(tmp_path, body):
+    path = append_solver(tmp_path, body)
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "body", ["method = ntm\nrule = case3", "method = gbit\nmax_iter = many"]
+)
+def test_bad_solver_value_fails_before_work(tmp_path, body):
+    path = append_solver(tmp_path, body)
+    with pytest.raises(ConfigError, match="invalid value"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_missing_problem_section(tmp_path):
@@ -198,3 +240,36 @@ max_iter = 200
     runs = (out / "runs.csv").read_text().splitlines()
     assert len(runs) == 2
     assert runs[1].split(",")[5] == "1"  # converged
+
+
+def test_solver_error_recorded_per_run(tmp_path):
+    # smoothed pntm underflows alpha on this problem and fails with a typed
+    # error; the batch still finishes and reports gbit's run
+    cfg = """
+[experiment]
+repetitions = 1
+seed = 2005
+output = {out}
+
+[problem]
+type = randomUniform
+m = 210
+n = 150
+noise = 0.10
+precondition = smooth
+
+[solver pntm]
+method = pntm
+
+[solver gbit]
+method = gbit
+"""
+    out = tmp_path / "out"
+    path = write_cfg(tmp_path, cfg.format(out=out))
+    assert main(["run", str(path)]) == 2
+    runs = (out / "runs.csv").read_text().splitlines()
+    assert len(runs) == 3
+    pntm_row, gbit_row = runs[1].split(",", 7), runs[2].split(",", 7)
+    assert pntm_row[0] == "pntm" and pntm_row[3:7] == ["", "", "", ""]
+    assert "not finite" in pntm_row[7]
+    assert gbit_row[0] == "gbit" and gbit_row[5] == "1" and gbit_row[7] == ""

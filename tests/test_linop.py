@@ -71,6 +71,44 @@ def test_composite_matches_dense_product(rng):
     assert abs(op.frobenius_norm() - np.linalg.norm(dense, "fro")) <= 1e-10
 
 
+def column_sweep_frobenius(op):
+    # reference: ||A inv(L)||_F^2 = sum_j ||A inv(L) e_j||^2, one matvec a column
+    total = 0.0
+    e = np.zeros(op.cols)
+    for j in range(op.cols):
+        e[j] = 1.0
+        col = op.matvec(e)
+        total += float(col @ col)
+        e[j] = 0.0
+    return np.sqrt(total)
+
+
+class ScaledIdentity:
+    """L = I / 2, a regularizer other than the smoothing stencil."""
+
+    def __init__(self, dim):
+        self.dim = dim
+
+    def solve(self, w):
+        return 2.0 * np.asarray(w, dtype=float)
+
+    def inverse_dense(self):
+        return 2.0 * np.eye(self.dim)
+
+
+@pytest.mark.parametrize("reg", [RegularizationMatrix, ScaledIdentity])
+@pytest.mark.parametrize("shape", [(1, 1), (9, 4), (40, 60), (120, 80)])
+def test_composite_frobenius_matches_column_sweep(rng, shape, reg):
+    m, n = shape
+    sparse = sp.random(m, n, density=0.3, random_state=3)
+    for base in (rng.standard_normal((m, n)), sparse):
+        op = PriorconditionedOperator(as_operator(base), reg(n))
+        ref = column_sweep_frobenius(op)
+        # both sum the same column partial sums in a different order: the
+        # float64 rounding of n-term sums bounds the gap
+        assert abs(op.frobenius_norm() - ref) <= 4 * n * np.finfo(float).eps * ref
+
+
 # -- regularization matrix ----------------------------------------------------
 
 

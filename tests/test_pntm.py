@@ -5,15 +5,18 @@ from tikmor import (
     InfeasibleDiscrepancyError,
     InverseProblem,
     PntmConfig,
+    RegularizationMatrix,
     StepRule,
     as_operator,
     init_bidiag,
     normal_equation_solve,
     pntm_solve,
+    priorconditioned_problem,
     projected_newton_system,
     random_uniform_problem,
     solve_newton_system,
 )
+from tikmor.errors import TikmorError
 from tikmor.pntm import projected_eval_F
 
 
@@ -200,3 +203,22 @@ def test_pntm_csv_schema(tmp_path):
         "iter,alpha,gamma,res_norm,F_norm,dinv,theta,case_id,"
         "outer_iter,inner_iter,subspace_dim,proj_res"
     )
+
+
+def test_pntm_rejects_lemma_bound_pricing():
+    with pytest.raises(ValueError, match="exact_svd"):
+        PntmConfig(step_rule=StepRule(dinv_mode="lemma_bound"))
+
+
+@pytest.mark.parametrize("seed", [2005, 2008])
+def test_smoothed_alpha_underflow_fails_typed(seed):
+    # case-3 clipping drives alpha toward underflow on these problems; the
+    # rescaled Newton system then overflows, which must surface as a
+    # TikmorError rather than scipy's ValueError on infs/NaNs
+    raw = random_uniform_problem(210, 150, 0.10, seed=seed)
+    p, _ = priorconditioned_problem(raw, RegularizationMatrix(150))
+    try:
+        res = pntm_solve(p)
+    except TikmorError:
+        return
+    assert np.all(np.isfinite(res.x)) and np.isfinite(res.alpha)
