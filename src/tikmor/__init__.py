@@ -39,7 +39,6 @@ from .ntm import (
     dinv_norm,
     eval_F,
     ntm_solve,
-    schur_inverse,
     solve_newton_system,
     step_interval,
     step_size,
@@ -125,7 +124,6 @@ __all__ = [
     "relative_stats",
     "save_matrix_market",
     "save_problem",
-    "schur_inverse",
     "sine_wave_problem",
     "sirt_operators",
     "sirt_solve",

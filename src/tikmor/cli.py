@@ -29,12 +29,14 @@ Configuration is a flat INI file (sections of key=value pairs) with one
     points = 25
     spacing = log
 
-Solver keys besides ``method``, by method (defaults are those of the
-config dataclasses; any other key, or a value the solver rejects, is a
-config error):
+Other sections take only the keys shown, plus ``precondition`` (none |
+smooth) in ``[problem]`` and ``alphas`` (a comma-separated grid) in
+``[curve]``. Solver keys besides ``method``, by method (defaults are
+those of the config dataclasses; any other key, or a value the solver
+rejects, is a config error):
 
 * ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2),
-  ``omega``, ``dinv`` (exact_svd | lemma_bound)
+  ``omega``, ``dinv`` (exact_svd: exact, no SVD is taken | lemma_bound)
 * pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_small``,
   ``inner_large``, ``rule``, ``omega``
 * gbit: ``alpha0``, ``tol``, ``max_iter``
@@ -98,6 +100,12 @@ PROBLEM_TYPES = {
     "matrixmarket": "matrix_market",
     "matrix_market": "matrix_market",
     "directory": "directory",
+}
+
+SECTION_KEYS = {  # keys of the sections other than [solver <label>]
+    "experiment": ("repetitions", "seed", "output"),
+    "problem": ("type", "m", "n", "noise", "path", "rhs", "precondition"),
+    "curve": ("alphas", "alpha_min", "alpha_max", "points", "spacing"),
 }
 
 
@@ -258,6 +266,9 @@ def load_config(path) -> ExperimentConfig:
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    for name, keys in SECTION_KEYS.items():
+        for key in sorted(set(cp[name] if name in cp else ()) - set(keys)):
+            raise ConfigError(f"unknown key {key!r} in [{name}]; it takes {', '.join(keys)}")
 
     if "problem" not in cp:
         raise ConfigError("config needs a [problem] section")

@@ -11,15 +11,20 @@ by the current alpha), which at F1-consistent points reduces to the
 bordered matrix D(x, alpha) whose inverse is provably bounded. The step
 size is capped so the Jacobian stays regular along the way; the "case1"
 rule additionally forces the search-direction norms to decrease.
+
+G = A^T A is fixed during a solve and diagonalized once, G = Q diag(lam) Q^T
+(one ``eigh``, O(n^3)). In that eigenbasis the direction follows from a
+scalar Schur complement and ||D^-1|| from a root of a monotone secular
+equation, so a step costs three products with Q (O(n^2)) plus O(n) work.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, svdvals
 
 from .errors import InfeasibleDiscrepancyError, SingularJacobianError
 from .linop import as_operator, normal_equation_solve
@@ -27,6 +32,9 @@ from .problems import InverseProblem
 from .trace import NTM_COLUMNS, SolveTrace
 
 SOLVE_RTOL = 1e-10
+# bound on ||(x, F1, F2)|| / alpha: the rescaled system's norms fit in a float
+RESCALE_LIMIT = 1e300
+_EPS = float(np.finfo(float).eps)
 
 
 def coupled_residual(matvec, rmatvec, b, eps):
@@ -53,145 +61,131 @@ def stacked_norm(F1, F2) -> float:
     return float(np.sqrt(F1 @ F1 + F2 * F2))
 
 
-def solve_rescaled_system(G, x, alpha, F1, F2, rtol=SOLVE_RTOL):
-    """Newton directions from the rescaled Jacobian, solved densely.
+def spectral_gram(G):
+    """(lam, Q) with G = Q diag(lam) Q^T, lam ascending; G is semidefinite,
+    so roundoff-negative lam are set to 0 and lam + alpha > 0 for alpha > 0."""
+    lam, Q = np.linalg.eigh(G)
+    return np.maximum(lam, 0.0), Q
 
-    G is the (projected or full) Gram matrix A^T A. The bottom row
-    (A^T(Ax-b))/alpha is recovered from F1 without an extra matvec.
-    The solve quality is checked through the normwise backward error
-    ||J d - rhs|| / (||rhs|| + ||J|| ||d||), the scale-independent form
-    of a relative residual; one refinement pass backs it up.
+
+def solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=SOLVE_RTOL):
+    """Newton direction (dx, dalpha) and G dx from the rescaled Jacobian.
+
+    J = [[K, x], [w^T, 0]], K = G + alpha I = Q diag(lam + alpha) Q^T and
+    w = (F1 - alpha x)/alpha = A^T(Ax-b)/alpha, taken from F1 without a
+    matvec. One product rotates [x, F1] into the eigenbasis, where dalpha
+    follows from the Schur complement w^T K^-1 x; a second rotates
+    [dx, lam dx] back. The normwise backward error ||J d - rhs|| /
+    (||rhs|| + ||J||_F ||d||) is checked at O(n); one refinement pass backs it up.
     """
-    n = x.shape[0]
-    J = np.zeros((n + 1, n + 1))
-    J[:n, :n] = G
-    J[:n, :n][np.diag_indices(n)] += alpha
-    J[:n, n] = x
-    J[n, :n] = F1 / alpha - x
-    rhs = np.empty(n + 1)
-    rhs[:n] = -F1
-    rhs[n] = -F2 / alpha
-    if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
-        # F2 / alpha overflows once alpha underflows under case-3 clipping
-        raise SingularJacobianError(
-            f"rescaled Newton system is not finite at alpha = {alpha!r}"
-        )
-    rhs_norm = np.linalg.norm(rhs)
+    F1_norm = float(np.linalg.norm(F1))
+    if not math.hypot(np.linalg.norm(x), F1_norm, F2) / RESCALE_LIMIT < alpha:
+        # alpha underflows under case-3 clipping; stop before F2/alpha overflows
+        raise SingularJacobianError(f"rescaled Newton system is not finite at alpha = {alpha!r}")
+    rhs_norm = math.hypot(F1_norm, F2 / alpha)
     if rhs_norm == 0.0:
-        return np.zeros(n), 0.0
-    try:
-        lu = lu_factor(J)
-        d = lu_solve(lu, rhs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - safeguarded away
-        raise SingularJacobianError(str(exc)) from exc
+        return np.zeros_like(x), 0.0, np.zeros_like(x)
+    kdiag = lam + alpha
+    xh, fh = np.stack((x, F1)) @ Q
+    vh = fh - alpha * xh  # alpha w in the eigenbasis
+    s = float(vh @ (xh / kdiag))
+    if s == 0.0:
+        raise SingularJacobianError("rescaled Jacobian is singular: w^T K^-1 x = 0")
 
-    def backward_error(vec):
-        scale = rhs_norm + np.linalg.norm(J, "fro") * np.linalg.norm(vec)
-        return np.linalg.norm(J @ vec - rhs) / scale
+    def solve(ph, q):
+        """(u, c, G u) with K u + c x = Q ph and alpha w^T u = q."""
+        c = (float(vh @ (ph / kdiag)) - q) / s
+        uh = (ph - c * xh) / kdiag
+        u, gu = np.stack((uh, lam * uh)) @ Q.T
+        return u, c, gu
 
-    if backward_error(d) > rtol:
-        d = d - lu_solve(lu, J @ d - rhs)
-        err = backward_error(d)
-        if err > rtol:
+    v = F1 - alpha * x
+    J_fro = math.hypot(np.linalg.norm(kdiag), np.linalg.norm(x), np.linalg.norm(v) / alpha)
+
+    def residual(dx, dalpha, gdx):
+        """J d - rhs with its last entry times alpha, and the backward error."""
+        top = gdx + alpha * dx + dalpha * x + F1
+        bottom = float(v @ dx) + F2
+        scale = rhs_norm + J_fro * math.hypot(np.linalg.norm(dx), dalpha)
+        return top, bottom, math.hypot(np.linalg.norm(top), bottom / alpha) / scale
+
+    dx, dalpha, gdx = solve(-fh, -F2)
+    top, bottom, err = residual(dx, dalpha, gdx)
+    if not err <= rtol:  # NaN fails too
+        ex, ealpha, egx = solve(top @ Q, bottom)
+        dx, dalpha, gdx = dx - ex, dalpha - ealpha, gdx - egx
+        err = residual(dx, dalpha, gdx)[2]
+        if not err <= rtol:
             raise SingularJacobianError(
                 f"Newton system solve stalled at backward error {err:.3e}"
             )
-    return d[:n], float(d[n])
+    return dx, dalpha, gdx
 
 
-def solve_newton_system(A, b, eps, x, alpha, gram=None):
-    """Full-space convenience wrapper around the dense core."""
+def solve_newton_system(A, b, eps, x, alpha):
+    """Full-space convenience wrapper around the spectral kernel: (dx, dalpha)."""
     A = as_operator(A)
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    G = A.gram() if gram is None else gram
     F1, F2 = eval_F(A, b, eps, x, alpha)
-    return solve_rescaled_system(G, np.asarray(x, dtype=float), alpha, F1, F2)
-
-
-def bordered_matrix(G, x, alpha):
-    """D(x, alpha) = [[G + alpha I, x], [-x^T, 0]]."""
-    n = x.shape[0]
-    D = np.zeros((n + 1, n + 1))
-    D[:n, :n] = G
-    D[:n, :n][np.diag_indices(n)] += alpha
-    D[:n, n] = x
-    D[n, :n] = -x
-    return D
-
-
-def schur_inverse(A, x, alpha, gram=None):
-    """Closed-form inverse of D(x, alpha) via its scalar Schur complement.
-
-    With K = A^T A + alpha I, t = K^{-1} x and s = x^T t:
-
-        D^{-1} = [[K^{-1} - t t^T / s, -t / s], [t^T / s, 1 / s]]
-    """
-    A = as_operator(A)
     x = np.asarray(x, dtype=float)
-    G = A.gram() if gram is None else gram
-    n = x.shape[0]
-    K = G + alpha * np.eye(n)
-    Kinv = np.linalg.inv(K)
-    t = Kinv @ x
-    s = float(x @ t)
-    if s == 0.0:
-        raise np.linalg.LinAlgError("Schur complement vanishes for x = 0")
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = Kinv - np.outer(t, t) / s
-    out[:n, n] = -t / s
-    out[n, :n] = t / s
-    out[n, n] = 1.0 / s
-    return out
+    return solve_rescaled_system(*spectral_gram(A.gram()), x, alpha, F1, F2)[:2]
 
 
-def largest_gram_eigenvalue(A, steps=100, gram=None) -> float:
-    """Power iteration estimate of lambda_1(A^T A), deterministic start."""
-    A = as_operator(A)
-    rng = np.random.default_rng(0x1A51)
-    v = rng.standard_normal(A.cols)
-    v /= np.linalg.norm(v)
-    apply_G = (lambda u: gram @ u) if gram is not None else (
-        lambda u: A.rmatvec(A.matvec(u))
-    )
-    lam = 0.0
-    for _ in range(steps):
-        w = apply_G(v)
-        lam = float(v @ w)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-    return lam
+def arrowhead_min_abs_eig(d, z) -> float:
+    """Smallest |eigenvalue| of [[diag(d), z], [z^T, 0]], d ascending and positive.
+
+    The eigenvalues are the d_i with z_i = 0 and the roots of
+    mu = sum z_i^2 / (mu - d_i): -t0 < 0, and the rest at or above d_1.
+    t - sum z_i^2 / (d_i + t) is increasing and concave, so Newton climbs
+    to t0 from the one-term bound (sqrt(d_i^2 + 4 z_i^2) - d_i) / 2 <= t0
+    (stopped early, it only overestimates ||D^-1||). Unless t0 <= d_1,
+    bisection finds the least positive one in [d_1, d_2] (d_1 + |z_1| if n = 1).
+    """
+    z2 = z * z
+    if not z2.any():
+        return 0.0  # x = 0: the last row vanishes
+    hi = d[1] if d.size > 1 else d[0] + float(np.sqrt(z2[0]))
+    t = float((2.0 * z2 / (np.sqrt(d * d + 4.0 * z2) + d)).max())
+    for _ in range(50):
+        if t >= hi:  # t0 >= hi: the positive eigenvalue decides
+            break
+        q = z2 / (d + t)
+        step = float((q.sum() - t) / (1.0 + (q / (d + t)).sum()))
+        t += step
+        if step <= _EPS * t:
+            break
+    if t <= d[0]:
+        return t
+    lo = d[0]
+    while hi - lo > _EPS * hi:  # mu - sum z_i^2 / (mu - d_i) increases here
+        mid = 0.5 * (lo + hi)
+        if mid < float((z2 / (mid - d)).sum()):
+            lo = mid
+        else:
+            hi = mid
+    return min(t, hi)
 
 
-def dinv_norm(A, x, alpha, mode="exact_svd", gram=None, lam1=None) -> float:
-    """Spectral norm of D(x, alpha)^{-1}.
+def dinv_norm(A, x, alpha, mode="exact_svd", eig=None) -> float:
+    """Spectral norm of D(x, alpha)^{-1}, D = [[G + alpha I, x], [-x^T, 0]].
 
-    ``exact_svd`` inverts the smallest singular value of the bordered
-    matrix. ``lemma_bound`` evaluates the analytic upper bound
-    (1 + ||x||/alpha)^2 * max(1/alpha, (alpha + lambda_1)/||x||), whose
-    overestimation only shrinks the safeguarded step. ``A`` is only read
-    when ``gram`` (or, for the bound, ``lam1``) is not given.
+    ``exact_svd`` (a historical name: no SVD is taken) is exact: 1 / min|mu|
+    over the eigenvalues of the arrowhead [[diag(lam + alpha), Q^T x],
+    [x^T Q, 0]], which has D's singular values. ``lemma_bound`` is the bound
+    (1 + ||x||/alpha)^2 max(1/alpha, (alpha + lambda_1)/||x||), which only
+    shrinks the step. ``A`` is read only when ``eig = spectral_gram(G)`` is not given.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    x = np.asarray(x, dtype=float)
-    if mode == "lemma_bound":
-        nx = float(np.linalg.norm(x))
-        if nx == 0.0:
-            mode = "exact_svd"  # bound divides by ||x||
-        else:
-            if lam1 is None:
-                lam1 = largest_gram_eigenvalue(A, gram=gram)
-            return (1.0 + nx / alpha) ** 2 * max(1.0 / alpha, (alpha + lam1) / nx)
-    if mode != "exact_svd":
+    if mode not in ("exact_svd", "lemma_bound"):
         raise ValueError(f"unknown mode {mode!r}")
-    G = as_operator(A).gram() if gram is None else gram
-    sigma_min = svdvals(bordered_matrix(G, x, alpha))[-1]
-    if sigma_min == 0.0:
-        return np.inf
-    return float(1.0 / sigma_min)
+    lam, Q = spectral_gram(as_operator(A).gram()) if eig is None else eig
+    nx = float(np.linalg.norm(x))
+    if mode == "lemma_bound" and nx > 0.0:  # the bound divides by ||x||
+        return float((1.0 + nx / alpha) ** 2 * max(1.0 / alpha, (alpha + lam[-1]) / nx))
+    mu = arrowhead_min_abs_eig(lam + alpha, x @ Q)
+    return np.inf if mu == 0.0 else 1.0 / mu
 
 
 class StepInterval(NamedTuple):
@@ -334,13 +328,13 @@ class NewtonStep(NamedTuple):
                 self.dinv, self.theta, self.case_id)
 
 
-def newton_steps(G, F, x, alpha, rule, tol, cap, rtol=SOLVE_RTOL, lam1=None):
-    """Safeguarded Newton steps on the coupled system with Gram matrix G.
+def newton_steps(lam, Q, F, x, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
+    """Safeguarded Newton steps on the coupled system with Gram matrix
+    G = Q diag(lam) Q^T, as returned by ``spectral_gram``.
 
     ``F(x, alpha)`` returns (F1, F2, ||r||), see ``coupled_residual``.
     Yields the start point, then one record per step, and stops once
-    ||F|| < tol or after ``cap`` steps. ``lam1`` is lambda_1(G), needed
-    when the rule prices ||D^-1|| by the lemma bound.
+    ||F|| < tol or after ``cap`` steps.
     """
     F1, F2, res = F(x, alpha)
     Fnorm = stacked_norm(F1, F2)
@@ -348,11 +342,11 @@ def newton_steps(G, F, x, alpha, rule, tol, cap, rtol=SOLVE_RTOL, lam1=None):
     for _ in range(cap):
         if Fnorm < tol:
             return
-        dx, dalpha = solve_rescaled_system(G, x, alpha, F1, F2, rtol=rtol)
-        dinv = dinv_norm(None, x, alpha, mode=rule.dinv_mode, gram=G, lam1=lam1)
+        dx, dalpha, gram_dx = solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=rtol)
+        dinv = dinv_norm(None, x, alpha, mode=rule.dinv_mode, eig=(lam, Q))
         gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
         gamma = step_size(
-            rule.variant, dx, dalpha, gamma_max, theta, dinv, gram_dx=G @ dx
+            rule.variant, dx, dalpha, gamma_max, theta, dinv, gram_dx=gram_dx
         )
         x = x + gamma * dx
         alpha = alpha + gamma * dalpha
@@ -381,18 +375,12 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> Nt
     rule = config.step_rule
 
     G = A.gram()
-    lam1 = (
-        largest_gram_eigenvalue(A, gram=G)
-        if rule.dinv_mode == "lemma_bound"
-        else None
-    )
+    lam, Q = spectral_gram(G)
     x = normal_equation_solve(A, b, config.alpha0, gram=G)
 
     trace = SolveTrace(columns=NTM_COLUMNS, extra_columns=("dir_norm",))
     F = coupled_residual(A.matvec, A.rmatvec, b, eps)
-    steps = newton_steps(
-        G, F, x, config.alpha0, rule, config.tol, config.max_iter, lam1=lam1
-    )
+    steps = newton_steps(lam, Q, F, x, config.alpha0, rule, config.tol, config.max_iter)
     for k, step in enumerate(steps):
         trace.append(k, *step.row, extra=(step.dir_norm,))
 

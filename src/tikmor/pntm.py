@@ -27,6 +27,7 @@ from .ntm import (
     coupled_residual,
     newton_steps,
     solve_rescaled_system,
+    spectral_gram,
 )
 from .problems import InverseProblem
 from .trace import PNTM_COLUMNS, SolveTrace
@@ -90,8 +91,8 @@ def projected_newton_system(f: BidiagFactorization, y, alpha, eps):
     y = np.asarray(y, dtype=float)
     F1, F2 = projected_eval_F(B, c, eps, y, alpha)
     return solve_rescaled_system(
-        B.T @ B, y, alpha, F1, F2, rtol=PROJECTED_SOLVE_RTOL
-    )
+        *spectral_gram(B.T @ B), y, alpha, F1, F2, rtol=PROJECTED_SOLVE_RTOL
+    )[:2]
 
 
 def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
@@ -168,7 +169,7 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
         )
         F = coupled_residual(B.__matmul__, B.T.__matmul__, c, eps)
         steps = newton_steps(
-            G, F, y, alpha, config.step_rule, config.tol, cap,
+            *spectral_gram(G), F, y, alpha, config.step_rule, config.tol, cap,
             rtol=PROJECTED_SOLVE_RTOL,
         )
         for l, step in enumerate(steps):

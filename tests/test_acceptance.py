@@ -28,15 +28,14 @@ from tikmor import (
     priorconditioned_problem,
     random_uniform_problem,
     relative_stats,
-    schur_inverse,
     sine_wave_problem,
     solve_newton_system,
     ssim,
 )
 from tikmor.metrics import SSIM_C2
-from tikmor.ntm import bordered_matrix
 
 from conftest import FIXTURES
+from oracles import bordered_matrix, schur_inverse
 
 TOL = 1e-3
 

@@ -86,6 +86,24 @@ def test_unknown_solver_key_fails_before_work(tmp_path, body):
 
 
 @pytest.mark.parametrize(
+    "typo",
+    [
+        ("repetitions = {reps}", "repetition = 3"),  # [experiment]
+        ("noise = 0.10", "noize = 0.5"),  # [problem], next to a valid noise
+    ],
+    ids=["experiment", "problem"],
+)
+def test_unknown_section_key_fails_before_work(tmp_path, typo):
+    old, new = typo
+    text = BASE_CFG.replace(old, old + "\n" + new).format(reps=1, out=tmp_path / "o")
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=f"unknown key {new.split()[0]!r}"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
     "body", ["method = ntm\nrule = case3", "method = gbit\nmax_iter = many"]
 )
 def test_bad_solver_value_fails_before_work(tmp_path, body):

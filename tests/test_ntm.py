@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_factor, lu_solve, svdvals
 
 from tikmor import (
     InfeasibleDiscrepancyError,
     InverseProblem,
     NtmConfig,
+    SingularJacobianError,
     StepRule,
     as_operator,
     dinv_norm,
@@ -14,12 +16,18 @@ from tikmor import (
     normal_equation_solve,
     ntm_solve,
     random_uniform_problem,
-    schur_inverse,
     solve_newton_system,
     step_interval,
     step_size,
 )
-from tikmor.ntm import bordered_matrix, largest_gram_eigenvalue
+from tikmor.ntm import (
+    SOLVE_RTOL,
+    arrowhead_min_abs_eig,
+    solve_rescaled_system,
+    spectral_gram,
+)
+
+from oracles import bordered_matrix, rescaled_jacobian, schur_inverse
 
 
 # -- F evaluation --------------------------------------------------------------
@@ -149,11 +157,132 @@ def test_schur_inverse_matches_dense(rng):
     assert np.linalg.norm(S - dense, "fro") <= 1e-9 * np.linalg.norm(dense, "fro")
 
 
-def test_power_iteration_estimates_lambda1(rng):
-    A = rng.standard_normal((20, 10))
-    lam = largest_gram_eigenvalue(A, steps=200)
-    true = np.linalg.eigvalsh(A.T @ A).max()
-    assert lam == pytest.approx(true, rel=1e-6)
+# -- spectral kernel against dense oracles -------------------------------------------
+
+
+def svd_dinv(G, x, alpha):
+    """||D^-1|| from svdvals of the dense bordered matrix, and cond(D)."""
+    sv = svdvals(bordered_matrix(G, x, alpha))
+    return 1.0 / sv[-1], sv[0] / sv[-1]
+
+
+def test_spectral_direction_matches_dense_lu(rng):
+    for n in (1, 2, 7, 30):
+        A = rng.standard_normal((n + 5, n))
+        b = rng.standard_normal(n + 5)
+        x = rng.standard_normal(n)
+        alpha, eps = 0.6, 0.5 * np.linalg.norm(b)
+        F1, F2 = eval_F(A, b, eps, x, alpha)
+        G = A.T @ A
+        dx, dalpha, gdx = solve_rescaled_system(*spectral_gram(G), x, alpha, F1, F2)
+        J, rhs = rescaled_jacobian(G, x, alpha, F1, F2)
+        d = lu_solve(lu_factor(J), rhs)
+        assert np.linalg.norm(np.append(dx, dalpha) - d) <= SOLVE_RTOL * np.linalg.norm(d)
+        assert np.linalg.norm(gdx - G @ dx) <= SOLVE_RTOL * np.linalg.norm(G @ dx)
+
+
+def test_direction_typed_failures(rng):
+    A = rng.standard_normal((6, 4))
+    b = rng.standard_normal(6)
+    x = rng.standard_normal(4)
+    eig = spectral_gram(A.T @ A)
+    # alpha this small makes F2/alpha overflow; the kernel must refuse
+    # before computing it, without a RuntimeWarning
+    F1, F2 = eval_F(A, b, 0.1, x, 4.0e-309)
+    with pytest.raises(SingularJacobianError, match="not finite"):
+        solve_rescaled_system(*eig, x, 4.0e-309, F1, F2)
+    with pytest.raises(SingularJacobianError, match="not finite"):
+        solve_rescaled_system(*eig, x, 1.0, F1, np.nan)
+    # x = 0 leaves the Jacobian's last column zero
+    F1, F2 = eval_F(A, b, 0.1, np.zeros(4), 1.0)
+    with pytest.raises(SingularJacobianError, match="singular"):
+        solve_rescaled_system(*eig, np.zeros(4), 1.0, F1, F2)
+
+
+@pytest.mark.parametrize(
+    "m, n, alpha, x_scale",
+    [
+        (8, 5, 0.5, 1.0),  # the negative root decides
+        (8, 5, 1e-2, 1e3),  # large ||x||/alpha: the first positive root decides
+        (4, 9, 0.3, 1.0),  # rank-deficient G, lam_min at roundoff
+        (4, 9, 1e-2, 30.0),
+        (1, 1, 1.0, 3.0),  # one pole; the bisection runs, t0 still decides
+    ],
+)
+def test_dinv_matches_svdvals(rng, m, n, alpha, x_scale):
+    A = rng.standard_normal((m, n))
+    x = x_scale * rng.standard_normal(n)
+    expected, _ = svd_dinv(A.T @ A, x, alpha)
+    assert dinv_norm(A, x, alpha) == pytest.approx(expected, rel=1e-12)
+
+
+def test_dinv_positive_root_branch_is_exercised(rng):
+    A = rng.standard_normal((8, 5))
+    x = 1e3 * rng.standard_normal(5)
+    lam, Q = spectral_gram(A.T @ A)
+    d, z = lam + 1e-2, x @ Q
+    mu = np.linalg.eigvalsh(np.block([[np.diag(d), z[:, None]], [z[None, :], 0.0]]))
+    # the negative eigenvalue is further from 0 than d_1, so it does not decide
+    assert -mu[0] > d[0]
+    assert arrowhead_min_abs_eig(d, z) == pytest.approx(mu[mu > 0].min(), rel=1e-12)
+
+
+def test_dinv_exact_zero_x_is_infinite(rng):
+    A = rng.standard_normal((5, 3))
+    assert dinv_norm(A, np.zeros(3), 1.0) == np.inf
+
+
+@pytest.mark.parametrize(
+    "x, expected",
+    [
+        ([0.0, 0.0, 5.0, 5.0], 1 / 0.5),  # z_1 = 0: d_1 is an eigenvalue
+        ([2.0, 0.0, 0.0, 0.0], 1 / 1.5),  # z_2 = 0, first secular root beyond d_2
+        ([0.0, 0.3, 0.0, 0.2], None),  # z_1 = 0, but the negative root is nearer 0
+    ],
+)
+def test_dinv_deflation(x, expected):
+    lam, alpha = np.array([0.0, 1.0, 4.0, 9.0]), 0.5
+    x = np.array(x)
+    got = dinv_norm(None, x, alpha, eig=(lam, np.eye(4)))
+    reference, _ = svd_dinv(np.diag(lam), x, alpha)
+    assert got == pytest.approx(reference, rel=1e-12)
+    if expected is not None:
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["exact_svd", "lemma_bound"])
+def test_dinv_modes_against_dense(rng, mode):
+    A = rng.standard_normal((9, 6))
+    x = rng.standard_normal(6)
+    alpha = 0.4
+    exact, _ = svd_dinv(A.T @ A, x, alpha)
+    nx, lam1 = np.linalg.norm(x), np.linalg.eigvalsh(A.T @ A).max()
+    bound = (1 + nx / alpha) ** 2 * max(1 / alpha, (alpha + lam1) / nx)
+    expected = exact if mode == "exact_svd" else bound
+    assert dinv_norm(A, x, alpha, mode=mode) == pytest.approx(expected, rel=1e-12)
+
+
+@given(
+    st.integers(1, 10),
+    st.integers(1, 10),
+    st.floats(-2.0, 2.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_dinv_property_both_branches(m, n, log_alpha, positive_root, seed):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, n))
+    alpha = 10.0**log_alpha
+    # small x leaves the negative root below d_1; large x pushes it past
+    x = rng.standard_normal(n) * alpha * (1e2 if positive_root else 1e-2)
+    lam, Q = spectral_gram(A.T @ A)
+    d, z = lam + alpha, x @ Q
+    assume(((z * z / (d + d[0])).sum() > d[0]) == positive_root)
+    expected, cond = svd_dinv(A.T @ A, x, alpha)
+    got = dinv_norm(None, x, alpha, eig=(lam, Q))
+    # svdvals itself is accurate to a few eps * cond(D) relative
+    assert abs(got - expected) <= max(1e-12, 8 * np.finfo(float).eps * cond) * expected
 
 
 # -- step interval and step size ----------------------------------------------------
