@@ -15,6 +15,11 @@ import numpy as np
 from tikmor import NtmConfig, StepRule, ntm_solve, random_uniform_problem
 
 
+def sd(a):
+    # sample standard deviation; 0.0 for a single run, as in summary.csv
+    return float(a.std(ddof=1)) if a.size > 1 else 0.0
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--reps", type=int, default=20)
@@ -40,8 +45,8 @@ def main():
         iters = np.array([r[0] for r in rows], dtype=float)
         alphas = np.array([r[1] for r in rows])
         n_conv = sum(r[2] for r in rows)
-        print(f"{variant:8s} {iters.mean():8.1f} ({iters.std(ddof=1):4.1f}) "
-              f"{alphas.mean():12.4f} ({alphas.std(ddof=1):6.4f}) {n_conv:>6d}/{len(rows)}")
+        print(f"{variant:8s} {iters.mean():8.1f} ({sd(iters):4.1f}) "
+              f"{alphas.mean():12.4f} ({sd(alphas):6.4f}) {n_conv:>6d}/{len(rows)}")
 
 
 if __name__ == "__main__":

@@ -21,10 +21,11 @@ class BidiagBreakdown(Exception):
 class BidiagFactorization:
     """Holds U, B, V column blocks, growable one Krylov step at a time.
 
-    Column storage doubles amortized; ``U``/``V``/``B`` properties expose
-    contiguous views of the active columns. On a nu-breakdown the exactly
-    zero trailing row of B is dropped together with the never-created
-    u_{k+1}, which leaves A V = U B intact with square B.
+    Storage of U, V and B doubles together, amortized; ``U``/``V`` expose
+    views of the active columns and ``B`` a copy of the active block. On
+    a nu-breakdown the exactly zero trailing row of B is dropped together
+    with the never-created u_{k+1}, which leaves A V = U B intact with
+    square B.
     """
 
     def __init__(self, A, b):
@@ -36,24 +37,21 @@ class BidiagFactorization:
         m, n = self.A.shape
         self._U = np.zeros((m, 8))
         self._V = np.zeros((n, 8))
+        self._B = np.zeros((8, 8))
         self._U[:, 0] = b / beta
         self._nu = 1  # columns in U
         self._nv = 0  # columns in V
-        self.mus: list[float] = []
-        self.nus: list[float] = []
         self.beta = float(beta)
         self.breakdown = False
         self.breakdown_tol = 1e-14 * self.A.frobenius_norm()
 
-    def _grow_u(self):
-        self._nu += 1
-        if self._nu > self._U.shape[1]:
+    def _grow(self):
+        # room for one more column of U; V never holds more columns than U
+        cap = self._U.shape[1]
+        if self._nu == cap:
             self._U = np.concatenate([self._U, np.zeros_like(self._U)], axis=1)
-
-    def _grow_v(self):
-        self._nv += 1
-        if self._nv > self._V.shape[1]:
             self._V = np.concatenate([self._V, np.zeros_like(self._V)], axis=1)
+            self._B = np.pad(self._B, ((0, cap), (0, cap)))
 
     @property
     def k(self) -> int:
@@ -69,12 +67,7 @@ class BidiagFactorization:
 
     @property
     def B(self):
-        B = np.zeros((self._nu, self._nv))
-        for i, mu in enumerate(self.mus):
-            B[i, i] = mu
-        for i, nu in enumerate(self.nus):
-            B[i + 1, i] = nu
-        return B
+        return self._B[: self._nu, : self._nv].copy()
 
     @property
     def c(self):
@@ -105,15 +98,15 @@ class BidiagFactorization:
         k = self.k
         r = self.A.rmatvec(self._U[:, k])
         if k > 0:
-            r = r - self.nus[-1] * self._V[:, k - 1]
+            r = r - self._B[k, k - 1] * self._V[:, k - 1]
         r = self._mgs(r, self._V, self._nv)
         mu = float(np.linalg.norm(r))
         if mu <= self.breakdown_tol:
             self.breakdown = True
             return False
-        self._grow_v()
+        self._nv += 1
         self._V[:, k] = r / mu
-        self.mus.append(mu)
+        self._B[k, k] = mu
 
         p = self.A.matvec(self._V[:, k]) - mu * self._U[:, k]
         p = self._mgs(p, self._U, self._nu)
@@ -121,9 +114,10 @@ class BidiagFactorization:
         if nu <= self.breakdown_tol:
             self.breakdown = True
             return False
-        self._grow_u()
+        self._grow()
+        self._nu += 1
         self._U[:, k + 1] = p / nu
-        self.nus.append(nu)
+        self._B[k + 1, k] = nu
         return True
 
     def can_expand(self) -> bool:

@@ -29,11 +29,12 @@ Configuration is a flat INI file (sections of key=value pairs) with one
     points = 25
     spacing = log
 
-Other sections take only the keys shown, plus ``precondition`` (none |
-smooth) in ``[problem]`` and ``alphas`` (a comma-separated grid) in
-``[curve]``. Solver keys besides ``method``, by method (defaults are
-those of the config dataclasses; any other key, or a value the solver
-rejects, is a config error):
+The other sections take only the keys shown, plus ``precondition``
+(none | smooth) in ``[problem]`` and ``alphas`` (a comma-separated
+grid) in ``[curve]``; a section of any other name is a config error.
+Solver keys besides ``method``, by method (defaults are those of the
+config dataclasses; any other key, or a value the solver rejects, is a
+config error):
 
 * ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2),
   ``omega``, ``dinv`` (exact_svd: exact, no SVD is taken | lemma_bound)
@@ -69,7 +70,7 @@ from .linop import (
     PriorconditionedOperator,
     RegularizationMatrix,
     load_matrix_market,
-    normal_equation_solve,
+    tikhonov_solve,
 )
 from .ntm import NtmConfig, StepRule, ntm_solve
 from .pntm import PntmConfig, pntm_solve
@@ -266,8 +267,16 @@ def load_config(path) -> ExperimentConfig:
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
-    for name, keys in SECTION_KEYS.items():
-        for key in sorted(set(cp[name] if name in cp else ()) - set(keys)):
+    for name in cp.sections():
+        if name.startswith("solver"):
+            continue
+        keys = SECTION_KEYS.get(name)
+        if keys is None:
+            raise ConfigError(
+                f"unknown section [{name}]; sections are "
+                f"{', '.join(SECTION_KEYS)} and solver <label>"
+            )
+        for key in sorted(set(cp[name]) - set(keys)):
             raise ConfigError(f"unknown key {key!r} in [{name}]; it takes {', '.join(keys)}")
 
     if "problem" not in cp:
@@ -358,10 +367,10 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     if (np.diff(grid) <= 0).any():
         raise ValueError("alpha grid must be strictly ascending")
     A = problem.operator
+    G, g = A.gram(), A.rmatvec(problem.b)
     points = []
-    gram = A.gram() if A.cols <= 600 else None  # reuse across grid points
     for alpha in grid:
-        x = normal_equation_solve(A, problem.b, alpha, gram=gram)
+        x = tikhonov_solve(G, g, alpha)
         res = float(np.linalg.norm(A.matvec(x) - problem.b))
         points.append((float(alpha), res))
     residuals = np.array([r for _, r in points])

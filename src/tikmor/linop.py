@@ -21,8 +21,6 @@ from .errors import (
     UnsupportedFormatError,
 )
 
-DENSE_SOLVE_MAX_N = 2000
-
 
 class LinearOperator:
     """Base class: an m-by-n real linear map with an exact transpose."""
@@ -356,63 +354,49 @@ def save_matrix_market(path, matrix):
 # -- Tikhonov normal equations ----------------------------------------------
 
 
-def normal_equation_solve(
-    A, b, alpha, dense_threshold=DENSE_SOLVE_MAX_N, max_iter=None, gram=None
-):
-    """Solve (A^T A + alpha I) x = A^T b to relative residual 1e-10.
+def tikhonov_solve(G, g, alpha):
+    """Solve (G + alpha I) x = g for a symmetric positive semidefinite G.
 
-    Small systems go through a dense Cholesky factorization; larger ones
-    through conjugate gradients on the (SPD) normal equations. The
-    residual bound is verified either way.
+    One Cholesky factorization, then the relative residual
+    ``||(G + alpha I) x - g|| / ||g||`` is checked against 1e-10, with one
+    refinement pass if it misses. A matrix that is not numerically
+    positive definite (e.g. a rank-deficient G with alpha below its
+    roundoff) or a residual still above the bound raises
+    ``ConvergenceFailure``. This is the package's only Cholesky solve.
     """
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    A = as_operator(A)
-    b = np.asarray(b, dtype=float)
-    g = A.rmatvec(b)
+    g = np.asarray(g, dtype=float)
     gnorm = np.linalg.norm(g)
-    tol = 1e-10 * gnorm
     if gnorm == 0.0:
-        return np.zeros(A.cols)
-
-    n = A.cols
-    if n <= dense_threshold:
-        G = A.gram() if gram is None else gram
-        K = G + alpha * np.eye(n)
-        c, low = cho_factor(K)
-        x = cho_solve((c, low), g)
-        r = K @ x - g
-        if np.linalg.norm(r) > tol:  # one refinement pass; alpha>0 keeps K SPD
-            x = x - cho_solve((c, low), r)
-            r = K @ x - g
-        if np.linalg.norm(r) > tol:
-            raise ConvergenceFailure(
-                "dense normal-equation solve missed tolerance",
-                achieved_residual=float(np.linalg.norm(r)),
-            )
-        return x
-
-    # CG on v -> A^T(A v) + alpha v
-    if max_iter is None:
-        max_iter = 10 * n
-    x = np.zeros(n)
-    r = g.copy()
-    p = r.copy()
-    rho = float(r @ r)
-    for _ in range(max_iter):
-        if np.sqrt(rho) <= tol:
-            break
-        q = A.rmatvec(A.matvec(p)) + alpha * p
-        a = rho / float(p @ q)
-        x += a * p
-        r -= a * q
-        rho_new = float(r @ r)
-        p = r + (rho_new / rho) * p
-        rho = rho_new
-    true_res = np.linalg.norm(A.rmatvec(A.matvec(x)) + alpha * x - g)
-    if true_res > tol:
+        return np.zeros(g.shape[0])
+    tol = 1e-10 * gnorm
+    K = G + alpha * np.eye(g.shape[0])
+    try:
+        factor = cho_factor(K)
+    except ValueError as exc:  # LinAlgError, or scipy's check for infs/NaNs
         raise ConvergenceFailure(
-            f"CG on normal equations missed tolerance after {max_iter} iterations",
-            achieved_residual=float(true_res),
+            f"G + alpha I is not numerically positive definite at alpha = {alpha!r}: {exc}"
+        ) from exc
+    x = cho_solve(factor, g)
+    r = K @ x - g
+    if np.linalg.norm(r) > tol:
+        x = x - cho_solve(factor, r)
+        r = K @ x - g
+    if np.linalg.norm(r) > tol:
+        raise ConvergenceFailure(
+            "Cholesky solve of G + alpha I missed tolerance",
+            achieved_residual=float(np.linalg.norm(r)),
         )
     return x
+
+
+def normal_equation_solve(A, b, alpha, gram=None):
+    """Solve (A^T A + alpha I) x = A^T b to relative residual 1e-10.
+
+    ``gram`` is A^T A if the caller already holds it (it is formed here
+    otherwise); the solve is ``tikhonov_solve`` on the dense Gram matrix.
+    """
+    A = as_operator(A)
+    G = A.gram() if gram is None else gram
+    return tikhonov_solve(G, A.rmatvec(np.asarray(b, dtype=float)), alpha)

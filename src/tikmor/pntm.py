@@ -16,11 +16,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .bidiag import BidiagFactorization, init_bidiag
 from .errors import DegenerateRhsError
-from .linop import as_operator
+from .linop import as_operator, tikhonov_solve
 from .ntm import (
     StepRule,
     _check_discrepancy_feasible,
@@ -159,8 +158,7 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
 
     def update(k, B, c, G, g, alpha):
         dim = G.shape[0]
-        # warm start: projected Tikhonov solution at the carried alpha
-        y = cho_solve(cho_factor(G + alpha * np.eye(dim)), g)
+        y = tikhonov_solve(G, g, alpha)  # warm start at the carried alpha
         warm_res = float(np.linalg.norm(B @ y - c))
         cap = (
             min(k, config.inner_cap_small)

@@ -11,10 +11,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import ZeroSumError
-from .linop import PriorconditionedOperator, as_operator
+from .linop import PriorconditionedOperator, as_operator, tikhonov_solve
 from .ntm import stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
@@ -44,7 +43,7 @@ def _projected_tikhonov(G, g, alpha):
     if alpha == 0.0:
         # secant update can in principle hit zero; fall back to least squares
         return np.linalg.lstsq(G, g, rcond=None)[0]
-    return cho_solve(cho_factor(G + alpha * np.eye(G.shape[0])), g)
+    return tikhonov_solve(G, g, alpha)
 
 
 def secant_alpha_update(eps, res_unreg, res_reg, alpha_prev):

@@ -42,7 +42,7 @@ def test_first_expansion_diagonal_example():
     f = init_bidiag(A, np.array([1.0, 1.0]))
     assert f.expand()
     # r_1 = A^T u_1 = [2, 1]/sqrt(2), mu_1 = sqrt(5/2)
-    assert f.mus[0] == pytest.approx(np.sqrt(2.5), rel=1e-12)
+    assert f.B[0, 0] == pytest.approx(np.sqrt(2.5), rel=1e-12)
     assert np.allclose(np.abs(f.V[:, 0]), np.array([2.0, 1.0]) / np.sqrt(5.0))
 
 
@@ -105,7 +105,7 @@ def test_projected_residual_closed_form_k1(rng):
     b = rng.standard_normal(9)
     f = init_bidiag(A, b)
     f.expand()
-    mu1, nu2 = f.mus[0], f.nus[0]
+    mu1, nu2 = f.B[0, 0], f.B[1, 0]
     beta = np.linalg.norm(b)
     t = 0.7
     expected = np.sqrt((mu1 * t - beta) ** 2 + (nu2 * t) ** 2)

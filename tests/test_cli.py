@@ -3,7 +3,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tikmor import load_problem, random_uniform_problem
+from tikmor import (
+    InverseProblem,
+    LinearOperator,
+    as_operator,
+    load_problem,
+    random_uniform_problem,
+    save_problem,
+)
 from tikmor.cli import (
     ConfigError,
     load_config,
@@ -291,3 +298,57 @@ method = gbit
     assert pntm_row[0] == "pntm" and pntm_row[3:7] == ["", "", "", ""]
     assert "not finite" in pntm_row[7]
     assert gbit_row[0] == "gbit" and gbit_row[5] == "1" and gbit_row[7] == ""
+
+
+def test_unknown_section_fails_before_work(tmp_path):
+    text = BASE_CFG.format(reps=1, out=tmp_path / "o") + "\n[experimnt]\nrepetitions = 3\n"
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError, match=r"unknown section \[experimnt\]"):
+        load_config(path)
+    assert main(["run", str(path)]) == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_not_positive_definite_start_recorded_per_run(tmp_path):
+    # the first two columns are equal with squared norm 16, so the start
+    # point's Cholesky of A^T A + 1e-16 I meets the exact pivot 16 - 16 = 0
+    rng = np.random.default_rng(3)
+    A = rng.uniform(-1.0, 1.0, (30, 10))
+    A[:, 0] = A[:, 1] = np.where(np.arange(30) < 16, 1.0, 0.0)
+    b = A @ rng.uniform(-1.0, 1.0, 10) + 0.1 * rng.standard_normal(30)
+    save_problem(InverseProblem(as_operator(A), b, noise_level=0.1), tmp_path / "prob")
+    cfg = f"""
+[experiment]
+output = {tmp_path / "out"}
+
+[problem]
+type = directory
+path = {tmp_path / "prob"}
+
+[solver ntm]
+method = ntm
+alpha0 = 1e-16
+
+[solver gbit]
+method = gbit
+"""
+    assert main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
+    ntm_row, gbit_row = runs[1].split(",", 7), runs[2].split(",", 7)
+    assert ntm_row[0] == "ntm" and ntm_row[3:7] == ["", "", "", ""]
+    assert "not numerically positive definite" in ntm_row[7]
+    assert gbit_row[0] == "gbit" and gbit_row[7] == ""
+    assert (tmp_path / "out" / "summary.csv").exists()
+
+
+def test_curve_forms_gram_once(monkeypatch):
+    # more columns than the old 600-column cut-off for reusing the Gram matrix
+    calls = []
+    gram = LinearOperator.gram
+    monkeypatch.setattr(
+        LinearOperator, "gram", lambda self: calls.append(1) or gram(self)
+    )
+    p = random_uniform_problem(610, 601, 0.10, seed=4)
+    pts = sample_discrepancy_curve(p, [1e-2, 1.0, 1e2])
+    assert len(pts) == 3
+    assert len(calls) == 1

@@ -18,6 +18,7 @@ from tikmor import (
     normal_equation_solve,
     save_matrix_market,
 )
+from tikmor.linop import tikhonov_solve
 
 
 # -- operators ---------------------------------------------------------------
@@ -284,21 +285,29 @@ def test_normal_solve_residual_bound(rng):
         assert res <= 1e-10 * np.linalg.norm(g)
 
 
-def test_normal_solve_cg_path_matches_dense(rng):
-    A = rng.standard_normal((40, 25))
-    b = rng.standard_normal(40)
-    x_cg = normal_equation_solve(A, b, 0.3, dense_threshold=0)
-    x_dense = normal_equation_solve(A, b, 0.3)
-    assert np.linalg.norm(x_cg - x_dense) <= 1e-8 * np.linalg.norm(x_dense)
+def test_tikhonov_solve_not_positive_definite_fails_typed():
+    # rank-one G: 1 + 1e-16 rounds to 1, so the second Cholesky pivot is
+    # exactly 1 - 1 = 0 and scipy raises LinAlgError
+    with pytest.raises(ConvergenceFailure, match="not numerically positive definite"):
+        tikhonov_solve(np.ones((2, 2)), np.array([1.0, 2.0]), 1e-16)
 
 
-def test_normal_solve_cg_budget_exhaustion(rng):
-    A = rng.standard_normal((40, 25))
-    b = rng.standard_normal(40)
-    with pytest.raises(ConvergenceFailure) as err:
-        normal_equation_solve(A, b, 0.3, dense_threshold=0, max_iter=2)
-    assert err.value.achieved_residual is not None
-    assert err.value.achieved_residual > 0
+def test_tikhonov_solve_nonfinite_fails_typed():
+    G = np.array([[1.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(ConvergenceFailure):
+        tikhonov_solve(G, np.ones(2), 1.0)
+
+
+def test_tikhonov_solve_zero_rhs():
+    assert np.array_equal(tikhonov_solve(np.zeros((3, 3)), np.zeros(3), 1e-16), np.zeros(3))
+
+
+def test_normal_solve_uses_given_gram(rng):
+    A = rng.standard_normal((12, 5))
+    b = rng.standard_normal(12)
+    # a zero Gram matrix in place of A^T A leaves x = A^T b / alpha
+    x = normal_equation_solve(A, b, 0.5, gram=np.zeros((5, 5)))
+    assert np.allclose(x, A.T @ b / 0.5, rtol=1e-14, atol=0)
 
 
 def test_normal_solve_rejects_nonpositive_alpha(rng):
