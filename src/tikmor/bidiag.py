@@ -2,8 +2,11 @@
 
 One expansion adds one column to V (and normally one to U), maintaining
 A V_k = U_{k+1} B_{k+1,k} with orthonormal columns and lower bidiagonal B.
-Exact invariant subspaces surface as breakdown; the factorization then
-stays usable at its final dimension.
+Each new direction is reorthogonalized by classical Gram-Schmidt applied
+twice (CGS2: "twice is enough", Giraud, Langou & Rozloznik 2005), two
+matrix-vector products with the stored basis per pass. Exact invariant
+subspaces surface as breakdown; the factorization then stays usable at
+its final dimension.
 """
 
 from __future__ import annotations
@@ -18,14 +21,24 @@ class BidiagBreakdown(Exception):
     """Krylov subspace became invariant; the factorization is final."""
 
 
-class BidiagFactorization:
-    """Holds U, B, V column blocks, growable one Krylov step at a time.
+def _cgs2(vec, rows):
+    """vec with its components along the orthonormal rows of ``rows`` removed,
+    by two classical Gram-Schmidt passes."""
+    for _ in range(2):
+        vec = vec - (rows @ vec) @ rows
+    return vec
 
-    Storage of U, V and B doubles together, amortized; ``U``/``V`` expose
-    views of the active columns and ``B`` a copy of the active block. On
-    a nu-breakdown the exactly zero trailing row of B is dropped together
-    with the never-created u_{k+1}, which leaves A V = U B intact with
-    square B.
+
+class BidiagFactorization:
+    """Holds U, B, V, growable one Krylov step at a time.
+
+    The bases are stored as rows (``_U`` is cap x m, ``_V`` cap x n), so
+    each basis vector and each Gram-Schmidt block is contiguous; ``U``/``V``
+    expose transposed views of the active rows (m x k+1 and n x k) and
+    ``B`` a copy of the active block. Storage of U, V and B doubles
+    together, amortized. On a nu-breakdown the exactly zero trailing row
+    of B is dropped together with the never-created u_{k+1}, which leaves
+    A V = U B intact with square B.
     """
 
     def __init__(self, A, b):
@@ -35,22 +48,22 @@ class BidiagFactorization:
         if beta == 0.0:
             raise DegenerateRhsError("cannot bidiagonalize with b = 0")
         m, n = self.A.shape
-        self._U = np.zeros((m, 8))
-        self._V = np.zeros((n, 8))
+        self._U = np.zeros((8, m))
+        self._V = np.zeros((8, n))
         self._B = np.zeros((8, 8))
-        self._U[:, 0] = b / beta
-        self._nu = 1  # columns in U
-        self._nv = 0  # columns in V
+        self._U[0] = b / beta
+        self._nu = 1  # vectors in U
+        self._nv = 0  # vectors in V
         self.beta = float(beta)
         self.breakdown = False
         self.breakdown_tol = 1e-14 * self.A.frobenius_norm()
 
     def _grow(self):
-        # room for one more column of U; V never holds more columns than U
-        cap = self._U.shape[1]
+        # room for one more vector of U; V never holds more vectors than U
+        cap = self._U.shape[0]
         if self._nu == cap:
-            self._U = np.concatenate([self._U, np.zeros_like(self._U)], axis=1)
-            self._V = np.concatenate([self._V, np.zeros_like(self._V)], axis=1)
+            self._U = np.concatenate([self._U, np.zeros_like(self._U)])
+            self._V = np.concatenate([self._V, np.zeros_like(self._V)])
             self._B = np.pad(self._B, ((0, cap), (0, cap)))
 
     @property
@@ -59,11 +72,11 @@ class BidiagFactorization:
 
     @property
     def U(self):
-        return self._U[:, : self._nu]
+        return self._U[: self._nu].T
 
     @property
     def V(self):
-        return self._V[:, : self._nv]
+        return self._V[: self._nv].T
 
     @property
     def B(self):
@@ -74,13 +87,6 @@ class BidiagFactorization:
         c = np.zeros(self._nu)
         c[0] = self.beta
         return c
-
-    def _mgs(self, vec, block, count):
-        # one full modified Gram-Schmidt pass against the stored columns
-        for j in range(count):
-            col = block[:, j]
-            vec -= (col @ vec) * col
-        return vec
 
     def expand(self) -> bool:
         """Grow the factorization by one column of V.
@@ -96,27 +102,27 @@ class BidiagFactorization:
             raise BidiagBreakdown(f"subspace already full at k = {self.k}")
 
         k = self.k
-        r = self.A.rmatvec(self._U[:, k])
+        r = self.A.rmatvec(self._U[k])
         if k > 0:
-            r = r - self._B[k, k - 1] * self._V[:, k - 1]
-        r = self._mgs(r, self._V, self._nv)
+            r = r - self._B[k, k - 1] * self._V[k - 1]
+        r = _cgs2(r, self._V[:k])
         mu = float(np.linalg.norm(r))
         if mu <= self.breakdown_tol:
             self.breakdown = True
             return False
         self._nv += 1
-        self._V[:, k] = r / mu
+        self._V[k] = r / mu
         self._B[k, k] = mu
 
-        p = self.A.matvec(self._V[:, k]) - mu * self._U[:, k]
-        p = self._mgs(p, self._U, self._nu)
+        p = self.A.matvec(self._V[k]) - mu * self._U[k]
+        p = _cgs2(p, self._U[: k + 1])
         nu = float(np.linalg.norm(p))
         if nu <= self.breakdown_tol:
             self.breakdown = True
             return False
         self._grow()
         self._nu += 1
-        self._U[:, k + 1] = p / nu
+        self._U[k + 1] = p / nu
         self._B[k + 1, k] = nu
         return True
 
@@ -126,7 +132,7 @@ class BidiagFactorization:
     def lift(self, y):
         """Map projected coordinates to the full space: x = V y."""
         y = np.asarray(y, dtype=float)
-        return self.V @ y
+        return y @ self._V[: self._nv]
 
     def projected_residual_norm(self, y) -> float:
         """||B y - c||, which equals ||A (V y) - b|| in exact arithmetic."""

@@ -15,7 +15,7 @@ rule additionally forces the search-direction norms to decrease.
 G = A^T A is fixed during a solve and diagonalized once, G = Q diag(lam) Q^T
 (one ``eigh``, O(n^3)). In that eigenbasis the direction follows from a
 scalar Schur complement and ||D^-1|| from a root of a monotone secular
-equation, so a step costs three products with Q (O(n^2)) plus O(n) work.
+equation, so a step costs two products with Q (O(n^2)) plus O(n) work.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def spectral_gram(G):
 
 
 def solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=SOLVE_RTOL):
-    """Newton direction (dx, dalpha) and G dx from the rescaled Jacobian.
+    """Newton direction (dx, dalpha), G dx and Q^T x from the rescaled Jacobian.
 
     J = [[K, x], [w^T, 0]], K = G + alpha I = Q diag(lam + alpha) Q^T and
     w = (F1 - alpha x)/alpha = A^T(Ax-b)/alpha, taken from F1 without a
@@ -77,6 +77,7 @@ def solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=SOLVE_RTOL):
     follows from the Schur complement w^T K^-1 x; a second rotates
     [dx, lam dx] back. The normwise backward error ||J d - rhs|| /
     (||rhs|| + ||J||_F ||d||) is checked at O(n); one refinement pass backs it up.
+    Q^T x is returned for ``dinv_norm`` (None when the rhs is zero).
     """
     F1_norm = float(np.linalg.norm(F1))
     if not math.hypot(np.linalg.norm(x), F1_norm, F2) / RESCALE_LIMIT < alpha:
@@ -84,7 +85,7 @@ def solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=SOLVE_RTOL):
         raise SingularJacobianError(f"rescaled Newton system is not finite at alpha = {alpha!r}")
     rhs_norm = math.hypot(F1_norm, F2 / alpha)
     if rhs_norm == 0.0:
-        return np.zeros_like(x), 0.0, np.zeros_like(x)
+        return np.zeros_like(x), 0.0, np.zeros_like(x), None
     kdiag = lam + alpha
     xh, fh = np.stack((x, F1)) @ Q
     vh = fh - alpha * xh  # alpha w in the eigenbasis
@@ -119,7 +120,7 @@ def solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=SOLVE_RTOL):
             raise SingularJacobianError(
                 f"Newton system solve stalled at backward error {err:.3e}"
             )
-    return dx, dalpha, gdx
+    return dx, dalpha, gdx, xh
 
 
 def solve_newton_system(A, b, eps, x, alpha):
@@ -167,14 +168,15 @@ def arrowhead_min_abs_eig(d, z) -> float:
     return min(t, hi)
 
 
-def dinv_norm(A, x, alpha, mode="exact_svd", eig=None) -> float:
+def dinv_norm(A, x, alpha, mode="exact_svd", eig=None, xh=None) -> float:
     """Spectral norm of D(x, alpha)^{-1}, D = [[G + alpha I, x], [-x^T, 0]].
 
     ``exact_svd`` (a historical name: no SVD is taken) is exact: 1 / min|mu|
     over the eigenvalues of the arrowhead [[diag(lam + alpha), Q^T x],
     [x^T Q, 0]], which has D's singular values. ``lemma_bound`` is the bound
     (1 + ||x||/alpha)^2 max(1/alpha, (alpha + lambda_1)/||x||), which only
-    shrinks the step. ``A`` is read only when ``eig = spectral_gram(G)`` is not given.
+    shrinks the step. ``A`` is read only when ``eig = spectral_gram(G)`` is not
+    given; ``xh = Q^T x`` saves the product with Q when the caller has it.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -184,7 +186,7 @@ def dinv_norm(A, x, alpha, mode="exact_svd", eig=None) -> float:
     nx = float(np.linalg.norm(x))
     if mode == "lemma_bound" and nx > 0.0:  # the bound divides by ||x||
         return float((1.0 + nx / alpha) ** 2 * max(1.0 / alpha, (alpha + lam[-1]) / nx))
-    mu = arrowhead_min_abs_eig(lam + alpha, x @ Q)
+    mu = arrowhead_min_abs_eig(lam + alpha, x @ Q if xh is None else xh)
     return np.inf if mu == 0.0 else 1.0 / mu
 
 
@@ -342,8 +344,8 @@ def newton_steps(lam, Q, F, x, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
     for _ in range(cap):
         if Fnorm < tol:
             return
-        dx, dalpha, gram_dx = solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=rtol)
-        dinv = dinv_norm(None, x, alpha, mode=rule.dinv_mode, eig=(lam, Q))
+        dx, dalpha, gram_dx, xh = solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=rtol)
+        dinv = dinv_norm(None, x, alpha, mode=rule.dinv_mode, eig=(lam, Q), xh=xh)
         gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
         gamma = step_size(
             rule.variant, dx, dalpha, gamma_max, theta, dinv, gram_dx=gram_dx

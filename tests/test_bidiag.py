@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from tikmor import BidiagBreakdown, DegenerateRhsError, init_bidiag
+from tikmor import BidiagBreakdown, DegenerateRhsError, DenseOperator, init_bidiag
+from tikmor.bidiag import _cgs2
+
+EPS = np.finfo(float).eps
 
 
 def expand_fully(f):
@@ -132,3 +135,56 @@ def test_invariants_hold_after_every_expansion(rng):
         if not f.expand():
             break
         factorization_checks(A, f)
+
+
+def mgs_reference(vec, rows):
+    # reference: one modified Gram-Schmidt pass, one stored vector at a time
+    for q in rows:
+        vec = vec - (q @ vec) * q
+    return vec
+
+
+def test_cgs2_matches_mgs_reference(rng):
+    rows = np.linalg.qr(rng.standard_normal((50, 20)))[0].T
+    vec = rng.standard_normal(50)
+    got = _cgs2(vec, rows)
+    assert np.linalg.norm(got - mgs_reference(vec, rows)) <= 100 * EPS * np.linalg.norm(vec)
+    assert np.abs(rows @ got).max() <= 10 * EPS * np.linalg.norm(vec)
+    assert np.array_equal(_cgs2(vec, rows[:0]), vec)  # empty basis: unchanged
+
+
+def test_graded_operator_stays_orthonormal(rng):
+    # singular values 1 ... 1e-14: the Krylov directions lose orthogonality
+    # fast, so full reorthogonalization must hold U and V to a few eps
+    m, n, k = 400, 300, 150
+    left = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    right = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = (left * np.logspace(0, -14, n)) @ right.T
+    f = init_bidiag(A, rng.standard_normal(m))
+    for _ in range(k):
+        assert f.expand()
+    U, V, B = f.U, f.V, f.B
+    assert U.shape == (m, k + 1) and V.shape == (n, k) and B.shape == (k + 1, k)
+    assert np.abs(U.T @ U - np.eye(k + 1)).max() <= 1e-13
+    assert np.abs(V.T @ V - np.eye(k)).max() <= 1e-13
+    assert np.linalg.norm(A @ V - U @ B, "fro") <= 1e-13 * np.linalg.norm(A, "fro")
+
+
+def test_expand_applies_operator_once_each_way(rng):
+    op = DenseOperator(rng.standard_normal((20, 12)))
+    calls = {"matvec": 0, "rmatvec": 0}
+
+    def counted(name):
+        method = getattr(op, name)
+
+        def spy(v):
+            calls[name] += 1
+            return method(v)
+
+        return spy
+
+    op.matvec, op.rmatvec = counted("matvec"), counted("rmatvec")
+    f = init_bidiag(op, rng.standard_normal(20))
+    for k in range(1, 13):
+        assert f.expand()
+        assert calls == {"matvec": k, "rmatvec": k}

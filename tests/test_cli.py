@@ -268,7 +268,7 @@ max_iter = 200
 
 
 def test_solver_error_recorded_per_run(tmp_path):
-    # smoothed pntm underflows alpha on this problem and fails with a typed
+    # pntm started at a subnormal alpha fails at its first step with a typed
     # error; the batch still finishes and reports gbit's run
     cfg = """
 [experiment]
@@ -285,6 +285,7 @@ precondition = smooth
 
 [solver pntm]
 method = pntm
+alpha0 = 1e-320
 
 [solver gbit]
 method = gbit

@@ -174,11 +174,14 @@ def test_spectral_direction_matches_dense_lu(rng):
         alpha, eps = 0.6, 0.5 * np.linalg.norm(b)
         F1, F2 = eval_F(A, b, eps, x, alpha)
         G = A.T @ A
-        dx, dalpha, gdx = solve_rescaled_system(*spectral_gram(G), x, alpha, F1, F2)
+        lam, Q = spectral_gram(G)
+        dx, dalpha, gdx, xh = solve_rescaled_system(lam, Q, x, alpha, F1, F2)
         J, rhs = rescaled_jacobian(G, x, alpha, F1, F2)
         d = lu_solve(lu_factor(J), rhs)
         assert np.linalg.norm(np.append(dx, dalpha) - d) <= SOLVE_RTOL * np.linalg.norm(d)
         assert np.linalg.norm(gdx - G @ dx) <= SOLVE_RTOL * np.linalg.norm(G @ dx)
+        # the rotation dinv_norm reuses; gemm and gemv may round differently
+        assert np.linalg.norm(xh - x @ Q) <= 10 * np.finfo(float).eps * np.linalg.norm(x)
 
 
 def test_direction_typed_failures(rng):
@@ -281,6 +284,7 @@ def test_dinv_property_both_branches(m, n, log_alpha, positive_root, seed):
     assume(((z * z / (d + d[0])).sum() > d[0]) == positive_root)
     expected, cond = svd_dinv(A.T @ A, x, alpha)
     got = dinv_norm(None, x, alpha, eig=(lam, Q))
+    assert dinv_norm(None, x, alpha, eig=(lam, Q), xh=z) == got  # the Newton step's path
     # svdvals itself is accurate to a few eps * cond(D) relative
     assert abs(got - expected) <= max(1e-12, 8 * np.finfo(float).eps * cond) * expected
 

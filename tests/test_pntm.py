@@ -210,11 +210,14 @@ def test_pntm_rejects_lemma_bound_pricing():
         PntmConfig(step_rule=StepRule(dinv_mode="lemma_bound"))
 
 
-@pytest.mark.parametrize("seed", [2005, 2008])
+@pytest.mark.parametrize("seed", [2005, 2008, 2020, 2025, 2027])
 def test_smoothed_alpha_underflow_fails_typed(seed):
-    # case-3 clipping drives alpha toward underflow on these problems; the
-    # rescaled Newton system then overflows, which must surface as a
-    # TikmorError rather than scipy's ValueError on infs/NaNs
+    # case-3 clipping drives alpha toward underflow on some of these
+    # problems; the rescaled Newton system then overflows, which must
+    # surface as a TikmorError rather than scipy's ValueError on infs/NaNs.
+    # Which seeds collapse hangs on the last bits of the Krylov basis, so
+    # seeds that collapsed under modified Gram-Schmidt (2005, 2008) stay
+    # next to those that collapse under CGS2 (2020, 2025, 2027).
     raw = random_uniform_problem(210, 150, 0.10, seed=seed)
     p, _ = priorconditioned_problem(raw, RegularizationMatrix(150))
     try:
