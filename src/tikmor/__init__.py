@@ -37,18 +37,14 @@ from .ntm import (
     NtmResult,
     StepRule,
     dinv_norm,
-    eval_F,
     ntm_solve,
-    solve_newton_system,
     step_interval,
     step_size,
 )
 from .pntm import (
     KrylovResult,
     PntmConfig,
-    PntmResult,
     pntm_solve,
-    projected_newton_system,
 )
 from .problems import (
     InverseProblem,
@@ -63,7 +59,6 @@ from .problems import (
 from .reference import (
     CglsResult,
     GbitConfig,
-    GbitResult,
     SirtResult,
     cgls,
     cgls_priorconditioned,
@@ -84,7 +79,6 @@ __all__ = [
     "DenseOperator",
     "DimensionError",
     "GbitConfig",
-    "GbitResult",
     "ImageView",
     "InfeasibleDiscrepancyError",
     "InverseProblem",
@@ -94,7 +88,6 @@ __all__ = [
     "NtmConfig",
     "NtmResult",
     "PntmConfig",
-    "PntmResult",
     "PriorconditionedOperator",
     "RegularizationMatrix",
     "RelativeStats",
@@ -110,7 +103,6 @@ __all__ = [
     "cgls",
     "cgls_priorconditioned",
     "dinv_norm",
-    "eval_F",
     "gbit_solve",
     "init_bidiag",
     "load_matrix_market",
@@ -119,7 +111,6 @@ __all__ = [
     "ntm_solve",
     "pntm_solve",
     "priorconditioned_problem",
-    "projected_newton_system",
     "random_uniform_problem",
     "relative_stats",
     "save_matrix_market",
@@ -127,7 +118,6 @@ __all__ = [
     "sine_wave_problem",
     "sirt_operators",
     "sirt_solve",
-    "solve_newton_system",
     "ssim",
     "step_interval",
     "step_size",

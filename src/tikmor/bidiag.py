@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateRhsError
+from .errors import DegenerateRhsError, TikmorError
 from .linop import as_operator
 
 
-class BidiagBreakdown(Exception):
+class BidiagBreakdown(TikmorError):
     """Krylov subspace became invariant; the factorization is final."""
 
 

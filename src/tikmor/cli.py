@@ -27,7 +27,7 @@ Configuration is a flat INI file (sections of key=value pairs) with one
     alpha_min = 1e-2
     alpha_max = 1e4
     points = 25
-    spacing = log
+    spacing = log               ; log | linear
 
 The other sections take only the keys shown, plus ``precondition``
 (none | smooth) in ``[problem]`` and ``alphas`` (a comma-separated
@@ -70,9 +70,8 @@ from .linop import (
     PriorconditionedOperator,
     RegularizationMatrix,
     load_matrix_market,
-    tikhonov_solve,
 )
-from .ntm import NtmConfig, StepRule, ntm_solve
+from .ntm import NtmConfig, StepRule, ntm_solve, spectral_gram
 from .pntm import PntmConfig, pntm_solve
 from .problems import (
     InverseProblem,
@@ -295,8 +294,9 @@ def load_config(path) -> ExperimentConfig:
         rhs_policy=psec.get("rhs", "sine").strip(),
         precondition=psec.get("precondition", "none").strip(),
     )
-    if kind == "random_uniform" and (problem.m < 1 or problem.n < 1):
-        raise ConfigError("randomUniform problems need positive m and n")
+    generated = kind == "random_uniform" or (kind == "sine_wave" and not problem.path)
+    if generated and (problem.m < 1 or problem.n < 1):
+        raise ConfigError(f"problem type {raw_kind!r} without a path needs positive m and n")
     if kind in ("matrix_market", "directory") and not problem.path:
         raise ConfigError(f"problem type {raw_kind!r} needs a path")
     if problem.precondition not in ("none", "smooth"):
@@ -330,13 +330,16 @@ def load_config(path) -> ExperimentConfig:
     curve_grid = None
     if "curve" in cp:
         csec = cp["curve"]
+        spacing = csec.get("spacing", "log").strip()
+        if spacing not in ("log", "linear"):
+            raise ConfigError(f"unknown curve spacing {spacing!r}; use log or linear")
         if csec.get("alphas"):
             grid = np.array([float(t) for t in csec["alphas"].split(",")])
         else:
             lo = csec.getfloat("alpha_min", 1e-2)
             hi = csec.getfloat("alpha_max", 1e2)
             pts = csec.getint("points", 20)
-            if csec.get("spacing", "log").strip() == "linear":
+            if spacing == "linear":
                 grid = np.linspace(lo, hi, pts)
             else:
                 grid = np.geomspace(lo, hi, pts)
@@ -356,8 +359,9 @@ def load_config(path) -> ExperimentConfig:
 def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     """Residual norms of Tikhonov solutions along an ascending alpha grid.
 
-    The sampled curve is checked to be nondecreasing (up to roundoff),
-    which is the shape the discrepancy principle relies on.
+    One ``eigh`` of A^T A prices each point, x = Q ((Q^T A^T b) / (lam + alpha)),
+    at O(n^2). The sampled curve is checked to be nondecreasing (up to
+    roundoff), which is the shape the discrepancy principle relies on.
     """
     grid = np.asarray(alpha_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -367,10 +371,11 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     if (np.diff(grid) <= 0).any():
         raise ValueError("alpha grid must be strictly ascending")
     A = problem.operator
-    G, g = A.gram(), A.rmatvec(problem.b)
+    lam, Q = spectral_gram(A.gram())
+    gh = A.rmatvec(problem.b) @ Q
     points = []
     for alpha in grid:
-        x = tikhonov_solve(G, g, alpha)
+        x = Q @ (gh / (lam + alpha))
         res = float(np.linalg.norm(A.matvec(x) - problem.b))
         points.append((float(alpha), res))
     residuals = np.array([r for _, r in points])

@@ -42,7 +42,7 @@ class LinearOperator:
         raise NotImplementedError
 
     def frobenius_norm(self):
-        raise NotImplementedError
+        return float(np.linalg.norm(self.to_dense()))
 
     def gram(self):
         """Dense A^T A, used by full-space Newton solves."""
@@ -137,26 +137,25 @@ class RegularizationMatrix:
         return -np.cumsum(w[::-1])[::-1]
 
     def solve_transpose(self, w):
-        """z with L^T z = w (forward substitution, O(n))."""
+        """z with L^T z = w along the last axis (forward substitution, O(n)
+        per row): for a matrix W, the rows of W inv(L)."""
         w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise DimensionError(f"expected length {self.dim}, got {w.shape}")
-        return -np.cumsum(w)
+        if w.shape[-1:] != (self.dim,):
+            raise DimensionError(f"expected last axis of length {self.dim}, got {w.shape}")
+        z = np.cumsum(w, axis=-1)
+        return np.negative(z, out=z)
 
     def to_dense(self):
         n = self.dim
         return -np.eye(n) + np.diag(np.ones(n - 1), 1)
-
-    def inverse_dense(self):
-        # inv(L) = -triu(ones): column j of the inverse is -1 on rows <= j
-        return -np.triu(np.ones((self.dim, self.dim)))
 
 
 class PriorconditionedOperator(LinearOperator):
     """Composite operator A @ inv(L) with shift bookkeeping.
 
     Solving the transformed system in z and mapping back through
-    ``recover`` embeds the smoothness prior carried by L.
+    ``recover`` embeds the smoothness prior carried by L. ``reg`` provides
+    ``dim``, ``solve`` and ``solve_transpose`` (along the last axis).
     """
 
     def __init__(self, base: LinearOperator, reg, shift=None):
@@ -187,14 +186,7 @@ class PriorconditionedOperator(LinearOperator):
         return np.asarray(b, dtype=float) - self.base.matvec(self.shift)
 
     def to_dense(self):
-        return self.base.to_dense() @ self.reg.inverse_dense()
-
-    def frobenius_norm(self):
-        if isinstance(self.reg, RegularizationMatrix):
-            # inv(L) = -triu(ones), so column j of A inv(L) is minus the sum
-            # of the first j + 1 columns of A
-            return float(np.linalg.norm(np.cumsum(self.base.to_dense(), axis=1)))
-        return float(np.linalg.norm(self.to_dense()))
+        return self.reg.solve_transpose(self.base.to_dense())
 
 
 def as_operator(obj) -> LinearOperator:

@@ -49,14 +49,6 @@ def coupled_residual(matvec, rmatvec, b, eps):
     return F
 
 
-def eval_F(A, b, eps, x, alpha):
-    """Stacked residual of the coupled system at (x, alpha)."""
-    A = as_operator(A)
-    F = coupled_residual(A.matvec, A.rmatvec, np.asarray(b, dtype=float), eps)
-    F1, F2, _ = F(np.asarray(x, dtype=float), alpha)
-    return F1, F2
-
-
 def stacked_norm(F1, F2) -> float:
     return float(np.sqrt(F1 @ F1 + F2 * F2))
 
@@ -123,16 +115,6 @@ def solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=SOLVE_RTOL):
     return dx, dalpha, gdx, xh
 
 
-def solve_newton_system(A, b, eps, x, alpha):
-    """Full-space convenience wrapper around the spectral kernel: (dx, dalpha)."""
-    A = as_operator(A)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    F1, F2 = eval_F(A, b, eps, x, alpha)
-    x = np.asarray(x, dtype=float)
-    return solve_rescaled_system(*spectral_gram(A.gram()), x, alpha, F1, F2)[:2]
-
-
 def arrowhead_min_abs_eig(d, z) -> float:
     """Smallest |eigenvalue| of [[diag(d), z], [z^T, 0]], d ascending and positive.
 
@@ -168,21 +150,20 @@ def arrowhead_min_abs_eig(d, z) -> float:
     return min(t, hi)
 
 
-def dinv_norm(A, x, alpha, mode="exact_svd", eig=None, xh=None) -> float:
+def dinv_norm(lam, Q, x, alpha, mode="exact_svd", xh=None) -> float:
     """Spectral norm of D(x, alpha)^{-1}, D = [[G + alpha I, x], [-x^T, 0]].
 
     ``exact_svd`` (a historical name: no SVD is taken) is exact: 1 / min|mu|
     over the eigenvalues of the arrowhead [[diag(lam + alpha), Q^T x],
     [x^T Q, 0]], which has D's singular values. ``lemma_bound`` is the bound
     (1 + ||x||/alpha)^2 max(1/alpha, (alpha + lambda_1)/||x||), which only
-    shrinks the step. ``A`` is read only when ``eig = spectral_gram(G)`` is not
-    given; ``xh = Q^T x`` saves the product with Q when the caller has it.
+    shrinks the step. ``(lam, Q) = spectral_gram(G)``; ``xh = Q^T x`` saves
+    the product with Q when the caller has it.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if mode not in ("exact_svd", "lemma_bound"):
         raise ValueError(f"unknown mode {mode!r}")
-    lam, Q = spectral_gram(as_operator(A).gram()) if eig is None else eig
     nx = float(np.linalg.norm(x))
     if mode == "lemma_bound" and nx > 0.0:  # the bound divides by ||x||
         return float((1.0 + nx / alpha) ** 2 * max(1.0 / alpha, (alpha + lam[-1]) / nx))
@@ -224,15 +205,13 @@ def step_size(
     gamma_max,
     theta,
     dinv,
-    operator=None,
     gram_dx=None,
 ) -> float:
     """Safeguarded step length for one Newton update.
 
     case1 caps both the Jacobian perturbation and the direction-norm
     growth; case2 only the former, giving substantially larger steps.
-    For case1 the product A^T A dx is taken from ``gram_dx`` when given,
-    otherwise computed through the operator.
+    case1 needs ``gram_dx`` = A^T A dx.
     """
     if dinv <= 0:
         raise ValueError("dinv must be positive")
@@ -241,10 +220,7 @@ def step_size(
     base = abs(dalpha) + theta * ndx
     if rule_variant == "case1":
         if gram_dx is None:
-            if operator is None:
-                raise ValueError("case1 needs the operator or a precomputed A^T A dx")
-            op = as_operator(operator)
-            gram_dx = op.rmatvec(op.matvec(dx))
+            raise ValueError("case1 needs gram_dx = A^T A dx")
         m_norm = np.sqrt(dalpha * dalpha + 0.25 * float(gram_dx @ gram_dx))
         denom = (m_norm + base) * dinv
     elif rule_variant == "case2":
@@ -345,7 +321,7 @@ def newton_steps(lam, Q, F, x, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
         if Fnorm < tol:
             return
         dx, dalpha, gram_dx, xh = solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=rtol)
-        dinv = dinv_norm(None, x, alpha, mode=rule.dinv_mode, eig=(lam, Q), xh=xh)
+        dinv = dinv_norm(lam, Q, x, alpha, mode=rule.dinv_mode, xh=xh)
         gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
         gamma = step_size(
             rule.variant, dx, dalpha, gamma_max, theta, dinv, gram_dx=gram_dx

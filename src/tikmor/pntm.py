@@ -25,7 +25,7 @@ from .ntm import (
     _check_discrepancy_feasible,
     coupled_residual,
     newton_steps,
-    solve_rescaled_system,
+    solve_rescaled_system,  # noqa: F401 -- perfbench/tracer.py patches this binding
     spectral_gram,
 )
 from .problems import InverseProblem
@@ -70,28 +70,6 @@ class KrylovResult:
     F_norm: float
     y: np.ndarray
     factorization: BidiagFactorization
-
-
-PntmResult = KrylovResult
-
-
-def projected_eval_F(B, c, eps, y, alpha):
-    F1, F2, _ = coupled_residual(B.__matmul__, B.T.__matmul__, c, eps)(y, alpha)
-    return F1, F2
-
-
-def projected_newton_system(f: BidiagFactorization, y, alpha, eps):
-    """Newton directions for the projected system, solved densely."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if f.k < 1:
-        raise ValueError("factorization holds no columns yet")
-    B, c = f.B, f.c
-    y = np.asarray(y, dtype=float)
-    F1, F2 = projected_eval_F(B, c, eps, y, alpha)
-    return solve_rescaled_system(
-        *spectral_gram(B.T @ B), y, alpha, F1, F2, rtol=PROJECTED_SOLVE_RTOL
-    )[:2]
 
 
 def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
@@ -144,7 +122,7 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     )
 
 
-def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> PntmResult:
+def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> KrylovResult:
     """Projected Newton solve of the coupled system.
 
     Returns the lifted iterate; exhaustion of the outer budget (observed

@@ -36,9 +36,6 @@ class GbitConfig:
             raise ValueError("alpha0 and tol must be positive, max_iter >= 1")
 
 
-GbitResult = KrylovResult
-
-
 def _projected_tikhonov(G, g, alpha):
     if alpha == 0.0:
         # secant update can in principle hit zero; fall back to least squares
@@ -58,7 +55,7 @@ def secant_alpha_update(eps, res_unreg, res_reg, alpha_prev):
     return abs((eps - res_unreg) / (res_reg - res_unreg)) * alpha_prev
 
 
-def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> GbitResult:
+def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> KrylovResult:
     """Alternate projected Tikhonov solves with secant updates of alpha.
 
     Per Krylov iteration the subspace grows by one, the unregularized

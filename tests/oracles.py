@@ -1,12 +1,55 @@
-"""Dense reference forms of the Newton kernel, used only as test oracles.
+"""Reference forms of the Newton kernel and the regularizer, used only as
+test oracles.
 
 The solvers work in the eigenbasis of A^T A; these build the bordered
-matrix and its closed-form inverse explicitly.
+matrix and its closed-form inverse explicitly, and evaluate the coupled
+system and its Newton direction at a given point through the same kernel
+(``coupled_residual``, ``spectral_gram``, ``solve_rescaled_system``) the
+solvers run.
 """
 
 import numpy as np
 
 from tikmor import as_operator
+from tikmor.ntm import coupled_residual, solve_rescaled_system, spectral_gram
+from tikmor.pntm import PROJECTED_SOLVE_RTOL
+
+
+def eval_F(A, b, eps, x, alpha):
+    """(F1, F2) of the coupled system at (x, alpha)."""
+    A = as_operator(A)
+    F = coupled_residual(A.matvec, A.rmatvec, np.asarray(b, dtype=float), eps)
+    F1, F2, _ = F(np.asarray(x, dtype=float), alpha)
+    return F1, F2
+
+
+def solve_newton_system(A, b, eps, x, alpha):
+    """Full-space Newton direction (dx, dalpha) at (x, alpha)."""
+    A = as_operator(A)
+    x = np.asarray(x, dtype=float)
+    F1, F2 = eval_F(A, b, eps, x, alpha)
+    return solve_rescaled_system(*spectral_gram(A.gram()), x, alpha, F1, F2)[:2]
+
+
+def projected_eval_F(B, c, eps, y, alpha):
+    """(F1, F2) of the projected system with bidiagonal B and rhs c."""
+    F1, F2, _ = coupled_residual(B.__matmul__, B.T.__matmul__, c, eps)(y, alpha)
+    return F1, F2
+
+
+def projected_newton_system(f, y, alpha, eps):
+    """Newton direction (dy, dalpha) of the projected system of factorization f."""
+    B, c = f.B, f.c
+    y = np.asarray(y, dtype=float)
+    F1, F2 = projected_eval_F(B, c, eps, y, alpha)
+    return solve_rescaled_system(
+        *spectral_gram(B.T @ B), y, alpha, F1, F2, rtol=PROJECTED_SOLVE_RTOL
+    )[:2]
+
+
+def inverse_dense(dim):
+    """inv(L) of the smoothing stencil: -triu(ones), column j is -1 on rows <= j."""
+    return -np.triu(np.ones((dim, dim)))
 
 
 def bordered_matrix(G, x, alpha):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from tikmor import BidiagBreakdown, DegenerateRhsError, DenseOperator, init_bidiag
+from tikmor import (
+    BidiagBreakdown,
+    DegenerateRhsError,
+    DenseOperator,
+    TikmorError,
+    init_bidiag,
+)
 from tikmor.bidiag import _cgs2
 
 EPS = np.finfo(float).eps
@@ -56,8 +62,9 @@ def test_identity_breakdown():
     assert f.breakdown
     assert f.k == 1
     assert f.B.shape == (1, 1)
-    with pytest.raises(BidiagBreakdown):
+    with pytest.raises(BidiagBreakdown) as info:
         f.expand()
+    assert isinstance(info.value, TikmorError)
 
 
 def test_full_expansion_factorization(rng):
@@ -66,6 +73,8 @@ def test_full_expansion_factorization(rng):
     expand_fully(f)
     assert f.k == 20
     factorization_checks(A, f)
+    with pytest.raises(TikmorError, match="full"):
+        f.expand()
 
 
 def test_factorization_after_breakdown(rng):

@@ -17,6 +17,7 @@ from tikmor.cli import (
     main,
     sample_discrepancy_curve,
 )
+from tikmor.linop import tikhonov_solve
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -233,6 +234,17 @@ def test_discrepancy_curve_monotone_and_limits(rng):
     assert residuals[-1] == pytest.approx(np.linalg.norm(p.b), rel=1e-3)
 
 
+def test_discrepancy_curve_matches_cholesky_solves():
+    p = random_uniform_problem(60, 40, 0.10, seed=6)
+    A = p.operator.to_dense()
+    grid = np.geomspace(1e-3, 1e4, 15)
+    pts = sample_discrepancy_curve(p, grid)
+    for (alpha, res), a in zip(pts, grid):
+        x = tikhonov_solve(A.T @ A, A.T @ p.b, a)
+        assert alpha == a
+        assert res == pytest.approx(np.linalg.norm(A @ x - p.b), rel=1e-12)
+
+
 def test_discrepancy_curve_rejects_bad_grids():
     p = random_uniform_problem(10, 6, 0.10, seed=1)
     with pytest.raises(ValueError):
@@ -353,3 +365,21 @@ def test_curve_forms_gram_once(monkeypatch):
     pts = sample_discrepancy_curve(p, [1e-2, 1.0, 1e2])
     assert len(pts) == 3
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        ("[solver ntm-case2]", "[curve]\npoints = 5\nspacing = linaer\n\n[solver ntm-case2]"),
+        ("type = randomUniform\nm = 40\nn = 25", "type = sineWave"),
+    ],
+    ids=["curve-spacing", "sinewave-without-size"],
+)
+def test_bad_problem_or_curve_fails_before_work(tmp_path, edit):
+    text = BASE_CFG.format(reps=1, out=tmp_path / "o").replace(*edit)
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    for command in ("run", "curve"):
+        assert main([command, str(path)]) == 1
+    assert not list(tmp_path.rglob("*.csv"))

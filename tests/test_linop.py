@@ -20,6 +20,8 @@ from tikmor import (
 )
 from tikmor.linop import tikhonov_solve
 
+from oracles import inverse_dense
+
 
 # -- operators ---------------------------------------------------------------
 
@@ -93,8 +95,8 @@ class ScaledIdentity:
     def solve(self, w):
         return 2.0 * np.asarray(w, dtype=float)
 
-    def inverse_dense(self):
-        return 2.0 * np.eye(self.dim)
+    def solve_transpose(self, w):
+        return 2.0 * np.asarray(w, dtype=float)
 
 
 @pytest.mark.parametrize("reg", [RegularizationMatrix, ScaledIdentity])
@@ -141,7 +143,19 @@ def test_reg_dense_agrees_with_stencil(rng):
     v = rng.standard_normal(7)
     assert np.allclose(L.matvec(v), D @ v)
     assert np.allclose(L.rmatvec(v), D.T @ v)
-    assert np.allclose(L.inverse_dense(), np.linalg.inv(D))
+    assert np.allclose(inverse_dense(7), np.linalg.inv(D))
+
+
+def test_reg_solve_transpose_acts_on_rows(rng):
+    L = RegularizationMatrix(6)
+    W = rng.standard_normal((4, 6))
+    Z = L.solve_transpose(W)
+    assert np.allclose(Z, W @ inverse_dense(6), rtol=0, atol=1e-12)
+    assert np.array_equal(Z[2], L.solve_transpose(W[2]))
+    with pytest.raises(DimensionError):
+        L.solve_transpose(np.ones((6, 5)))
+    with pytest.raises(DimensionError):
+        L.solve_transpose(np.ones(5))
 
 
 def test_priorconditioning_round_trip(rng):

@@ -12,11 +12,9 @@ from tikmor import (
     StepRule,
     as_operator,
     dinv_norm,
-    eval_F,
     normal_equation_solve,
     ntm_solve,
     random_uniform_problem,
-    solve_newton_system,
     step_interval,
     step_size,
 )
@@ -27,7 +25,13 @@ from tikmor.ntm import (
     spectral_gram,
 )
 
-from oracles import bordered_matrix, rescaled_jacobian, schur_inverse
+from oracles import (
+    bordered_matrix,
+    eval_F,
+    rescaled_jacobian,
+    schur_inverse,
+    solve_newton_system,
+)
 
 
 # -- F evaluation --------------------------------------------------------------
@@ -113,7 +117,8 @@ def test_newton_step_recurrence_identity(rng):
 def test_dinv_hand_value_golden_ratio():
     # A = 0 (1x1), x = 1, alpha = 1: D = [[1, 1], [-1, 0]],
     # sigma_min = sqrt((3 - sqrt(5))/2), norm of inverse = golden ratio
-    val = dinv_norm(np.zeros((1, 1)), np.array([1.0]), 1.0, mode="exact_svd")
+    A = np.zeros((1, 1))
+    val = dinv_norm(*spectral_gram(A.T @ A), np.array([1.0]), 1.0, mode="exact_svd")
     assert val == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, rel=1e-12)
 
 
@@ -125,8 +130,9 @@ def test_dinv_exact_below_lemma_bound(rng):
         x = rng.standard_normal(n)
         x *= (1.0 + rng.random() * 4.0) / np.linalg.norm(x)  # bound needs ||x|| >= 1
         alpha = 10.0 ** rng.uniform(-2, 1)
-        exact = dinv_norm(A, x, alpha, mode="exact_svd")
-        bound = dinv_norm(A, x, alpha, mode="lemma_bound")
+        eig = spectral_gram(A.T @ A)
+        exact = dinv_norm(*eig, x, alpha, mode="exact_svd")
+        bound = dinv_norm(*eig, x, alpha, mode="lemma_bound")
         assert exact <= bound * (1 + 1e-9)
 
 
@@ -134,7 +140,7 @@ def test_dinv_exact_matches_dense_inverse(rng):
     A = rng.standard_normal((6, 4))
     x = rng.standard_normal(4)
     alpha = 0.5
-    exact = dinv_norm(A, x, alpha)
+    exact = dinv_norm(*spectral_gram(A.T @ A), x, alpha)
     D = bordered_matrix(A.T @ A, x, alpha)
     assert exact == pytest.approx(np.linalg.norm(np.linalg.inv(D), 2), rel=1e-10)
 
@@ -144,7 +150,7 @@ def test_dinv_lemma_bound_zero_x_falls_back(rng):
     x = np.zeros(3)
     alpha = 1.0
     # D is exactly singular at x = 0; the guard reports the exact value
-    assert dinv_norm(A, x, alpha, mode="lemma_bound") == np.inf
+    assert dinv_norm(*spectral_gram(A.T @ A), x, alpha, mode="lemma_bound") == np.inf
 
 
 def test_schur_inverse_matches_dense(rng):
@@ -216,7 +222,7 @@ def test_dinv_matches_svdvals(rng, m, n, alpha, x_scale):
     A = rng.standard_normal((m, n))
     x = x_scale * rng.standard_normal(n)
     expected, _ = svd_dinv(A.T @ A, x, alpha)
-    assert dinv_norm(A, x, alpha) == pytest.approx(expected, rel=1e-12)
+    assert dinv_norm(*spectral_gram(A.T @ A), x, alpha) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dinv_positive_root_branch_is_exercised(rng):
@@ -232,7 +238,7 @@ def test_dinv_positive_root_branch_is_exercised(rng):
 
 def test_dinv_exact_zero_x_is_infinite(rng):
     A = rng.standard_normal((5, 3))
-    assert dinv_norm(A, np.zeros(3), 1.0) == np.inf
+    assert dinv_norm(*spectral_gram(A.T @ A), np.zeros(3), 1.0) == np.inf
 
 
 @pytest.mark.parametrize(
@@ -246,7 +252,7 @@ def test_dinv_exact_zero_x_is_infinite(rng):
 def test_dinv_deflation(x, expected):
     lam, alpha = np.array([0.0, 1.0, 4.0, 9.0]), 0.5
     x = np.array(x)
-    got = dinv_norm(None, x, alpha, eig=(lam, np.eye(4)))
+    got = dinv_norm(lam, np.eye(4), x, alpha)
     reference, _ = svd_dinv(np.diag(lam), x, alpha)
     assert got == pytest.approx(reference, rel=1e-12)
     if expected is not None:
@@ -262,7 +268,8 @@ def test_dinv_modes_against_dense(rng, mode):
     nx, lam1 = np.linalg.norm(x), np.linalg.eigvalsh(A.T @ A).max()
     bound = (1 + nx / alpha) ** 2 * max(1 / alpha, (alpha + lam1) / nx)
     expected = exact if mode == "exact_svd" else bound
-    assert dinv_norm(A, x, alpha, mode=mode) == pytest.approx(expected, rel=1e-12)
+    got = dinv_norm(*spectral_gram(A.T @ A), x, alpha, mode=mode)
+    assert got == pytest.approx(expected, rel=1e-12)
 
 
 @given(
@@ -283,8 +290,8 @@ def test_dinv_property_both_branches(m, n, log_alpha, positive_root, seed):
     d, z = lam + alpha, x @ Q
     assume(((z * z / (d + d[0])).sum() > d[0]) == positive_root)
     expected, cond = svd_dinv(A.T @ A, x, alpha)
-    got = dinv_norm(None, x, alpha, eig=(lam, Q))
-    assert dinv_norm(None, x, alpha, eig=(lam, Q), xh=z) == got  # the Newton step's path
+    got = dinv_norm(lam, Q, x, alpha)
+    assert dinv_norm(lam, Q, x, alpha, xh=z) == got  # the Newton step's path
     # svdvals itself is accurate to a few eps * cond(D) relative
     assert abs(got - expected) <= max(1e-12, 8 * np.finfo(float).eps * cond) * expected
 
@@ -336,7 +343,8 @@ def test_step_size_case2_example():
 
 def test_step_size_case1_example(rng):
     A = rng.standard_normal((4, 3))
-    gamma = step_size("case1", np.zeros(3), 1.0, 1.0, np.sqrt(2.0), 2.0, operator=A)
+    dx = np.zeros(3)
+    gamma = step_size("case1", dx, 1.0, 1.0, np.sqrt(2.0), 2.0, gram_dx=A.T @ (A @ dx))
     assert gamma == pytest.approx(0.25)
 
 

@@ -12,12 +12,11 @@ from tikmor import (
     normal_equation_solve,
     pntm_solve,
     priorconditioned_problem,
-    projected_newton_system,
     random_uniform_problem,
-    solve_newton_system,
 )
 from tikmor.errors import TikmorError
-from tikmor.pntm import projected_eval_F
+
+from oracles import projected_eval_F, projected_newton_system, solve_newton_system
 
 
 def small_factorization(rng, m=12, n=8, steps=4):

@@ -170,9 +170,6 @@ class IdentityRegularizer:
     def matvec(self, z):
         return np.asarray(z, dtype=float)
 
-    def inverse_dense(self):
-        return np.eye(self.dim)
-
 
 def test_cgls_identity_regularizer_reduces_to_plain(rng):
     A = rng.standard_normal((15, 9))
