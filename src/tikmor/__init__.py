@@ -28,7 +28,6 @@ from .linop import (
     SparseOperator,
     as_operator,
     load_matrix_market,
-    normal_equation_solve,
     save_matrix_market,
 )
 from .metrics import ImageView, ssim
@@ -107,7 +106,6 @@ __all__ = [
     "init_bidiag",
     "load_matrix_market",
     "load_problem",
-    "normal_equation_solve",
     "ntm_solve",
     "pntm_solve",
     "priorconditioned_problem",

@@ -6,10 +6,14 @@ Each new direction is reorthogonalized by classical Gram-Schmidt applied
 twice (CGS2: "twice is enough", Giraud, Langou & Rozloznik 2005), two
 matrix-vector products with the stored basis per pass. Exact invariant
 subspaces surface as breakdown; the factorization then stays usable at
-its final dimension.
+its final dimension. Each expansion also carries LSQR's Givens rotation of
+B one column further (Paige & Saunders 1982), so the least-squares
+residual min_z ||B z - c|| costs O(1) per step.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,6 +43,11 @@ class BidiagFactorization:
     together, amortized. On a nu-breakdown the exactly zero trailing row
     of B is dropped together with the never-created u_{k+1}, which leaves
     A V = U B intact with square B.
+
+    ``lsqr_residual`` is phi_k = min_z ||B z - c||, LSQR's ``phibar``: it
+    starts at beta, each column of B scales it by the sine of the Givens
+    rotation that eliminates that column's subdiagonal entry, and a
+    nu-breakdown (square B) sets it to 0.
     """
 
     def __init__(self, A, b):
@@ -55,6 +64,8 @@ class BidiagFactorization:
         self._nu = 1  # vectors in U
         self._nv = 0  # vectors in V
         self.beta = float(beta)
+        self.lsqr_residual = float(beta)
+        self._cos = 1.0  # cosine of the last Givens rotation
         self.breakdown = False
         self.breakdown_tol = 1e-14 * self.A.frobenius_norm()
 
@@ -119,7 +130,12 @@ class BidiagFactorization:
         nu = float(np.linalg.norm(p))
         if nu <= self.breakdown_tol:
             self.breakdown = True
+            self.lsqr_residual = 0.0
             return False
+        rhobar = self._cos * mu  # diagonal entry left by the previous rotations
+        rho = math.hypot(rhobar, nu)
+        self._cos = rhobar / rho
+        self.lsqr_residual *= nu / rho
         self._grow()
         self._nu += 1
         self._U[k + 1] = p / nu

@@ -71,7 +71,7 @@ from .linop import (
     RegularizationMatrix,
     load_matrix_market,
 )
-from .ntm import NtmConfig, StepRule, ntm_solve, spectral_gram
+from .ntm import NtmConfig, StepRule, normal_equation_solve, ntm_solve, spectral_gram
 from .pntm import PntmConfig, pntm_solve
 from .problems import (
     InverseProblem,
@@ -359,9 +359,10 @@ def load_config(path) -> ExperimentConfig:
 def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     """Residual norms of Tikhonov solutions along an ascending alpha grid.
 
-    One ``eigh`` of A^T A prices each point, x = Q ((Q^T A^T b) / (lam + alpha)),
-    at O(n^2). The sampled curve is checked to be nondecreasing (up to
-    roundoff), which is the shape the discrepancy principle relies on.
+    One ``eigh`` of A^T A prices each point through ``normal_equation_solve``,
+    x = Q ((Q^T A^T b) / (lam + alpha)), at O(n^2). The sampled curve is
+    checked to be nondecreasing (up to roundoff), which is the shape the
+    discrepancy principle relies on.
     """
     grid = np.asarray(alpha_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -375,7 +376,7 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     gh = A.rmatvec(problem.b) @ Q
     points = []
     for alpha in grid:
-        x = Q @ (gh / (lam + alpha))
+        x = normal_equation_solve(lam, Q, gh, alpha)
         res = float(np.linalg.norm(A.matvec(x) - problem.b))
         points.append((float(alpha), res))
     residuals = np.array([r for _, r in points])

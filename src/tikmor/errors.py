@@ -27,11 +27,8 @@ class UnsupportedFormatError(MatrixMarketError):
 
 
 class ConvergenceFailure(TikmorError):
-    """An iterative solve exhausted its budget before reaching tolerance."""
-
-    def __init__(self, message, achieved_residual=None):
-        super().__init__(message)
-        self.achieved_residual = achieved_residual
+    """A solve cannot start or reach its tolerance, e.g. its Tikhonov start
+    system is not numerically positive definite."""
 
 
 class DegenerateRhsError(TikmorError):

@@ -3,7 +3,9 @@
 Operators expose ``matvec``/``rmatvec`` plus exact dimensions. Three
 representations are supported: dense (ndarray), sparse (CSR) and the
 composite right-preconditioned product ``A @ inv(L)`` used to reduce
-general-form Tikhonov problems to standard form.
+general-form Tikhonov problems to standard form. Tikhonov systems
+(G + alpha I) x = g are not solved here: ``ntm.normal_equation_solve``
+solves them in the eigenbasis of the dense Gram matrix ``gram()``.
 
 Everything is float64; operators are immutable after construction.
 """
@@ -12,10 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
-    ConvergenceFailure,
     DimensionError,
     MatrixMarketError,
     UnsupportedFormatError,
@@ -45,7 +45,7 @@ class LinearOperator:
         return float(np.linalg.norm(self.to_dense()))
 
     def gram(self):
-        """Dense A^T A, used by full-space Newton solves."""
+        """Dense A^T A, diagonalized once per full-space solve (``ntm.spectral_gram``)."""
         A = self.to_dense()
         return A.T @ A
 
@@ -342,53 +342,3 @@ def save_matrix_market(path, matrix):
                 for i in range(A.shape[0]):
                     fh.write(f"{float(A[i, j])!r}\n")
 
-
-# -- Tikhonov normal equations ----------------------------------------------
-
-
-def tikhonov_solve(G, g, alpha):
-    """Solve (G + alpha I) x = g for a symmetric positive semidefinite G.
-
-    One Cholesky factorization, then the relative residual
-    ``||(G + alpha I) x - g|| / ||g||`` is checked against 1e-10, with one
-    refinement pass if it misses. A matrix that is not numerically
-    positive definite (e.g. a rank-deficient G with alpha below its
-    roundoff) or a residual still above the bound raises
-    ``ConvergenceFailure``. This is the package's only Cholesky solve.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    g = np.asarray(g, dtype=float)
-    gnorm = np.linalg.norm(g)
-    if gnorm == 0.0:
-        return np.zeros(g.shape[0])
-    tol = 1e-10 * gnorm
-    K = G + alpha * np.eye(g.shape[0])
-    try:
-        factor = cho_factor(K)
-    except ValueError as exc:  # LinAlgError, or scipy's check for infs/NaNs
-        raise ConvergenceFailure(
-            f"G + alpha I is not numerically positive definite at alpha = {alpha!r}: {exc}"
-        ) from exc
-    x = cho_solve(factor, g)
-    r = K @ x - g
-    if np.linalg.norm(r) > tol:
-        x = x - cho_solve(factor, r)
-        r = K @ x - g
-    if np.linalg.norm(r) > tol:
-        raise ConvergenceFailure(
-            "Cholesky solve of G + alpha I missed tolerance",
-            achieved_residual=float(np.linalg.norm(r)),
-        )
-    return x
-
-
-def normal_equation_solve(A, b, alpha, gram=None):
-    """Solve (A^T A + alpha I) x = A^T b to relative residual 1e-10.
-
-    ``gram`` is A^T A if the caller already holds it (it is formed here
-    otherwise); the solve is ``tikhonov_solve`` on the dense Gram matrix.
-    """
-    A = as_operator(A)
-    G = A.gram() if gram is None else gram
-    return tikhonov_solve(G, A.rmatvec(np.asarray(b, dtype=float)), alpha)

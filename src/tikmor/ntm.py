@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import InfeasibleDiscrepancyError, SingularJacobianError
-from .linop import as_operator, normal_equation_solve
+from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, SingularJacobianError
+from .linop import as_operator
 from .problems import InverseProblem
 from .trace import NTM_COLUMNS, SolveTrace
 
@@ -58,6 +58,14 @@ def spectral_gram(G):
     so roundoff-negative lam are set to 0 and lam + alpha > 0 for alpha > 0."""
     lam, Q = np.linalg.eigh(G)
     return np.maximum(lam, 0.0), Q
+
+
+def normal_equation_solve(lam, Q, gh, alpha):
+    """x with (G + alpha I) x = g, from G = Q diag(lam) Q^T and gh = Q^T g.
+
+    The package's only Tikhonov solve: x = Q ((Q^T g) / (lam + alpha)), O(n^2).
+    """
+    return Q @ (gh / (lam + alpha))
 
 
 def solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=SOLVE_RTOL):
@@ -193,7 +201,8 @@ def step_interval(alpha_prev, dalpha, omega) -> StepInterval:
     if alpha_prev + dalpha > 0:
         ratio = alpha_prev / (alpha_prev + dalpha)
         return StepInterval(1.0, float(np.sqrt(1.0 + ratio * ratio)), 2)
-    gamma_max = -omega * alpha_prev / dalpha
+    # within 4 ulps of 1, omega would let the roundoff of alpha + gamma dalpha reach 0
+    gamma_max = -min(omega, 1.0 - 4.0 * _EPS) * alpha_prev / dalpha
     theta = float(np.sqrt(1.0 + 1.0 / (1.0 - omega) ** 2))
     return StepInterval(gamma_max, theta, 3)
 
@@ -340,9 +349,11 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> Nt
     """Full-space Newton solve for (x, alpha).
 
     Starts on the discrepancy curve (x0 solves the Tikhonov normal
-    equations at alpha0) and iterates safeguarded Newton steps until the
-    stacked residual norm drops below tol. Non-convergence within the
-    iteration budget is reported through the result flag, never raised.
+    equations at alpha0, in the eigenbasis of A^T A) and iterates
+    safeguarded Newton steps until the stacked residual norm drops below
+    tol. Non-convergence within the iteration budget is reported through
+    the result flag, never raised; an A^T A + alpha0 I that is not
+    numerically positive definite raises ``ConvergenceFailure``.
     """
     if config is None:
         config = NtmConfig()
@@ -352,9 +363,13 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> Nt
     _check_discrepancy_feasible(b, eps)
     rule = config.step_rule
 
-    G = A.gram()
-    lam, Q = spectral_gram(G)
-    x = normal_equation_solve(A, b, config.alpha0, gram=G)
+    lam, Q = spectral_gram(A.gram())
+    if not lam[0] + config.alpha0 > lam.size * _EPS * lam[-1]:
+        raise ConvergenceFailure(
+            "A^T A + alpha0 I is not numerically positive definite at "
+            f"alpha0 = {config.alpha0!r}"
+        )
+    x = normal_equation_solve(lam, Q, A.rmatvec(b) @ Q, config.alpha0)
 
     trace = SolveTrace(columns=NTM_COLUMNS, extra_columns=("dir_norm",))
     F = coupled_residual(A.matvec, A.rmatvec, b, eps)

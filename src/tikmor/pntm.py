@@ -1,13 +1,15 @@
 """Projected Newton solve: the coupled system restricted to a growing
 Golub-Kahan subspace, and the Krylov outer loop it shares with GBiT.
 
-Each outer iteration expands the bidiagonalization by one column, warm
-starts from the projected Tikhonov solution at the current alpha, and
-runs the safeguarded Newton steps of ``ntm.newton_steps`` on the small
-projected system. The outer loop stops only when the projected system is
-solved *and* alpha has stagnated, since the projected system can be
-solved accurately long before the subspace is rich enough for the full
-problem.
+Each outer iteration expands the bidiagonalization by one column,
+diagonalizes B^T B, and warm starts from the projected Tikhonov solution
+at the current alpha. The projected discrepancy equation has a root only
+while the LSQR residual phi_k = min_z ||B z - c|| is below eps; until
+then alpha is carried unchanged. Once it is, the safeguarded Newton steps
+of ``ntm.newton_steps`` run on the small projected system. The outer loop
+stops only when the projected system is solved *and* alpha has
+stagnated, since the projected system can be solved accurately long
+before the subspace is rich enough for the full problem.
 """
 
 from __future__ import annotations
@@ -19,13 +21,13 @@ import numpy as np
 
 from .bidiag import BidiagFactorization, init_bidiag
 from .errors import DegenerateRhsError
-from .linop import as_operator, tikhonov_solve
+from .linop import as_operator
 from .ntm import (
     StepRule,
     _check_discrepancy_feasible,
     coupled_residual,
     newton_steps,
-    solve_rescaled_system,  # noqa: F401 -- perfbench/tracer.py patches this binding
+    normal_equation_solve,
     spectral_gram,
 )
 from .problems import InverseProblem
@@ -75,14 +77,18 @@ class KrylovResult:
 def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     """Golub-Kahan outer loop shared by pntm and gbit.
 
-    Each iteration grows the factorization by one column and calls
-    ``update(k, B, c, G, g, alpha_prev) -> (y, alpha, F_norm, inner_steps)``
-    with G = B^T B and g = B^T c; ``update`` appends its own trace rows.
-    Stops once F_norm < tol and alpha moved by less than tol relative.
+    Each iteration grows the factorization by one column, diagonalizes
+    B^T B = Q diag(lam) Q^T and calls
+    ``update(k, B, c, lam, Q, gh, phi, alpha_prev) -> (y, alpha, F_norm, inner_steps)``
+    with gh = Q^T B^T c and phi the LSQR residual min_z ||B z - c||;
+    ``update`` appends its own trace rows. Stops once phi < eps (the
+    projected discrepancy equation has a root), F_norm < tol and alpha
+    moved by less than tol relative.
     """
     A = as_operator(problem.operator)
     b = problem.b
-    _check_discrepancy_feasible(b, problem.discrepancy_target)
+    eps = problem.discrepancy_target
+    _check_discrepancy_feasible(b, eps)
 
     f = init_bidiag(A, b)
     alpha_prev = alpha = alpha0
@@ -100,9 +106,15 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
                 "A^T b is numerically zero: no Krylov direction exists"
             )
         B, c = f.B, f.c
-        y, alpha, Fnorm, inner = update(k, B, c, B.T @ B, B.T @ c, alpha_prev)
+        lam, Q = spectral_gram(B.T @ B)
+        phi = f.lsqr_residual
+        y, alpha, Fnorm, inner = update(k, B, c, lam, Q, (B.T @ c) @ Q, phi, alpha_prev)
         total_inner += inner
-        if Fnorm < tol and abs(alpha - alpha_prev) / max(alpha_prev, 1e-300) < tol:
+        if (
+            phi < eps
+            and Fnorm < tol
+            and abs(alpha - alpha_prev) / max(alpha_prev, 1e-300) < tol
+        ):
             converged = True
             break
         alpha_prev = alpha
@@ -134,22 +146,22 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     eps = problem.discrepancy_target
     trace = SolveTrace(columns=PNTM_COLUMNS)
 
-    def update(k, B, c, G, g, alpha):
-        dim = G.shape[0]
-        y = tikhonov_solve(G, g, alpha)  # warm start at the carried alpha
+    def update(k, B, c, lam, Q, gh, phi, alpha):
+        y = normal_equation_solve(lam, Q, gh, alpha)  # warm start at the carried alpha
         warm_res = float(np.linalg.norm(B @ y - c))
-        cap = (
-            min(k, config.inner_cap_small)
-            if warm_res > eps
-            else config.inner_cap_large
-        )
+        if phi >= eps:  # no root yet: no Newton step, alpha is kept
+            cap = 0
+        elif warm_res > eps:
+            cap = min(k, config.inner_cap_small)
+        else:
+            cap = config.inner_cap_large
         F = coupled_residual(B.__matmul__, B.T.__matmul__, c, eps)
         steps = newton_steps(
-            *spectral_gram(G), F, y, alpha, config.step_rule, config.tol, cap,
+            lam, Q, F, y, alpha, config.step_rule, config.tol, cap,
             rtol=PROJECTED_SOLVE_RTOL,
         )
         for l, step in enumerate(steps):
-            trace.append(len(trace) + 1, *step.row, k, l, dim, warm_res)
+            trace.append(len(trace) + 1, *step.row, k, l, lam.size, warm_res)
         return step.x, step.alpha, step.F_norm, l
 
     return krylov_loop(

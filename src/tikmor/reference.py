@@ -13,8 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ZeroSumError
-from .linop import PriorconditionedOperator, as_operator, tikhonov_solve
-from .ntm import stacked_norm
+from .linop import PriorconditionedOperator, as_operator
+from .ntm import normal_equation_solve, stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
 from .trace import CGLS_COLUMNS, GBIT_COLUMNS, SIRT_COLUMNS, SolveTrace
@@ -36,13 +36,6 @@ class GbitConfig:
             raise ValueError("alpha0 and tol must be positive, max_iter >= 1")
 
 
-def _projected_tikhonov(G, g, alpha):
-    if alpha == 0.0:
-        # secant update can in principle hit zero; fall back to least squares
-        return np.linalg.lstsq(G, g, rcond=None)[0]
-    return tikhonov_solve(G, g, alpha)
-
-
 def secant_alpha_update(eps, res_unreg, res_reg, alpha_prev):
     """One secant step of alpha toward the discrepancy level.
 
@@ -58,10 +51,12 @@ def secant_alpha_update(eps, res_unreg, res_reg, alpha_prev):
 def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> KrylovResult:
     """Alternate projected Tikhonov solves with secant updates of alpha.
 
-    Per Krylov iteration the subspace grows by one, the unregularized
-    projected solution (the LSQR iterate) and the regularized one are
-    computed, and alpha moves by one secant step toward the discrepancy
-    level. Stops when the projected residual norm is small and alpha has
+    Per Krylov iteration the subspace grows by one, the regularized
+    projected solution is computed in the eigenbasis of B^T B, and alpha
+    moves by one secant step toward the discrepancy level between its
+    residual and that of the unregularized solution (the LSQR iterate),
+    which the factorization's recurrence gives without solving for it.
+    Stops when the projected residual norm is small and alpha has
     stagnated.
     """
     if config is None:
@@ -69,10 +64,8 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     eps = problem.discrepancy_target
     trace = SolveTrace(columns=GBIT_COLUMNS)
 
-    def update(k, B, c, G, g, alpha_prev):
-        z = np.linalg.lstsq(B, c, rcond=None)[0]
-        y = _projected_tikhonov(G, g, alpha_prev)
-        res_z = float(np.linalg.norm(B @ z - c))
+    def update(k, B, c, lam, Q, gh, res_z, alpha_prev):
+        y = normal_equation_solve(lam, Q, gh, alpha_prev)
         res_y = float(np.linalg.norm(B @ y - c))
         if res_y == res_z:
             logger.warning(
@@ -85,7 +78,7 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
         F1 = (alpha - alpha_prev) * y
         F2 = 0.5 * (res_y * res_y - eps * eps)
         Fnorm = stacked_norm(F1, F2)
-        trace.append(k, alpha, res_y, Fnorm, G.shape[0], res_z)
+        trace.append(k, alpha, res_y, Fnorm, lam.size, res_z)
         return y, alpha, Fnorm, 0
 
     return krylov_loop(

@@ -1,9 +1,10 @@
-"""Reference forms of the Newton kernel and the regularizer, used only as
-test oracles.
+"""Reference forms of the Newton kernel, the Tikhonov solve and the
+regularizer, used only as test oracles.
 
 The solvers work in the eigenbasis of A^T A; these build the bordered
-matrix and its closed-form inverse explicitly, and evaluate the coupled
-system and its Newton direction at a given point through the same kernel
+matrix and its closed-form inverse explicitly, solve the Tikhonov normal
+equations by a dense LU factorization, and evaluate the coupled system
+and its Newton direction at a given point through the same kernel
 (``coupled_residual``, ``spectral_gram``, ``solve_rescaled_system``) the
 solvers run.
 """
@@ -13,6 +14,13 @@ import numpy as np
 from tikmor import as_operator
 from tikmor.ntm import coupled_residual, solve_rescaled_system, spectral_gram
 from tikmor.pntm import PROJECTED_SOLVE_RTOL
+
+
+def normal_equation_solve(A, b, alpha):
+    """x with (A^T A + alpha I) x = A^T b, by a dense LU solve."""
+    A = as_operator(A)
+    G = A.gram()
+    return np.linalg.solve(G + alpha * np.eye(A.cols), A.rmatvec(np.asarray(b, dtype=float)))
 
 
 def eval_F(A, b, eps, x, alpha):

@@ -21,7 +21,6 @@ from tikmor import (
     gbit_solve,
     init_bidiag,
     load_matrix_market,
-    normal_equation_solve,
     ntm_solve,
     pntm_solve,
     priorconditioned_problem,
@@ -34,7 +33,13 @@ from tikmor.metrics import SSIM_C2
 from tikmor.ntm import spectral_gram
 
 from conftest import FIXTURES
-from oracles import bordered_matrix, eval_F, schur_inverse, solve_newton_system
+from oracles import (
+    bordered_matrix,
+    eval_F,
+    normal_equation_solve,
+    schur_inverse,
+    solve_newton_system,
+)
 
 TOL = 1e-3
 

@@ -62,6 +62,7 @@ def test_identity_breakdown():
     assert f.breakdown
     assert f.k == 1
     assert f.B.shape == (1, 1)
+    assert f.lsqr_residual == 0.0  # square B: B z = c is solvable
     with pytest.raises(BidiagBreakdown) as info:
         f.expand()
     assert isinstance(info.value, TikmorError)
@@ -104,6 +105,17 @@ def test_krylov_span(rng):
         proj = V @ (V.T @ w)
         assert np.linalg.norm(w - proj) <= 1e-8 * np.linalg.norm(w)
         w = G @ w
+
+
+def test_mu_breakdown_keeps_lsqr_residual(rng):
+    # rank one: after u_2 no new direction of V exists, so the mu step collapses
+    A = np.outer(rng.standard_normal(6), rng.standard_normal(4))
+    f = init_bidiag(A, rng.standard_normal(6))
+    assert f.expand()
+    before = f.lsqr_residual
+    assert not f.expand()
+    assert f.breakdown and f.k == 1 and f.B.shape == (2, 1)
+    assert f.lsqr_residual == before
 
 
 def test_projected_residual_zero_coordinates():
@@ -172,6 +184,9 @@ def test_graded_operator_stays_orthonormal(rng):
     f = init_bidiag(A, rng.standard_normal(m))
     for _ in range(k):
         assert f.expand()
+        B, c = f.B, f.c
+        lsq = np.linalg.norm(B @ np.linalg.lstsq(B, c, rcond=None)[0] - c)
+        assert abs(f.lsqr_residual - lsq) <= 1e-12 * lsq
     U, V, B = f.U, f.V, f.B
     assert U.shape == (m, k + 1) and V.shape == (n, k) and B.shape == (k + 1, k)
     assert np.abs(U.T @ U - np.eye(k + 1)).max() <= 1e-13

@@ -17,7 +17,8 @@ from tikmor.cli import (
     main,
     sample_discrepancy_curve,
 )
-from tikmor.linop import tikhonov_solve
+
+from oracles import normal_equation_solve
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -240,7 +241,7 @@ def test_discrepancy_curve_matches_cholesky_solves():
     grid = np.geomspace(1e-3, 1e4, 15)
     pts = sample_discrepancy_curve(p, grid)
     for (alpha, res), a in zip(pts, grid):
-        x = tikhonov_solve(A.T @ A, A.T @ p.b, a)
+        x = normal_equation_solve(A, p.b, a)
         assert alpha == a
         assert res == pytest.approx(np.linalg.norm(A @ x - p.b), rel=1e-12)
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tikmor import (
-    ConvergenceFailure,
     DenseOperator,
     DimensionError,
     MatrixMarketError,
@@ -15,10 +14,9 @@ from tikmor import (
     UnsupportedFormatError,
     as_operator,
     load_matrix_market,
-    normal_equation_solve,
     save_matrix_market,
 )
-from tikmor.linop import tikhonov_solve
+from tikmor.ntm import normal_equation_solve, spectral_gram
 
 from oracles import inverse_dense
 
@@ -267,14 +265,20 @@ def test_mm_round_trip_dense(tmp_path, rng):
 # -- normal equations ----------------------------------------------------------
 
 
+def eigenbasis_solve(A, b, alpha):
+    """(A^T A + alpha I) x = A^T b through the solvers' eigenbasis solve."""
+    lam, Q = spectral_gram(A.T @ A)
+    return normal_equation_solve(lam, Q, (A.T @ b) @ Q, alpha)
+
+
 def test_normal_solve_identity():
-    x = normal_equation_solve(np.eye(3), np.array([2.0, 2.0, 2.0]), alpha=1.0)
+    x = eigenbasis_solve(np.eye(3), np.array([2.0, 2.0, 2.0]), alpha=1.0)
     assert np.allclose(x, [1.0, 1.0, 1.0])
 
 
 def test_normal_solve_diagonal():
     A = np.diag([2.0, 1.0])
-    x = normal_equation_solve(A, np.array([2.0, 1.0]), alpha=2.0)
+    x = eigenbasis_solve(A, np.array([2.0, 1.0]), alpha=2.0)
     # per-component (a_i^2 + alpha) x_i = a_i b_i
     assert np.allclose(x, [2.0 * 2.0 / 6.0, 1.0 / 3.0])
 
@@ -283,7 +287,7 @@ def test_normal_solve_matches_dense_oracle(rng):
     A = rng.standard_normal((10, 5))
     b = rng.standard_normal(10)
     alpha = 0.5
-    x = normal_equation_solve(A, b, alpha)
+    x = eigenbasis_solve(A, b, alpha)
     oracle = np.linalg.solve(A.T @ A + alpha * np.eye(5), A.T @ b)
     assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -293,40 +297,10 @@ def test_normal_solve_residual_bound(rng):
         A = rng.standard_normal((30, 12))
         b = rng.standard_normal(30)
         alpha = 10.0 ** rng.uniform(-3, 2)
-        x = normal_equation_solve(A, b, alpha)
+        x = eigenbasis_solve(A, b, alpha)
         g = A.T @ b
         res = np.linalg.norm(A.T @ (A @ x) + alpha * x - g)
         assert res <= 1e-10 * np.linalg.norm(g)
-
-
-def test_tikhonov_solve_not_positive_definite_fails_typed():
-    # rank-one G: 1 + 1e-16 rounds to 1, so the second Cholesky pivot is
-    # exactly 1 - 1 = 0 and scipy raises LinAlgError
-    with pytest.raises(ConvergenceFailure, match="not numerically positive definite"):
-        tikhonov_solve(np.ones((2, 2)), np.array([1.0, 2.0]), 1e-16)
-
-
-def test_tikhonov_solve_nonfinite_fails_typed():
-    G = np.array([[1.0, np.nan], [np.nan, 1.0]])
-    with pytest.raises(ConvergenceFailure):
-        tikhonov_solve(G, np.ones(2), 1.0)
-
-
-def test_tikhonov_solve_zero_rhs():
-    assert np.array_equal(tikhonov_solve(np.zeros((3, 3)), np.zeros(3), 1e-16), np.zeros(3))
-
-
-def test_normal_solve_uses_given_gram(rng):
-    A = rng.standard_normal((12, 5))
-    b = rng.standard_normal(12)
-    # a zero Gram matrix in place of A^T A leaves x = A^T b / alpha
-    x = normal_equation_solve(A, b, 0.5, gram=np.zeros((5, 5)))
-    assert np.allclose(x, A.T @ b / 0.5, rtol=1e-14, atol=0)
-
-
-def test_normal_solve_rejects_nonpositive_alpha(rng):
-    with pytest.raises(ValueError):
-        normal_equation_solve(np.eye(2), np.ones(2), alpha=0.0)
 
 
 def test_as_operator_passthrough(rng):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve, svdvals
 
@@ -12,7 +12,6 @@ from tikmor import (
     StepRule,
     as_operator,
     dinv_norm,
-    normal_equation_solve,
     ntm_solve,
     random_uniform_problem,
     step_interval,
@@ -28,6 +27,7 @@ from tikmor.ntm import (
 from oracles import (
     bordered_matrix,
     eval_F,
+    normal_equation_solve,
     rescaled_jacobian,
     schur_inverse,
     solve_newton_system,
@@ -329,6 +329,8 @@ def test_interval_overshooting_negative():
     st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
 )
 @settings(max_examples=200, deadline=None)
+# omega one ulp below 1: unclamped, alpha + gamma_max dalpha rounded to 0 here
+@example(alpha=189381.38029026575, dalpha=-757307.90234375, omega=0.9999999999999999)
 def test_interval_keeps_alpha_positive(alpha, dalpha, omega):
     gmax, theta, _ = step_interval(alpha, dalpha, omega)
     assert 0.0 < gmax <= 1.0

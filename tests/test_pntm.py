@@ -8,15 +8,18 @@ from tikmor import (
     RegularizationMatrix,
     StepRule,
     as_operator,
+    gbit_solve,
     init_bidiag,
-    normal_equation_solve,
     pntm_solve,
     priorconditioned_problem,
     random_uniform_problem,
 )
-from tikmor.errors import TikmorError
-
-from oracles import projected_eval_F, projected_newton_system, solve_newton_system
+from oracles import (
+    normal_equation_solve,
+    projected_eval_F,
+    projected_newton_system,
+    solve_newton_system,
+)
 
 
 def small_factorization(rng, m=12, n=8, steps=4):
@@ -210,17 +213,25 @@ def test_pntm_rejects_lemma_bound_pricing():
 
 
 @pytest.mark.parametrize("seed", [2005, 2008, 2020, 2025, 2027])
-def test_smoothed_alpha_underflow_fails_typed(seed):
-    # case-3 clipping drives alpha toward underflow on some of these
-    # problems; the rescaled Newton system then overflows, which must
-    # surface as a TikmorError rather than scipy's ValueError on infs/NaNs.
-    # Which seeds collapse hangs on the last bits of the Krylov basis, so
-    # seeds that collapsed under modified Gram-Schmidt (2005, 2008) stay
-    # next to those that collapse under CGS2 (2020, 2025, 2027).
+def test_smoothed_seeds_converge_in_band(seed):
+    # Newton on a projected system without a root (LSQR residual >= eps)
+    # let case-3 clipping drive alpha to underflow on 2020, 2025 and 2027
+    # (and on 2005 and 2008 under modified Gram-Schmidt); with the gate,
+    # alpha is carried until a root exists and every seed converges
     raw = random_uniform_problem(210, 150, 0.10, seed=seed)
     p, _ = priorconditioned_problem(raw, RegularizationMatrix(150))
-    try:
-        res = pntm_solve(p)
-    except TikmorError:
-        return
-    assert np.all(np.isfinite(res.x)) and np.isfinite(res.alpha)
+    res = pntm_solve(p)
+    eps = p.discrepancy_target
+    assert res.converged
+    assert abs(res.residual_norm - eps) <= 2 * 1e-3 * eps
+
+
+def test_plain_seed_3649_converges_in_band():
+    # alpha underflowed here before the gate (SingularJacobianError at
+    # alpha = 3.4e-299), although the problem is not smoothed
+    p = random_uniform_problem(2100, 1500, 0.10, seed=3649)
+    res = pntm_solve(p)
+    eps = p.discrepancy_target
+    assert res.converged
+    assert abs(res.residual_norm - eps) <= 2 * 1e-3 * eps
+    assert res.n_outer <= gbit_solve(p).n_outer
