@@ -150,13 +150,6 @@ class BidiagFactorization:
         y = np.asarray(y, dtype=float)
         return y @ self._V[: self._nv]
 
-    def projected_residual_norm(self, y) -> float:
-        """||B y - c||, which equals ||A (V y) - b|| in exact arithmetic."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.k,):
-            raise ValueError(f"expected length {self.k}, got {y.shape}")
-        return float(np.linalg.norm(self.B @ y - self.c))
-
 
 def init_bidiag(A, b) -> BidiagFactorization:
     """k = 0 factorization holding u_1 = b / ||b||."""

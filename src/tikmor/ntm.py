@@ -13,9 +13,12 @@ size is capped so the Jacobian stays regular along the way; the "case1"
 rule additionally forces the search-direction norms to decrease.
 
 G = A^T A is fixed during a solve and diagonalized once, G = Q diag(lam) Q^T
-(one ``eigh``, O(n^3)). In that eigenbasis the direction follows from a
-scalar Schur complement and ||D^-1|| from a root of a monotone secular
-equation, so a step costs two products with Q (O(n^2)) plus O(n) work.
+(one ``eigh``, O(n^3)). The iterate is kept in eigen-coordinates
+xh = Q^T x, where F1 = Q ((lam + alpha) xh - Q^T A^T b), the direction
+follows from a scalar Schur complement and ||D^-1|| from a root of a
+monotone secular equation. A step makes one product with Q and one
+matvec, for the exact residual A (Q xh) - b that F2 needs; direction,
+pricing and step size are O(n) in eigen-coordinates.
 """
 
 from __future__ import annotations
@@ -37,18 +40,6 @@ RESCALE_LIMIT = 1e300
 _EPS = float(np.finfo(float).eps)
 
 
-def coupled_residual(matvec, rmatvec, b, eps):
-    """F(x, alpha) -> (F1, F2, ||A x - b||) for the operator given by its products."""
-
-    def F(x, alpha):
-        r = matvec(x) - b
-        F1 = rmatvec(r) + alpha * x
-        F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
-        return F1, F2, float(np.linalg.norm(r))
-
-    return F
-
-
 def stacked_norm(F1, F2) -> float:
     return float(np.sqrt(F1 @ F1 + F2 * F2))
 
@@ -63,64 +54,60 @@ def spectral_gram(G):
 def normal_equation_solve(lam, Q, gh, alpha):
     """x with (G + alpha I) x = g, from G = Q diag(lam) Q^T and gh = Q^T g.
 
-    The package's only Tikhonov solve: x = Q ((Q^T g) / (lam + alpha)), O(n^2).
+    x = Q ((Q^T g) / (lam + alpha)), O(n^2); the Newton solvers start from
+    its eigen-coordinates gh / (lam + alpha) without the product with Q.
     """
     return Q @ (gh / (lam + alpha))
 
 
-def solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=SOLVE_RTOL):
-    """Newton direction (dx, dalpha), G dx and Q^T x from the rescaled Jacobian.
+def solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=SOLVE_RTOL):
+    """Newton direction (dxh, dalpha) from the rescaled Jacobian, in the
+    eigenbasis of G = Q diag(lam) Q^T: xh = Q^T x, F1h = Q^T F1, dxh = Q^T dx.
 
-    J = [[K, x], [w^T, 0]], K = G + alpha I = Q diag(lam + alpha) Q^T and
-    w = (F1 - alpha x)/alpha = A^T(Ax-b)/alpha, taken from F1 without a
-    matvec. One product rotates [x, F1] into the eigenbasis, where dalpha
-    follows from the Schur complement w^T K^-1 x; a second rotates
-    [dx, lam dx] back. The normwise backward error ||J d - rhs|| /
-    (||rhs|| + ||J||_F ||d||) is checked at O(n); one refinement pass backs it up.
-    Q^T x is returned for ``dinv_norm`` (None when the rhs is zero).
+    Rotated, J = [[diag(lam + alpha), xh], [wh^T, 0]] with
+    wh = (F1h - alpha xh)/alpha = Q^T A^T(Ax-b)/alpha, and dalpha follows
+    from the Schur complement wh^T diag(lam + alpha)^-1 xh, all O(n). The
+    normwise backward error ||J d - rhs|| / (||rhs|| + ||J||_F ||d||) is
+    checked; one refinement pass backs it up.
     """
-    F1_norm = float(np.linalg.norm(F1))
-    if not math.hypot(np.linalg.norm(x), F1_norm, F2) / RESCALE_LIMIT < alpha:
+    F1_norm = float(np.linalg.norm(F1h))
+    if not math.hypot(np.linalg.norm(xh), F1_norm, F2) / RESCALE_LIMIT < alpha:
         # alpha underflows under case-3 clipping; stop before F2/alpha overflows
         raise SingularJacobianError(f"rescaled Newton system is not finite at alpha = {alpha!r}")
     rhs_norm = math.hypot(F1_norm, F2 / alpha)
     if rhs_norm == 0.0:
-        return np.zeros_like(x), 0.0, np.zeros_like(x), None
+        return np.zeros_like(xh), 0.0
     kdiag = lam + alpha
-    xh, fh = np.stack((x, F1)) @ Q
-    vh = fh - alpha * xh  # alpha w in the eigenbasis
+    vh = F1h - alpha * xh  # alpha wh
     s = float(vh @ (xh / kdiag))
     if s == 0.0:
         raise SingularJacobianError("rescaled Jacobian is singular: w^T K^-1 x = 0")
 
     def solve(ph, q):
-        """(u, c, G u) with K u + c x = Q ph and alpha w^T u = q."""
+        """(uh, c) with diag(lam + alpha) uh + c xh = ph and vh^T uh = q."""
         c = (float(vh @ (ph / kdiag)) - q) / s
-        uh = (ph - c * xh) / kdiag
-        u, gu = np.stack((uh, lam * uh)) @ Q.T
-        return u, c, gu
+        return (ph - c * xh) / kdiag, c
 
-    v = F1 - alpha * x
-    J_fro = math.hypot(np.linalg.norm(kdiag), np.linalg.norm(x), np.linalg.norm(v) / alpha)
+    J_fro = math.hypot(np.linalg.norm(kdiag), np.linalg.norm(xh), np.linalg.norm(vh) / alpha)
 
-    def residual(dx, dalpha, gdx):
+    def residual(dxh, dalpha):
         """J d - rhs with its last entry times alpha, and the backward error."""
-        top = gdx + alpha * dx + dalpha * x + F1
-        bottom = float(v @ dx) + F2
-        scale = rhs_norm + J_fro * math.hypot(np.linalg.norm(dx), dalpha)
+        top = kdiag * dxh + dalpha * xh + F1h
+        bottom = float(vh @ dxh) + F2
+        scale = rhs_norm + J_fro * math.hypot(np.linalg.norm(dxh), dalpha)
         return top, bottom, math.hypot(np.linalg.norm(top), bottom / alpha) / scale
 
-    dx, dalpha, gdx = solve(-fh, -F2)
-    top, bottom, err = residual(dx, dalpha, gdx)
+    dxh, dalpha = solve(-F1h, -F2)
+    top, bottom, err = residual(dxh, dalpha)
     if not err <= rtol:  # NaN fails too
-        ex, ealpha, egx = solve(top @ Q, bottom)
-        dx, dalpha, gdx = dx - ex, dalpha - ealpha, gdx - egx
-        err = residual(dx, dalpha, gdx)[2]
+        exh, ealpha = solve(top, bottom)
+        dxh, dalpha = dxh - exh, dalpha - ealpha
+        err = residual(dxh, dalpha)[2]
         if not err <= rtol:
             raise SingularJacobianError(
                 f"Newton system solve stalled at backward error {err:.3e}"
             )
-    return dx, dalpha, gdx, xh
+    return dxh, dalpha
 
 
 def arrowhead_min_abs_eig(d, z) -> float:
@@ -158,24 +145,24 @@ def arrowhead_min_abs_eig(d, z) -> float:
     return min(t, hi)
 
 
-def dinv_norm(lam, Q, x, alpha, mode="exact_svd", xh=None) -> float:
-    """Spectral norm of D(x, alpha)^{-1}, D = [[G + alpha I, x], [-x^T, 0]].
+def dinv_norm(lam, xh, alpha, mode="exact_svd") -> float:
+    """Spectral norm of D(x, alpha)^{-1}, D = [[G + alpha I, x], [-x^T, 0]],
+    from G = Q diag(lam) Q^T and xh = Q^T x.
 
     ``exact_svd`` (a historical name: no SVD is taken) is exact: 1 / min|mu|
-    over the eigenvalues of the arrowhead [[diag(lam + alpha), Q^T x],
-    [x^T Q, 0]], which has D's singular values. ``lemma_bound`` is the bound
+    over the eigenvalues of the arrowhead [[diag(lam + alpha), xh],
+    [xh^T, 0]], which has D's singular values. ``lemma_bound`` is the bound
     (1 + ||x||/alpha)^2 max(1/alpha, (alpha + lambda_1)/||x||), which only
-    shrinks the step. ``(lam, Q) = spectral_gram(G)``; ``xh = Q^T x`` saves
-    the product with Q when the caller has it.
+    shrinks the step.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     if mode not in ("exact_svd", "lemma_bound"):
         raise ValueError(f"unknown mode {mode!r}")
-    nx = float(np.linalg.norm(x))
+    nx = float(np.linalg.norm(xh))
     if mode == "lemma_bound" and nx > 0.0:  # the bound divides by ||x||
         return float((1.0 + nx / alpha) ** 2 * max(1.0 / alpha, (alpha + lam[-1]) / nx))
-    mu = arrowhead_min_abs_eig(lam + alpha, x @ Q if xh is None else xh)
+    mu = arrowhead_min_abs_eig(lam + alpha, xh)
     return np.inf if mu == 0.0 else 1.0 / mu
 
 
@@ -296,9 +283,10 @@ def _check_discrepancy_feasible(b, eps):
 
 
 class NewtonStep(NamedTuple):
-    """One point of a safeguarded Newton run; the step fields are None at the start."""
+    """One point of a safeguarded Newton run, the iterate in eigen-coordinates
+    xh = Q^T x; the step fields are None at the start."""
 
-    x: np.ndarray
+    xh: np.ndarray
     alpha: float
     res_norm: float
     F_norm: float
@@ -315,34 +303,41 @@ class NewtonStep(NamedTuple):
                 self.dinv, self.theta, self.case_id)
 
 
-def newton_steps(lam, Q, F, x, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
-    """Safeguarded Newton steps on the coupled system with Gram matrix
-    G = Q diag(lam) Q^T, as returned by ``spectral_gram``.
+def newton_steps(lam, gh, residual, eps, xh, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
+    """Safeguarded Newton steps on the coupled system in the eigenbasis of its
+    Gram matrix G = Q diag(lam) Q^T, as returned by ``spectral_gram``.
 
-    ``F(x, alpha)`` returns (F1, F2, ||r||), see ``coupled_residual``.
-    Yields the start point, then one record per step, and stops once
-    ||F|| < tol or after ``cap`` steps.
+    ``gh`` = Q^T A^T b and ``residual(xh)`` is the exact residual
+    A (Q xh) - b; F1 = Q ((lam + alpha) xh - gh) and F2 = 0.5 ||r||^2 -
+    0.5 eps^2. Yields the start point, then one record per step, and stops
+    once ||F|| < tol or after ``cap`` steps.
     """
-    F1, F2, res = F(x, alpha)
-    Fnorm = stacked_norm(F1, F2)
-    yield NewtonStep(x, alpha, res, Fnorm)
+
+    def F(xh, alpha):
+        r = residual(xh)
+        F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
+        return (lam + alpha) * xh - gh, F2, float(np.linalg.norm(r))
+
+    F1h, F2, res = F(xh, alpha)
+    Fnorm = stacked_norm(F1h, F2)
+    yield NewtonStep(xh, alpha, res, Fnorm)
     for _ in range(cap):
         if Fnorm < tol:
             return
-        dx, dalpha, gram_dx, xh = solve_rescaled_system(lam, Q, x, alpha, F1, F2, rtol=rtol)
-        dinv = dinv_norm(lam, Q, x, alpha, mode=rule.dinv_mode, xh=xh)
+        dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=rtol)
+        dinv = dinv_norm(lam, xh, alpha, mode=rule.dinv_mode)
         gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
         gamma = step_size(
-            rule.variant, dx, dalpha, gamma_max, theta, dinv, gram_dx=gram_dx
+            rule.variant, dxh, dalpha, gamma_max, theta, dinv, gram_dx=lam * dxh
         )
-        x = x + gamma * dx
+        xh = xh + gamma * dxh
         alpha = alpha + gamma * dalpha
         if alpha <= 0:  # only underflow gets past the interval rule
             raise SingularJacobianError("step safeguard failed to keep alpha positive")
-        F1, F2, res = F(x, alpha)
-        Fnorm = stacked_norm(F1, F2)
-        dir_norm = float(np.sqrt(dx @ dx + dalpha * dalpha))
-        yield NewtonStep(x, alpha, res, Fnorm, gamma, dinv, theta, case_id, dir_norm)
+        F1h, F2, res = F(xh, alpha)
+        Fnorm = stacked_norm(F1h, F2)
+        dir_norm = float(np.sqrt(dxh @ dxh + dalpha * dalpha))
+        yield NewtonStep(xh, alpha, res, Fnorm, gamma, dinv, theta, case_id, dir_norm)
 
 
 def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> NtmResult:
@@ -369,16 +364,18 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> Nt
             "A^T A + alpha0 I is not numerically positive definite at "
             f"alpha0 = {config.alpha0!r}"
         )
-    x = normal_equation_solve(lam, Q, A.rmatvec(b) @ Q, config.alpha0)
+    gh = A.rmatvec(b) @ Q
 
     trace = SolveTrace(columns=NTM_COLUMNS, extra_columns=("dir_norm",))
-    F = coupled_residual(A.matvec, A.rmatvec, b, eps)
-    steps = newton_steps(lam, Q, F, x, config.alpha0, rule, config.tol, config.max_iter)
+    steps = newton_steps(
+        lam, gh, lambda xh: A.matvec(Q @ xh) - b, eps, gh / (lam + config.alpha0),
+        config.alpha0, rule, config.tol, config.max_iter,
+    )
     for k, step in enumerate(steps):
         trace.append(k, *step.row, extra=(step.dir_norm,))
 
     return NtmResult(
-        x=step.x,
+        x=Q @ step.xh,
         alpha=float(step.alpha),
         trace=trace,
         converged=step.F_norm < config.tol,

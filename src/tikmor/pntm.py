@@ -2,14 +2,19 @@
 Golub-Kahan subspace, and the Krylov outer loop it shares with GBiT.
 
 Each outer iteration expands the bidiagonalization by one column,
-diagonalizes B^T B, and warm starts from the projected Tikhonov solution
-at the current alpha. The projected discrepancy equation has a root only
-while the LSQR residual phi_k = min_z ||B z - c|| is below eps; until
-then alpha is carried unchanged. Once it is, the safeguarded Newton steps
-of ``ntm.newton_steps`` run on the small projected system. The outer loop
-stops only when the projected system is solved *and* alpha has
-stagnated, since the projected system can be solved accurately long
-before the subspace is rich enough for the full problem.
+diagonalizes B^T B = Q diag(lam) Q^T, and warm starts from the projected
+Tikhonov solution at the current alpha, in eigen-coordinates
+yh = (Q^T B^T c) / (lam + alpha). The projected discrepancy equation has
+a root only while the LSQR residual phi_k = min_z ||B z - c|| is below
+eps; until then alpha is carried unchanged. Once it is, the safeguarded
+Newton steps of ``ntm.newton_steps`` run on the small projected system,
+each with one product with Q and one with B for the exact residual
+B (Q yh) - c. The outer loop stops only when the projected system is
+solved *and* alpha has stagnated, since the projected system can be
+solved accurately long before the subspace is rich enough for the full
+problem; it stops unconverged once the factorization is final (a
+breakdown, or k = min(m, n)) with phi_k still at or above eps, since no
+root can appear after that.
 """
 
 from __future__ import annotations
@@ -25,9 +30,7 @@ from .linop import as_operator
 from .ntm import (
     StepRule,
     _check_discrepancy_feasible,
-    coupled_residual,
     newton_steps,
-    normal_equation_solve,
     spectral_gram,
 )
 from .problems import InverseProblem
@@ -83,7 +86,8 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     with gh = Q^T B^T c and phi the LSQR residual min_z ||B z - c||;
     ``update`` appends its own trace rows. Stops once phi < eps (the
     projected discrepancy equation has a root), F_norm < tol and alpha
-    moved by less than tol relative.
+    moved by less than tol relative; stops unconverged once the
+    factorization is final and phi >= eps, as no root can appear.
     """
     A = as_operator(problem.operator)
     b = problem.b
@@ -117,6 +121,8 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
         ):
             converged = True
             break
+        if phi >= eps and not f.can_expand():
+            break
         alpha_prev = alpha
 
     x = f.lift(y)
@@ -147,22 +153,24 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     trace = SolveTrace(columns=PNTM_COLUMNS)
 
     def update(k, B, c, lam, Q, gh, phi, alpha):
-        y = normal_equation_solve(lam, Q, gh, alpha)  # warm start at the carried alpha
-        warm_res = float(np.linalg.norm(B @ y - c))
+        def residual(yh):
+            return B @ (Q @ yh) - c
+
+        yh = gh / (lam + alpha)  # warm start at the carried alpha
+        warm_res = float(np.linalg.norm(residual(yh)))
         if phi >= eps:  # no root yet: no Newton step, alpha is kept
             cap = 0
         elif warm_res > eps:
             cap = min(k, config.inner_cap_small)
         else:
             cap = config.inner_cap_large
-        F = coupled_residual(B.__matmul__, B.T.__matmul__, c, eps)
         steps = newton_steps(
-            lam, Q, F, y, alpha, config.step_rule, config.tol, cap,
+            lam, gh, residual, eps, yh, alpha, config.step_rule, config.tol, cap,
             rtol=PROJECTED_SOLVE_RTOL,
         )
         for l, step in enumerate(steps):
             trace.append(len(trace) + 1, *step.row, k, l, lam.size, warm_res)
-        return step.x, step.alpha, step.F_norm, l
+        return Q @ step.xh, step.alpha, step.F_norm, l
 
     return krylov_loop(
         problem, config.alpha0, config.tol, config.outer_iter_max, trace, update

@@ -3,16 +3,16 @@ regularizer, used only as test oracles.
 
 The solvers work in the eigenbasis of A^T A; these build the bordered
 matrix and its closed-form inverse explicitly, solve the Tikhonov normal
-equations by a dense LU factorization, and evaluate the coupled system
-and its Newton direction at a given point through the same kernel
-(``coupled_residual``, ``spectral_gram``, ``solve_rescaled_system``) the
-solvers run.
+equations by a dense LU factorization, evaluate the coupled system at a
+given point from its definition (one matvec and one rmatvec), and rotate
+that point into the eigenbasis and the direction out of it around the
+same ``solve_rescaled_system`` the solvers run.
 """
 
 import numpy as np
 
 from tikmor import as_operator
-from tikmor.ntm import coupled_residual, solve_rescaled_system, spectral_gram
+from tikmor.ntm import SOLVE_RTOL, solve_rescaled_system, spectral_gram
 from tikmor.pntm import PROJECTED_SOLVE_RTOL
 
 
@@ -23,6 +23,26 @@ def normal_equation_solve(A, b, alpha):
     return np.linalg.solve(G + alpha * np.eye(A.cols), A.rmatvec(np.asarray(b, dtype=float)))
 
 
+def coupled_residual(matvec, rmatvec, b, eps):
+    """F(x, alpha) -> (F1, F2, ||A x - b||) for the operator given by its products."""
+
+    def F(x, alpha):
+        r = matvec(x) - b
+        F1 = rmatvec(r) + alpha * x
+        F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
+        return F1, F2, float(np.linalg.norm(r))
+
+    return F
+
+
+def projected_residual_norm(f, y) -> float:
+    """||B y - c|| of factorization f, which equals ||A (V y) - b|| in exact arithmetic."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (f.k,):
+        raise ValueError(f"expected length {f.k}, got {y.shape}")
+    return float(np.linalg.norm(f.B @ y - f.c))
+
+
 def eval_F(A, b, eps, x, alpha):
     """(F1, F2) of the coupled system at (x, alpha)."""
     A = as_operator(A)
@@ -31,12 +51,19 @@ def eval_F(A, b, eps, x, alpha):
     return F1, F2
 
 
+def spectral_direction(G, x, alpha, F1, F2, rtol):
+    """(dx, dalpha) from ``solve_rescaled_system``, rotated in and out of G's eigenbasis."""
+    lam, Q = spectral_gram(G)
+    dxh, dalpha = solve_rescaled_system(lam, x @ Q, alpha, F1 @ Q, F2, rtol=rtol)
+    return Q @ dxh, dalpha
+
+
 def solve_newton_system(A, b, eps, x, alpha):
     """Full-space Newton direction (dx, dalpha) at (x, alpha)."""
     A = as_operator(A)
     x = np.asarray(x, dtype=float)
     F1, F2 = eval_F(A, b, eps, x, alpha)
-    return solve_rescaled_system(*spectral_gram(A.gram()), x, alpha, F1, F2)[:2]
+    return spectral_direction(A.gram(), x, alpha, F1, F2, SOLVE_RTOL)
 
 
 def projected_eval_F(B, c, eps, y, alpha):
@@ -50,9 +77,7 @@ def projected_newton_system(f, y, alpha, eps):
     B, c = f.B, f.c
     y = np.asarray(y, dtype=float)
     F1, F2 = projected_eval_F(B, c, eps, y, alpha)
-    return solve_rescaled_system(
-        *spectral_gram(B.T @ B), y, alpha, F1, F2, rtol=PROJECTED_SOLVE_RTOL
-    )[:2]
+    return spectral_direction(B.T @ B, y, alpha, F1, F2, PROJECTED_SOLVE_RTOL)
 
 
 def inverse_dense(dim):

@@ -37,6 +37,7 @@ from oracles import (
     bordered_matrix,
     eval_F,
     normal_equation_solve,
+    projected_residual_norm,
     schur_inverse,
     solve_newton_system,
 )
@@ -155,9 +156,9 @@ def test_criterion_4_bordered_inverse_bound_and_schur_form():
         x = rng.standard_normal(n)
         x *= (1.0 + 9.0 * rng.random()) / np.linalg.norm(x)  # ||x|| in [1, 10]
         alpha = 10.0 ** rng.uniform(-2, 2)
-        eig = spectral_gram(A.T @ A)
-        exact = dinv_norm(*eig, x, alpha, mode="exact_svd")
-        bound = dinv_norm(*eig, x, alpha, mode="lemma_bound")
+        lam, Q = spectral_gram(A.T @ A)
+        exact = dinv_norm(lam, x @ Q, alpha, mode="exact_svd")
+        bound = dinv_norm(lam, x @ Q, alpha, mode="lemma_bound")
         worst_bound = max(worst_bound, exact / bound)
         S = schur_inverse(A, x, alpha)
         dense = np.linalg.inv(bordered_matrix(A.T @ A, x, alpha))
@@ -238,7 +239,7 @@ def test_criterion_7_bidiagonalization_suite():
         for _ in range(3):
             y = rng.standard_normal(f.k)
             lifted = np.linalg.norm(A @ (V @ y) - b_vec)
-            proj = f.projected_residual_norm(y)
+            proj = projected_residual_norm(f, y)
             worst_res = max(worst_res, abs(lifted - proj) / max(1.0, lifted))
     ok = worst_orth <= 1e-10 and worst_fact <= 1e-10 and worst_res <= 1e-9
     report(

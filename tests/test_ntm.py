@@ -6,6 +6,7 @@ from scipy.linalg import lu_factor, lu_solve, svdvals
 
 from tikmor import (
     InfeasibleDiscrepancyError,
+    DenseOperator,
     InverseProblem,
     NtmConfig,
     SingularJacobianError,
@@ -114,11 +115,17 @@ def test_newton_step_recurrence_identity(rng):
 # -- bordered-matrix norms --------------------------------------------------------
 
 
+def dinv_of(G, x, alpha, mode="exact_svd"):
+    """``dinv_norm`` at x, given the eigen-coordinates x @ Q of G's eigenbasis."""
+    lam, Q = spectral_gram(G)
+    return dinv_norm(lam, x @ Q, alpha, mode=mode)
+
+
 def test_dinv_hand_value_golden_ratio():
     # A = 0 (1x1), x = 1, alpha = 1: D = [[1, 1], [-1, 0]],
     # sigma_min = sqrt((3 - sqrt(5))/2), norm of inverse = golden ratio
     A = np.zeros((1, 1))
-    val = dinv_norm(*spectral_gram(A.T @ A), np.array([1.0]), 1.0, mode="exact_svd")
+    val = dinv_of(A.T @ A, np.array([1.0]), 1.0, mode="exact_svd")
     assert val == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, rel=1e-12)
 
 
@@ -130,9 +137,8 @@ def test_dinv_exact_below_lemma_bound(rng):
         x = rng.standard_normal(n)
         x *= (1.0 + rng.random() * 4.0) / np.linalg.norm(x)  # bound needs ||x|| >= 1
         alpha = 10.0 ** rng.uniform(-2, 1)
-        eig = spectral_gram(A.T @ A)
-        exact = dinv_norm(*eig, x, alpha, mode="exact_svd")
-        bound = dinv_norm(*eig, x, alpha, mode="lemma_bound")
+        exact = dinv_of(A.T @ A, x, alpha, mode="exact_svd")
+        bound = dinv_of(A.T @ A, x, alpha, mode="lemma_bound")
         assert exact <= bound * (1 + 1e-9)
 
 
@@ -140,7 +146,7 @@ def test_dinv_exact_matches_dense_inverse(rng):
     A = rng.standard_normal((6, 4))
     x = rng.standard_normal(4)
     alpha = 0.5
-    exact = dinv_norm(*spectral_gram(A.T @ A), x, alpha)
+    exact = dinv_of(A.T @ A, x, alpha)
     D = bordered_matrix(A.T @ A, x, alpha)
     assert exact == pytest.approx(np.linalg.norm(np.linalg.inv(D), 2), rel=1e-10)
 
@@ -150,7 +156,7 @@ def test_dinv_lemma_bound_zero_x_falls_back(rng):
     x = np.zeros(3)
     alpha = 1.0
     # D is exactly singular at x = 0; the guard reports the exact value
-    assert dinv_norm(*spectral_gram(A.T @ A), x, alpha, mode="lemma_bound") == np.inf
+    assert dinv_of(A.T @ A, x, alpha, mode="lemma_bound") == np.inf
 
 
 def test_schur_inverse_matches_dense(rng):
@@ -181,31 +187,32 @@ def test_spectral_direction_matches_dense_lu(rng):
         F1, F2 = eval_F(A, b, eps, x, alpha)
         G = A.T @ A
         lam, Q = spectral_gram(G)
-        dx, dalpha, gdx, xh = solve_rescaled_system(lam, Q, x, alpha, F1, F2)
+        dxh, dalpha = solve_rescaled_system(lam, x @ Q, alpha, F1 @ Q, F2)
+        dx = Q @ dxh
         J, rhs = rescaled_jacobian(G, x, alpha, F1, F2)
         d = lu_solve(lu_factor(J), rhs)
         assert np.linalg.norm(np.append(dx, dalpha) - d) <= SOLVE_RTOL * np.linalg.norm(d)
+        # lam * dxh is the G dx that step_size's case1 rule receives
+        gdx = Q @ (lam * dxh)
         assert np.linalg.norm(gdx - G @ dx) <= SOLVE_RTOL * np.linalg.norm(G @ dx)
-        # the rotation dinv_norm reuses; gemm and gemv may round differently
-        assert np.linalg.norm(xh - x @ Q) <= 10 * np.finfo(float).eps * np.linalg.norm(x)
 
 
 def test_direction_typed_failures(rng):
     A = rng.standard_normal((6, 4))
     b = rng.standard_normal(6)
     x = rng.standard_normal(4)
-    eig = spectral_gram(A.T @ A)
+    lam, Q = spectral_gram(A.T @ A)
     # alpha this small makes F2/alpha overflow; the kernel must refuse
     # before computing it, without a RuntimeWarning
     F1, F2 = eval_F(A, b, 0.1, x, 4.0e-309)
     with pytest.raises(SingularJacobianError, match="not finite"):
-        solve_rescaled_system(*eig, x, 4.0e-309, F1, F2)
+        solve_rescaled_system(lam, x @ Q, 4.0e-309, F1 @ Q, F2)
     with pytest.raises(SingularJacobianError, match="not finite"):
-        solve_rescaled_system(*eig, x, 1.0, F1, np.nan)
+        solve_rescaled_system(lam, x @ Q, 1.0, F1 @ Q, np.nan)
     # x = 0 leaves the Jacobian's last column zero
     F1, F2 = eval_F(A, b, 0.1, np.zeros(4), 1.0)
     with pytest.raises(SingularJacobianError, match="singular"):
-        solve_rescaled_system(*eig, np.zeros(4), 1.0, F1, F2)
+        solve_rescaled_system(lam, np.zeros(4), 1.0, F1 @ Q, F2)
 
 
 @pytest.mark.parametrize(
@@ -222,7 +229,7 @@ def test_dinv_matches_svdvals(rng, m, n, alpha, x_scale):
     A = rng.standard_normal((m, n))
     x = x_scale * rng.standard_normal(n)
     expected, _ = svd_dinv(A.T @ A, x, alpha)
-    assert dinv_norm(*spectral_gram(A.T @ A), x, alpha) == pytest.approx(expected, rel=1e-12)
+    assert dinv_of(A.T @ A, x, alpha) == pytest.approx(expected, rel=1e-12)
 
 
 def test_dinv_positive_root_branch_is_exercised(rng):
@@ -238,7 +245,7 @@ def test_dinv_positive_root_branch_is_exercised(rng):
 
 def test_dinv_exact_zero_x_is_infinite(rng):
     A = rng.standard_normal((5, 3))
-    assert dinv_norm(*spectral_gram(A.T @ A), np.zeros(3), 1.0) == np.inf
+    assert dinv_of(A.T @ A, np.zeros(3), 1.0) == np.inf
 
 
 @pytest.mark.parametrize(
@@ -252,7 +259,7 @@ def test_dinv_exact_zero_x_is_infinite(rng):
 def test_dinv_deflation(x, expected):
     lam, alpha = np.array([0.0, 1.0, 4.0, 9.0]), 0.5
     x = np.array(x)
-    got = dinv_norm(lam, np.eye(4), x, alpha)
+    got = dinv_norm(lam, x, alpha)  # G is diagonal: Q = I and x @ Q = x
     reference, _ = svd_dinv(np.diag(lam), x, alpha)
     assert got == pytest.approx(reference, rel=1e-12)
     if expected is not None:
@@ -268,7 +275,7 @@ def test_dinv_modes_against_dense(rng, mode):
     nx, lam1 = np.linalg.norm(x), np.linalg.eigvalsh(A.T @ A).max()
     bound = (1 + nx / alpha) ** 2 * max(1 / alpha, (alpha + lam1) / nx)
     expected = exact if mode == "exact_svd" else bound
-    got = dinv_norm(*spectral_gram(A.T @ A), x, alpha, mode=mode)
+    got = dinv_of(A.T @ A, x, alpha, mode=mode)
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -290,8 +297,7 @@ def test_dinv_property_both_branches(m, n, log_alpha, positive_root, seed):
     d, z = lam + alpha, x @ Q
     assume(((z * z / (d + d[0])).sum() > d[0]) == positive_root)
     expected, cond = svd_dinv(A.T @ A, x, alpha)
-    got = dinv_norm(lam, Q, x, alpha)
-    assert dinv_norm(lam, Q, x, alpha, xh=z) == got  # the Newton step's path
+    got = dinv_norm(lam, z, alpha)
     # svdvals itself is accurate to a few eps * cond(D) relative
     assert abs(got - expected) <= max(1e-12, 8 * np.finfo(float).eps * cond) * expected
 
@@ -400,6 +406,46 @@ def test_case1_direction_norms_strictly_decrease():
     dir_norms = dir_norms[~np.isnan(dir_norms)]
     assert len(dir_norms) > 5
     assert (np.diff(dir_norms) < 0).all()
+
+
+def test_step_applies_operator_once():
+    # a step makes one matvec for the exact residual; F1 comes from the
+    # eigenpairs and Q^T A^T b, so rmatvec runs once per solve
+    p = random_uniform_problem(60, 40, 0.10, seed=5)
+    op = DenseOperator(p.operator.to_dense())
+    calls = {"gram": 0, "matvec": 0, "rmatvec": 0}
+
+    def counted(name):
+        method = getattr(op, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return spy
+
+    op.gram, op.matvec, op.rmatvec = counted("gram"), counted("matvec"), counted("rmatvec")
+    problem = InverseProblem(operator=op, b=p.b, noise_level=p.noise_level)
+    for variant in ("case1", "case2"):
+        calls.update(gram=0, matvec=0, rmatvec=0)
+        res = ntm_solve(problem, NtmConfig(alpha0=0.01, step_rule=StepRule(variant=variant)))
+        assert res.converged and res.n_iter >= 4
+        assert calls == {"gram": 1, "matvec": res.n_iter + 1, "rmatvec": 1}
+
+
+@pytest.mark.parametrize(
+    "seed, case1_iters, case2_iters", [(1000, 101, 19), (1001, 76, 15), (1002, 69, 14)]
+)
+def test_table1_iteration_counts_pinned(seed, case1_iters, case2_iters):
+    # the first problems of configs/table1.cfg; the counts are those of the
+    # kernel that rotated every step in and out of the eigenbasis
+    p = random_uniform_problem(700, 500, 0.10, seed=seed)
+    for variant, expected in (("case1", case1_iters), ("case2", case2_iters)):
+        cfg = NtmConfig(alpha0=1.0, tol=1e-3, max_iter=500,
+                        step_rule=StepRule(variant=variant, omega=0.9))
+        res = ntm_solve(p, cfg)
+        assert res.converged
+        assert res.n_iter == expected
 
 
 def test_morozov_consistency_at_convergence():

@@ -18,6 +18,7 @@ from oracles import (
     normal_equation_solve,
     projected_eval_F,
     projected_newton_system,
+    projected_residual_norm,
     solve_newton_system,
 )
 
@@ -87,12 +88,28 @@ def test_identity_converges_through_breakdown():
     assert np.allclose(res.x, b * (1 - eps / bnorm), rtol=1e-6)
 
 
+@pytest.mark.parametrize("solve", [pntm_solve, gbit_solve])
+def test_krylov_loop_stops_once_no_root_can_appear(solve):
+    # rank 3: the factorization breaks down at k = 3 with phi_3 = ||b - A x_LS||
+    # = 2 eps, so the projected discrepancy equation never gets a root
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 30))
+    b = rng.standard_normal(40)
+    eps = 0.5 * np.linalg.norm(b - A @ np.linalg.lstsq(A, b, rcond=None)[0])
+    p = InverseProblem(operator=as_operator(A), b=b, noise_level=eps)
+    res = solve(p)
+    f = res.factorization
+    assert f.breakdown and f.k == 3
+    assert not res.converged
+    assert res.n_outer <= f.k + 1
+
+
 def test_projection_consistency_along_run():
     p = random_uniform_problem(80, 50, 0.10, seed=9)
     res = pntm_solve(p)
     A = p.operator
     # final iterate: projected residual equals lifted residual
-    proj = res.factorization.projected_residual_norm(res.y)
+    proj = projected_residual_norm(res.factorization, res.y)
     lifted = np.linalg.norm(A.matvec(res.x) - p.b)
     assert abs(proj - lifted) <= 1e-9 * max(1.0, lifted)
 
