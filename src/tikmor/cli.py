@@ -13,8 +13,7 @@ Configuration is a flat INI file (sections of key=value pairs) with one
     m = 700
     n = 500
     noise = 0.10
-    ; path = fixtures/survey219.mtx   (matrixmarket / sineWave / directory)
-    ; rhs = sine                      (matrixmarket rhs policy)
+    ; path = fixtures/survey219.mtx   (sineWave / matrixmarket / directory)
 
     [solver ntm-case2]
     method = ntm                ; ntm | pntm | gbit | sirt | cgls-pc
@@ -32,12 +31,14 @@ Configuration is a flat INI file (sections of key=value pairs) with one
 The other sections take only the keys shown, plus ``precondition``
 (none | smooth) in ``[problem]`` and ``alphas`` (a comma-separated
 grid) in ``[curve]``; a section of any other name is a config error.
+``matrixmarket`` is ``sineWave`` on the Matrix Market file at ``path``,
+which it requires.
 Solver keys besides ``method``, by method (defaults are those of the
 config dataclasses; any other key, or a value the solver rejects, is a
 config error):
 
 * ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2),
-  ``omega``, ``dinv`` (exact_svd: exact, no SVD is taken | lemma_bound)
+  ``omega``
 * pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_small``,
   ``inner_large``, ``rule``, ``omega``
 * gbit: ``alpha0``, ``tol``, ``max_iter``
@@ -97,14 +98,14 @@ PROBLEM_TYPES = {
     "random_uniform": "random_uniform",
     "sinewave": "sine_wave",
     "sine_wave": "sine_wave",
-    "matrixmarket": "matrix_market",
-    "matrix_market": "matrix_market",
+    "matrixmarket": "sine_wave",
+    "matrix_market": "sine_wave",
     "directory": "directory",
 }
 
 SECTION_KEYS = {  # keys of the sections other than [solver <label>]
     "experiment": ("repetitions", "seed", "output"),
-    "problem": ("type", "m", "n", "noise", "path", "rhs", "precondition"),
+    "problem": ("type", "m", "n", "noise", "path", "precondition"),
     "curve": ("alphas", "alpha_min", "alpha_max", "points", "spacing"),
 }
 
@@ -127,7 +128,6 @@ class ProblemSpec:
     n: int = 0
     noise: float = 0.1
     path: Optional[str] = None
-    rhs_policy: str = "sine"
     precondition: str = "none"  # none | smooth (solve A inv(L) z = b instead)
 
     def build(self, seed: int) -> InverseProblem:
@@ -145,13 +145,9 @@ class ProblemSpec:
             if self.path:
                 op = load_matrix_market(self.path)
             else:
-                rng = np.random.default_rng(seed)
+                # a child of the seed's stream, which sine_wave_problem draws the noise from
+                rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
                 op = 2.0 * rng.random((self.m, self.n)) - 1.0
-            return sine_wave_problem(op, self.noise, seed)
-        if self.kind == "matrix_market":
-            op = load_matrix_market(self.path)
-            if self.rhs_policy != "sine":
-                raise ConfigError(f"unknown rhs policy {self.rhs_policy!r}")
             return sine_wave_problem(op, self.noise, seed)
         if self.kind == "directory":
             return load_problem(self.path)
@@ -199,7 +195,6 @@ _RULE_FIELDS = {f.name for f in fields(StepRule)}
 METHODS = {
     "ntm": Method(NtmConfig, {
         **_START_KEYS, "max_iter": ("max_iter", int), **_RULE_KEYS,
-        "dinv": ("dinv_mode", str),
     }, _run_ntm),
     "pntm": Method(PntmConfig, {
         **_START_KEYS, "outer_max": ("outer_iter_max", int),
@@ -291,14 +286,13 @@ def load_config(path) -> ExperimentConfig:
         n=psec.getint("n", 0),
         noise=psec.getfloat("noise", 0.1),
         path=psec.get("path", None),
-        rhs_policy=psec.get("rhs", "sine").strip(),
         precondition=psec.get("precondition", "none").strip(),
     )
+    if raw_kind.lower() in ("matrixmarket", "matrix_market", "directory") and not problem.path:
+        raise ConfigError(f"problem type {raw_kind!r} needs a path")
     generated = kind == "random_uniform" or (kind == "sine_wave" and not problem.path)
     if generated and (problem.m < 1 or problem.n < 1):
         raise ConfigError(f"problem type {raw_kind!r} without a path needs positive m and n")
-    if kind in ("matrix_market", "directory") and not problem.path:
-        raise ConfigError(f"problem type {raw_kind!r} needs a path")
     if problem.precondition not in ("none", "smooth"):
         raise ConfigError(f"unknown precondition {problem.precondition!r}")
 

@@ -76,9 +76,6 @@ class DenseOperator(LinearOperator):
     def to_dense(self):
         return self._A
 
-    def frobenius_norm(self):
-        return float(np.linalg.norm(self._A, "fro"))
-
 
 class SparseOperator(LinearOperator):
     def __init__(self, matrix):
@@ -240,14 +237,16 @@ def load_matrix_market(path) -> LinearOperator:
         dims = [int(p) for p in parts]
     except ValueError:
         raise MatrixMarketError(f"bad size line {size_line!r}", line=size_lineno)
+    size_fields = "rows cols nnz" if layout == "coordinate" else "rows cols"
+    if len(dims) != len(size_fields.split()):
+        raise MatrixMarketError(f"{layout} size line needs {size_fields!r}", line=size_lineno)
+    m, n = dims[:2]
+    if symmetry != "general" and m != n:
+        raise MatrixMarketError("symmetric storage requires a square matrix", line=size_lineno)
 
+    entries = body[1:]
     if layout == "coordinate":
-        if len(dims) != 3:
-            raise MatrixMarketError(
-                "coordinate size line needs 'rows cols nnz'", line=size_lineno
-            )
-        m, n, nnz = dims
-        entries = body[1:]
+        nnz = dims[2]
         if len(entries) != nnz:
             raise MatrixMarketError(
                 f"expected {nnz} entries, found {len(entries)}", line=size_lineno
@@ -268,61 +267,41 @@ def load_matrix_market(path) -> LinearOperator:
                     f"index ({i},{j}) outside {m}x{n}", line=lineno
                 )
             rows[idx], cols[idx], vals[idx] = i - 1, j - 1, v
-        if symmetry in ("symmetric", "skew-symmetric"):
-            if m != n:
-                raise MatrixMarketError(
-                    "symmetric storage requires a square matrix", line=size_lineno
-                )
-            off = rows != cols
-            sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-            rows, cols, vals = (
-                np.concatenate([rows, cols[off]]),
-                np.concatenate([cols, rows[off]]),
-                np.concatenate([vals, sign * vals[off]]),
-            )
-        A = sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr()
-        return SparseOperator(A)
-
-    # array layout: column-major dense values
-    if len(dims) != 2:
-        raise MatrixMarketError("array size line needs 'rows cols'", line=size_lineno)
-    m, n = dims
-    if symmetry == "general":
-        expected = m * n
-    else:
-        if m != n:
+    else:  # array layout: column-major dense values
+        if symmetry == "general":
+            expected = m * n
+        else:
+            expected = m * (m + 1) // 2 if symmetry == "symmetric" else m * (m - 1) // 2
+        if len(entries) != expected:
             raise MatrixMarketError(
-                "symmetric storage requires a square matrix", line=size_lineno
+                f"expected {expected} values, found {len(entries)}", line=size_lineno
             )
-        expected = m * (m + 1) // 2 if symmetry == "symmetric" else m * (m - 1) // 2
-    entries = body[1:]
-    if len(entries) != expected:
-        raise MatrixMarketError(
-            f"expected {expected} values, found {len(entries)}", line=size_lineno
-        )
-    vals = np.empty(expected, dtype=float)
-    for idx, (lineno, ln) in enumerate(entries):
-        toks = ln.split()
-        if len(toks) != 1:
-            raise MatrixMarketError(f"expected one value per line, got {ln!r}", line=lineno)
-        try:
-            vals[idx] = float(toks[0])
-        except ValueError:
-            raise MatrixMarketError(f"bad value {ln!r}", line=lineno)
-    if symmetry == "general":
-        A = vals.reshape((n, m)).T.copy()  # column-major order
-    else:
-        A = np.zeros((m, n))
-        pos = 0
+        vals = np.empty(expected, dtype=float)
+        for idx, (lineno, ln) in enumerate(entries):
+            toks = ln.split()
+            if len(toks) != 1:
+                raise MatrixMarketError(f"expected one value per line, got {ln!r}", line=lineno)
+            try:
+                vals[idx] = float(toks[0])
+            except ValueError:
+                raise MatrixMarketError(f"bad value {ln!r}", line=lineno)
+        if symmetry == "general":
+            return DenseOperator(vals.reshape((n, m)).T.copy())
+        # the stored lower triangle, column by column
+        cols, rows = np.triu_indices(n, 1 if symmetry == "skew-symmetric" else 0)
+
+    if symmetry != "general":
+        off = rows != cols
         sign = -1.0 if symmetry == "skew-symmetric" else 1.0
-        for j in range(n):
-            start = j + 1 if symmetry == "skew-symmetric" else j
-            for i in range(start, m):
-                A[i, j] = vals[pos]
-                if i != j:
-                    A[j, i] = sign * vals[pos]
-                pos += 1
-    return DenseOperator(A)
+        rows, cols, vals = (
+            np.concatenate([rows, cols[off]]),
+            np.concatenate([cols, rows[off]]),
+            np.concatenate([vals, sign * vals[off]]),
+        )
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(m, n))
+    if layout == "coordinate":
+        return SparseOperator(A.tocsr())
+    return DenseOperator(A.toarray())
 
 
 def save_matrix_market(path, matrix):

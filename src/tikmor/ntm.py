@@ -145,23 +145,16 @@ def arrowhead_min_abs_eig(d, z) -> float:
     return min(t, hi)
 
 
-def dinv_norm(lam, xh, alpha, mode="exact_svd") -> float:
+def dinv_norm(lam, xh, alpha) -> float:
     """Spectral norm of D(x, alpha)^{-1}, D = [[G + alpha I, x], [-x^T, 0]],
     from G = Q diag(lam) Q^T and xh = Q^T x.
 
-    ``exact_svd`` (a historical name: no SVD is taken) is exact: 1 / min|mu|
-    over the eigenvalues of the arrowhead [[diag(lam + alpha), xh],
-    [xh^T, 0]], which has D's singular values. ``lemma_bound`` is the bound
-    (1 + ||x||/alpha)^2 max(1/alpha, (alpha + lambda_1)/||x||), which only
-    shrinks the step.
+    Exact: 1 / min|mu| over the eigenvalues of the arrowhead
+    [[diag(lam + alpha), xh], [xh^T, 0]], which has D's singular values;
+    infinite at x = 0, where D is singular.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if mode not in ("exact_svd", "lemma_bound"):
-        raise ValueError(f"unknown mode {mode!r}")
-    nx = float(np.linalg.norm(xh))
-    if mode == "lemma_bound" and nx > 0.0:  # the bound divides by ||x||
-        return float((1.0 + nx / alpha) ** 2 * max(1.0 / alpha, (alpha + lam[-1]) / nx))
     mu = arrowhead_min_abs_eig(lam + alpha, xh)
     return np.inf if mu == 0.0 else 1.0 / mu
 
@@ -231,19 +224,16 @@ def step_size(
 
 @dataclass
 class StepRule:
-    """Which safeguard to use and how to price ||D^{-1}||."""
+    """Which safeguard to use and its case-3 clipping fraction."""
 
     variant: str = "case2"
     omega: float = 0.9
-    dinv_mode: str = "exact_svd"
 
     def __post_init__(self):
         if self.variant not in ("case1", "case2"):
             raise ValueError(f"variant must be case1 or case2, got {self.variant!r}")
         if not (0.0 < self.omega < 1.0):
             raise ValueError("omega must lie strictly inside (0, 1)")
-        if self.dinv_mode not in ("exact_svd", "lemma_bound"):
-            raise ValueError(f"unknown dinv mode {self.dinv_mode!r}")
 
 
 @dataclass
@@ -300,7 +290,7 @@ class NewtonStep(NamedTuple):
     def row(self):
         """The trace fields after ``iter``, in NTM_COLUMNS order."""
         return (self.alpha, self.gamma, self.res_norm, self.F_norm,
-                self.dinv, self.theta, self.case_id)
+                self.dinv, self.theta, self.case_id, self.dir_norm)
 
 
 def newton_steps(lam, gh, residual, eps, xh, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
@@ -325,7 +315,7 @@ def newton_steps(lam, gh, residual, eps, xh, alpha, rule, tol, cap, rtol=SOLVE_R
         if Fnorm < tol:
             return
         dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=rtol)
-        dinv = dinv_norm(lam, xh, alpha, mode=rule.dinv_mode)
+        dinv = dinv_norm(lam, xh, alpha)
         gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
         gamma = step_size(
             rule.variant, dxh, dalpha, gamma_max, theta, dinv, gram_dx=lam * dxh
@@ -366,13 +356,13 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> Nt
         )
     gh = A.rmatvec(b) @ Q
 
-    trace = SolveTrace(columns=NTM_COLUMNS, extra_columns=("dir_norm",))
+    trace = SolveTrace(columns=NTM_COLUMNS)
     steps = newton_steps(
         lam, gh, lambda xh: A.matvec(Q @ xh) - b, eps, gh / (lam + config.alpha0),
         config.alpha0, rule, config.tol, config.max_iter,
     )
     for k, step in enumerate(steps):
-        trace.append(k, *step.row, extra=(step.dir_norm,))
+        trace.append(k, *step.row)
 
     return NtmResult(
         x=Q @ step.xh,

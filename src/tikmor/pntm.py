@@ -55,10 +55,6 @@ class PntmConfig:
             raise ValueError("inner_cap_small must not exceed inner_cap_large")
         if self.outer_iter_max < 1:
             raise ValueError("outer_iter_max must be >= 1")
-        if self.step_rule.dinv_mode != "exact_svd":
-            raise ValueError(
-                "pntm prices ||D^-1|| exactly; dinv_mode must be exact_svd"
-            )
 
 
 @dataclass

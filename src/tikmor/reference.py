@@ -10,9 +10,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
-from .errors import ZeroSumError
+from .errors import InfeasibleDiscrepancyError, ZeroSumError
 from .linop import PriorconditionedOperator, as_operator
 from .ntm import normal_equation_solve, stacked_norm
 from .pntm import KrylovResult, krylov_loop
@@ -107,16 +106,10 @@ def sirt_operators(A) -> SirtOperators:
     """
     A = as_operator(A)
     M = A.sparse if hasattr(A, "sparse") else A.to_dense()
-    if sp.issparse(M):
-        has_negative = bool((M.data < 0).any())
-        basis = abs(M) if has_negative else M
-        row_sums = np.asarray(basis.sum(axis=1)).ravel()
-        col_sums = np.asarray(basis.sum(axis=0)).ravel()
-    else:
-        has_negative = bool((M < 0).any())
-        basis = np.abs(M) if has_negative else M
-        row_sums = basis.sum(axis=1)
-        col_sums = basis.sum(axis=0)
+    has_negative = bool(M.min() < 0)
+    basis = abs(M) if has_negative else M
+    row_sums = np.asarray(basis.sum(axis=1)).ravel()
+    col_sums = np.asarray(basis.sum(axis=0)).ravel()
     if has_negative:
         logger.warning(
             "matrix has negative entries; SIRT scalings use absolute-value sums"
@@ -187,8 +180,10 @@ def cgls(A, b, eps, max_iter=1000, x0=None) -> CglsResult:
     """Conjugate-gradient least squares with discrepancy stopping.
 
     Iterates on min ||A x - b|| and stops at the first iterate whose
-    residual norm is at or below eps.
+    residual norm is at or below eps, which must be positive.
     """
+    if eps <= 0:
+        raise InfeasibleDiscrepancyError("discrepancy level must be positive")
     A = as_operator(A)
     b = np.asarray(b, dtype=float)
     x = np.zeros(A.cols) if x0 is None else np.asarray(x0, dtype=float).copy()
@@ -234,13 +229,9 @@ def cgls_priorconditioned(
     The regularizer acts as a smoothness prior rather than a convergence
     accelerator; the returned x is recovered as x0 + inv(L) z.
     """
-    A = as_operator(problem.operator)
-    eps = problem.discrepancy_target
-    if eps <= 0:
-        raise ValueError("discrepancy level must be positive")
-    op = PriorconditionedOperator(A, reg, x0)
+    op = PriorconditionedOperator(as_operator(problem.operator), reg, x0)
     rhs = op.effective_rhs(problem.b)
-    inner = cgls(op, rhs, eps, max_iter=max_iter)
+    inner = cgls(op, rhs, problem.discrepancy_target, max_iter=max_iter)
     x = op.recover(inner.x)
     return CglsResult(
         x=x,

@@ -12,7 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-NTM_COLUMNS = ("iter", "alpha", "gamma", "res_norm", "F_norm", "dinv", "theta", "case_id")
+NTM_COLUMNS = (
+    "iter", "alpha", "gamma", "res_norm", "F_norm", "dinv", "theta", "case_id", "dir_norm",
+)
 PNTM_COLUMNS = NTM_COLUMNS + ("outer_iter", "inner_iter", "subspace_dim", "proj_res")
 GBIT_COLUMNS = ("iter", "alpha", "res_norm", "F_norm", "subspace_dim", "lsqr_res")
 SIRT_COLUMNS = ("iter", "alpha", "res_norm")
@@ -44,28 +46,19 @@ class SolveTrace:
 
     columns: tuple
     rows: list = field(default_factory=list)
-    # columns kept in memory but not written to CSV (diagnostics like dir_norm)
-    extra_columns: tuple = ()
-    extra_rows: list = field(default_factory=list)
 
-    def append(self, *values, extra=()):
+    def append(self, *values):
         if len(values) != len(self.columns):
             raise ValueError(f"expected {len(self.columns)} values, got {len(values)}")
         self.rows.append(tuple(values))
-        if self.extra_columns:
-            self.extra_rows.append(tuple(extra))
 
     def column(self, name) -> np.ndarray:
-        if name in self.columns:
-            idx = self.columns.index(name)
-            data = [row[idx] for row in self.rows]
-        elif name in self.extra_columns:
-            idx = self.extra_columns.index(name)
-            data = [row[idx] for row in self.extra_rows]
-        else:
+        if name not in self.columns:
             raise KeyError(name)
+        idx = self.columns.index(name)
         return np.array(
-            [np.nan if v is None else float(v) for v in data], dtype=float
+            [np.nan if row[idx] is None else float(row[idx]) for row in self.rows],
+            dtype=float,
         )
 
     def last(self, name):

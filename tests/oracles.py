@@ -85,6 +85,14 @@ def inverse_dense(dim):
     return -np.triu(np.ones((dim, dim)))
 
 
+def lemma_bound(G, x, alpha):
+    """The Lemma's bound on ||D(x, alpha)^-1||, x != 0:
+    (1 + ||x||/alpha)^2 max(1/alpha, (alpha + lambda_max(G))/||x||)."""
+    nx = float(np.linalg.norm(x))
+    lam_max = float(np.linalg.eigvalsh(G)[-1])
+    return (1.0 + nx / alpha) ** 2 * max(1.0 / alpha, (alpha + lam_max) / nx)
+
+
 def bordered_matrix(G, x, alpha):
     """D(x, alpha) = [[G + alpha I, x], [-x^T, 0]]."""
     n = x.shape[0]

@@ -36,6 +36,7 @@ from conftest import FIXTURES
 from oracles import (
     bordered_matrix,
     eval_F,
+    lemma_bound,
     normal_equation_solve,
     projected_residual_norm,
     schur_inverse,
@@ -157,8 +158,8 @@ def test_criterion_4_bordered_inverse_bound_and_schur_form():
         x *= (1.0 + 9.0 * rng.random()) / np.linalg.norm(x)  # ||x|| in [1, 10]
         alpha = 10.0 ** rng.uniform(-2, 2)
         lam, Q = spectral_gram(A.T @ A)
-        exact = dinv_norm(lam, x @ Q, alpha, mode="exact_svd")
-        bound = dinv_norm(lam, x @ Q, alpha, mode="lemma_bound")
+        exact = dinv_norm(lam, x @ Q, alpha)
+        bound = lemma_bound(A.T @ A, x, alpha)
         worst_bound = max(worst_bound, exact / bound)
         S = schur_inverse(A, x, alpha)
         dense = np.linalg.inv(bordered_matrix(A.T @ A, x, alpha))

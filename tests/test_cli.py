@@ -11,8 +11,10 @@ from tikmor import (
     random_uniform_problem,
     save_problem,
 )
+from tikmor.problems import gaussian
 from tikmor.cli import (
     ConfigError,
+    ProblemSpec,
     load_config,
     main,
     sample_discrepancy_curve,
@@ -83,7 +85,8 @@ def append_solver(tmp_path, body):
     "body",
     [
         "method = gbit\nmax_iters = 3",  # typo of max_iter
-        "method = pntm\ndinv = lemma_bound",  # ntm-only key
+        "method = pntm\nmax_iter = 3",  # a key of ntm and gbit, not pntm
+        "method = ntm\ndinv = lemma_bound",  # removed: ||D^-1|| is priced exactly
     ],
 )
 def test_unknown_solver_key_fails_before_work(tmp_path, body):
@@ -99,8 +102,9 @@ def test_unknown_solver_key_fails_before_work(tmp_path, body):
     [
         ("repetitions = {reps}", "repetition = 3"),  # [experiment]
         ("noise = 0.10", "noize = 0.5"),  # [problem], next to a valid noise
+        ("noise = 0.10", "rhs = sine"),  # removed: the sine rhs is the only recipe
     ],
-    ids=["experiment", "problem"],
+    ids=["experiment", "problem", "problem-rhs"],
 )
 def test_unknown_section_key_fails_before_work(tmp_path, typo):
     old, new = typo
@@ -186,6 +190,58 @@ stop_at_discrepancy = false
     summary = (out / "summary.csv").read_text().splitlines()
     ntm_row = [ln for ln in summary if ln.startswith("ntm")][0]
     assert ntm_row.endswith(",0,1")  # n_runs=0, n_failed=1
+
+
+@pytest.mark.parametrize("precondition", ["none", "smooth"])
+def test_cgls_pc_without_noise_recorded_per_run(tmp_path, precondition):
+    # eps = 0: cgls-pc has no discrepancy to stop at, under either branch
+    # (wrapping the operator, or plain cgls on a smoothed one); sirt's run stays
+    cfg = f"""
+[experiment]
+output = {tmp_path / "out"}
+
+[problem]
+type = sineWave
+m = 20
+n = 10
+noise = 0.0
+precondition = {precondition}
+
+[solver sirt]
+method = sirt
+max_iter = 5
+stop_at_discrepancy = false
+
+[solver cgls-pc]
+method = cgls-pc
+"""
+    assert main(["run", str(write_cfg(tmp_path, cfg))]) == 2
+    runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
+    assert len(runs) == 3
+    sirt_row, cgls_row = runs[1].split(",", 7), runs[2].split(",", 7)
+    assert sirt_row[0] == "sirt" and sirt_row[3] == "5" and sirt_row[7] == ""
+    assert cgls_row[0] == "cgls-pc" and cgls_row[3:7] == ["", "", "", ""]
+    assert "discrepancy level must be positive" in cgls_row[7]
+
+
+def test_sine_wave_noise_independent_of_matrix():
+    # the matrix and the noise share no uniforms: A's entries replayed through
+    # Box-Muller must not give the noise
+    class Replay:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self, k):
+            out, self.u = self.u[:k], self.u[k:]
+            return out
+
+    m, n, seed = 20, 10, 1
+    p = ProblemSpec("sine_wave", m=m, n=n, noise=0.1).build(seed)
+    A = p.operator.to_dense()
+    replayed = p.sigma * gaussian(Replay((A.ravel()[:m] + 1.0) / 2.0), m)
+    assert not np.allclose(p.noise, replayed, rtol=1e-12, atol=0.0)
+    assert np.array_equal(p.noise, p.sigma * gaussian(np.random.default_rng(seed), m))
+    assert p.seed == seed
 
 
 def test_curve_subcommand(tmp_path):
@@ -373,8 +429,9 @@ def test_curve_forms_gram_once(monkeypatch):
     [
         ("[solver ntm-case2]", "[curve]\npoints = 5\nspacing = linaer\n\n[solver ntm-case2]"),
         ("type = randomUniform\nm = 40\nn = 25", "type = sineWave"),
+        ("type = randomUniform", "type = matrixmarket"),
     ],
-    ids=["curve-spacing", "sinewave-without-size"],
+    ids=["curve-spacing", "sinewave-without-size", "matrixmarket-without-path"],
 )
 def test_bad_problem_or_curve_fails_before_work(tmp_path, edit):
     text = BASE_CFG.format(reps=1, out=tmp_path / "o").replace(*edit)

@@ -246,6 +246,34 @@ def test_mm_symmetric_expansion(tmp_path):
     assert np.array_equal(op.to_dense(), expected)
 
 
+@pytest.mark.parametrize(
+    "symmetry, values, expected",
+    [
+        ("symmetric", range(1, 7), [[1, 2, 3], [2, 4, 5], [3, 5, 6]]),
+        ("skew-symmetric", range(1, 4), [[0, -1, -2], [1, 0, -3], [2, 3, 0]]),
+    ],
+)
+def test_mm_array_symmetric_expansion(tmp_path, symmetry, values, expected):
+    # array files store the lower triangle column by column (skew: below the diagonal)
+    path = tmp_path / "arr.mtx"
+    body = "".join(f"{v}\n" for v in values)
+    path.write_text(f"%%MatrixMarket matrix array real {symmetry}\n3 3\n{body}")
+    op = load_matrix_market(path)
+    assert isinstance(op, DenseOperator)
+    assert np.array_equal(op.to_dense(), np.array(expected, dtype=float))
+
+
+@pytest.mark.parametrize(
+    "layout, body", [("coordinate", "3 2 1\n1 1 1.0\n"), ("array", "3 2\n1\n2\n3\n")]
+)
+def test_mm_symmetric_storage_needs_square(tmp_path, layout, body):
+    path = tmp_path / "rect.mtx"
+    path.write_text(f"%%MatrixMarket matrix {layout} real symmetric\n{body}")
+    with pytest.raises(MatrixMarketError, match="square") as err:
+        load_matrix_market(path)
+    assert err.value.line == 2
+
+
 def test_mm_round_trip_sparse(tmp_path, rng):
     A = sp.random(14, 9, density=0.25, random_state=3).tocsr()
     path = tmp_path / "rt.mtx"

@@ -28,6 +28,7 @@ from tikmor.ntm import (
 from oracles import (
     bordered_matrix,
     eval_F,
+    lemma_bound,
     normal_equation_solve,
     rescaled_jacobian,
     schur_inverse,
@@ -115,17 +116,17 @@ def test_newton_step_recurrence_identity(rng):
 # -- bordered-matrix norms --------------------------------------------------------
 
 
-def dinv_of(G, x, alpha, mode="exact_svd"):
+def dinv_of(G, x, alpha):
     """``dinv_norm`` at x, given the eigen-coordinates x @ Q of G's eigenbasis."""
     lam, Q = spectral_gram(G)
-    return dinv_norm(lam, x @ Q, alpha, mode=mode)
+    return dinv_norm(lam, x @ Q, alpha)
 
 
 def test_dinv_hand_value_golden_ratio():
     # A = 0 (1x1), x = 1, alpha = 1: D = [[1, 1], [-1, 0]],
     # sigma_min = sqrt((3 - sqrt(5))/2), norm of inverse = golden ratio
     A = np.zeros((1, 1))
-    val = dinv_of(A.T @ A, np.array([1.0]), 1.0, mode="exact_svd")
+    val = dinv_of(A.T @ A, np.array([1.0]), 1.0)
     assert val == pytest.approx((1.0 + np.sqrt(5.0)) / 2.0, rel=1e-12)
 
 
@@ -137,8 +138,8 @@ def test_dinv_exact_below_lemma_bound(rng):
         x = rng.standard_normal(n)
         x *= (1.0 + rng.random() * 4.0) / np.linalg.norm(x)  # bound needs ||x|| >= 1
         alpha = 10.0 ** rng.uniform(-2, 1)
-        exact = dinv_of(A.T @ A, x, alpha, mode="exact_svd")
-        bound = dinv_of(A.T @ A, x, alpha, mode="lemma_bound")
+        exact = dinv_of(A.T @ A, x, alpha)
+        bound = lemma_bound(A.T @ A, x, alpha)
         assert exact <= bound * (1 + 1e-9)
 
 
@@ -149,14 +150,6 @@ def test_dinv_exact_matches_dense_inverse(rng):
     exact = dinv_of(A.T @ A, x, alpha)
     D = bordered_matrix(A.T @ A, x, alpha)
     assert exact == pytest.approx(np.linalg.norm(np.linalg.inv(D), 2), rel=1e-10)
-
-
-def test_dinv_lemma_bound_zero_x_falls_back(rng):
-    A = rng.standard_normal((5, 3))
-    x = np.zeros(3)
-    alpha = 1.0
-    # D is exactly singular at x = 0; the guard reports the exact value
-    assert dinv_of(A.T @ A, x, alpha, mode="lemma_bound") == np.inf
 
 
 def test_schur_inverse_matches_dense(rng):
@@ -266,17 +259,14 @@ def test_dinv_deflation(x, expected):
         assert got == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["exact_svd", "lemma_bound"])
-def test_dinv_modes_against_dense(rng, mode):
+def test_dinv_against_dense(rng):
     A = rng.standard_normal((9, 6))
     x = rng.standard_normal(6)
     alpha = 0.4
     exact, _ = svd_dinv(A.T @ A, x, alpha)
-    nx, lam1 = np.linalg.norm(x), np.linalg.eigvalsh(A.T @ A).max()
-    bound = (1 + nx / alpha) ** 2 * max(1 / alpha, (alpha + lam1) / nx)
-    expected = exact if mode == "exact_svd" else bound
-    got = dinv_of(A.T @ A, x, alpha, mode=mode)
-    assert got == pytest.approx(expected, rel=1e-12)
+    got = dinv_of(A.T @ A, x, alpha)
+    assert got == pytest.approx(exact, rel=1e-12)
+    assert got <= lemma_bound(A.T @ A, x, alpha)
 
 
 @given(
@@ -470,25 +460,10 @@ def test_nonconvergence_flagged_with_trace():
     assert len(res.trace) == 3  # initial state + two steps
 
 
-def test_lemma_bound_mode_converges_slower_to_same_alpha():
-    p = random_uniform_problem(40, 25, 0.10, seed=13)
-    exact = ntm_solve(p, NtmConfig(step_rule=StepRule(variant="case2")))
-    bound = ntm_solve(
-        p,
-        NtmConfig(
-            step_rule=StepRule(variant="case2", dinv_mode="lemma_bound"),
-            max_iter=5000,
-        ),
-    )
-    assert bound.converged
-    assert bound.alpha == pytest.approx(exact.alpha, rel=1e-4)
-    assert bound.n_iter >= exact.n_iter
-
-
 def test_trace_csv_schema(tmp_path):
     p = identity_problem(3)
     res = ntm_solve(p)
     out = tmp_path / "trace.csv"
     res.trace.write_csv(out)
     header = out.read_text().splitlines()[0]
-    assert header == "iter,alpha,gamma,res_norm,F_norm,dinv,theta,case_id"
+    assert header == "iter,alpha,gamma,res_norm,F_norm,dinv,theta,case_id,dir_norm"

@@ -219,14 +219,9 @@ def test_pntm_csv_schema(tmp_path):
     res.trace.write_csv(out)
     header = out.read_text().splitlines()[0]
     assert header == (
-        "iter,alpha,gamma,res_norm,F_norm,dinv,theta,case_id,"
+        "iter,alpha,gamma,res_norm,F_norm,dinv,theta,case_id,dir_norm,"
         "outer_iter,inner_iter,subspace_dim,proj_res"
     )
-
-
-def test_pntm_rejects_lemma_bound_pricing():
-    with pytest.raises(ValueError, match="exact_svd"):
-        PntmConfig(step_rule=StepRule(dinv_mode="lemma_bound"))
 
 
 @pytest.mark.parametrize("seed", [2005, 2008, 2020, 2025, 2027])

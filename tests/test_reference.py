@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from tikmor import (
     GbitConfig,
@@ -101,6 +102,17 @@ def test_sirt_negative_entries_use_absolute_sums(caplog):
     assert ops.used_absolute_sums
     assert np.allclose(ops.row_scale, [0.5, 0.25])
     assert any("absolute-value" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("shift", [0.0, -0.3], ids=["nonnegative", "signed"])
+def test_sirt_scalings_sparse_match_dense(rng, shift):
+    A = rng.random((12, 7)) + shift
+    A[rng.random(A.shape) < 0.3] = 0.0
+    A[np.arange(7), np.arange(7)] = 1.0  # no zero row or column sums
+    dense, sparse = sirt_operators(A), sirt_operators(sp.csr_matrix(A))
+    assert sparse.used_absolute_sums == dense.used_absolute_sums == (shift < 0)
+    assert np.allclose(sparse.row_scale, dense.row_scale, rtol=1e-14, atol=0.0)
+    assert np.allclose(sparse.col_scale, dense.col_scale, rtol=1e-14, atol=0.0)
 
 
 def test_sirt_zero_row_rejected():
