@@ -259,14 +259,22 @@ def test_dinv_deflation(x, expected):
         assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_dinv_against_dense(rng):
+@pytest.mark.parametrize("mode", ["exact_svd", "lemma_bound"])
+def test_dinv_modes_against_dense(rng, mode):
+    # exact_svd: dinv_norm against the dense SVD; lemma_bound: the bound's
+    # oracle against its closed form, and the exact value lies below it
     A = rng.standard_normal((9, 6))
     x = rng.standard_normal(6)
     alpha = 0.4
     exact, _ = svd_dinv(A.T @ A, x, alpha)
+    nx, lam1 = np.linalg.norm(x), np.linalg.eigvalsh(A.T @ A).max()
+    bound = (1 + nx / alpha) ** 2 * max(1 / alpha, (alpha + lam1) / nx)
     got = dinv_of(A.T @ A, x, alpha)
-    assert got == pytest.approx(exact, rel=1e-12)
-    assert got <= lemma_bound(A.T @ A, x, alpha)
+    if mode == "exact_svd":
+        assert got == pytest.approx(exact, rel=1e-12)
+    else:
+        assert lemma_bound(A.T @ A, x, alpha) == pytest.approx(bound, rel=1e-12)
+        assert got <= bound
 
 
 @given(
