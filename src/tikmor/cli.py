@@ -72,7 +72,7 @@ from .linop import (
     RegularizationMatrix,
     load_matrix_market,
 )
-from .ntm import NtmConfig, StepRule, normal_equation_solve, ntm_solve, spectral_gram
+from .ntm import NtmConfig, StepRule, eigen_residual_sq, ntm_solve, spectral_gram
 from .pntm import PntmConfig, pntm_solve
 from .problems import (
     InverseProblem,
@@ -353,8 +353,9 @@ def load_config(path) -> ExperimentConfig:
 def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     """Residual norms of Tikhonov solutions along an ascending alpha grid.
 
-    One ``eigh`` of A^T A prices each point through ``normal_equation_solve``,
-    x = Q ((Q^T A^T b) / (lam + alpha)), at O(n^2). The sampled curve is
+    One ``eigh`` of A^T A prices each point in O(n): the Tikhonov solution
+    has eigen-coordinates xh = (Q^T A^T b) / (lam + alpha), and its residual
+    comes from ``eigen_residual_sq`` without forming x. The sampled curve is
     checked to be nondecreasing (up to roundoff), which is the shape the
     discrepancy principle relies on.
     """
@@ -365,19 +366,15 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
         raise ValueError("alpha grid values must be positive")
     if (np.diff(grid) <= 0).any():
         raise ValueError("alpha grid must be strictly ascending")
-    A = problem.operator
+    A, b = problem.operator, problem.b
     lam, Q = spectral_gram(A.gram())
-    gh = A.rmatvec(problem.b) @ Q
-    points = []
-    for alpha in grid:
-        x = normal_equation_solve(lam, Q, gh, alpha)
-        res = float(np.linalg.norm(A.matvec(x) - problem.b))
-        points.append((float(alpha), res))
-    residuals = np.array([r for _, r in points])
+    gh = A.rmatvec(b) @ Q
+    bb = float(b @ b)
+    residuals = np.sqrt([eigen_residual_sq(lam, gh, bb, gh / (lam + a)) for a in grid])
     slack = 1e-10 * max(1.0, residuals.max())
     if (np.diff(residuals) < -slack).any():
         raise TikmorError("sampled discrepancy curve is not nondecreasing")
-    return points
+    return [(float(a), float(r)) for a, r in zip(grid, residuals)]
 
 
 def _write_manifest(path, config: ExperimentConfig, seeds, statuses):

@@ -16,9 +16,9 @@ G = A^T A is fixed during a solve and diagonalized once, G = Q diag(lam) Q^T
 (one ``eigh``, O(n^3)). The iterate is kept in eigen-coordinates
 xh = Q^T x, where F1 = Q ((lam + alpha) xh - Q^T A^T b), the direction
 follows from a scalar Schur complement and ||D^-1|| from a root of a
-monotone secular equation. A step makes one product with Q and one
-matvec, for the exact residual A (Q xh) - b that F2 needs; direction,
-pricing and step size are O(n) in eigen-coordinates.
+monotone secular equation. F2 is quadratic in x: ||A x - b||^2 = ||b||^2 +
+xh . (lam xh - 2 Q^T A^T b), so a step is O(n) and touches neither Q nor A;
+the solve forms x = Q xh and A x - b once, at the end.
 """
 
 from __future__ import annotations
@@ -54,10 +54,17 @@ def spectral_gram(G):
 def normal_equation_solve(lam, Q, gh, alpha):
     """x with (G + alpha I) x = g, from G = Q diag(lam) Q^T and gh = Q^T g.
 
-    x = Q ((Q^T g) / (lam + alpha)), O(n^2); the Newton solvers start from
-    its eigen-coordinates gh / (lam + alpha) without the product with Q.
+    x = Q ((Q^T g) / (lam + alpha)), O(n^2); the Newton solvers and the curve
+    take its eigen-coordinates gh / (lam + alpha) without the product with Q.
     """
     return Q @ (gh / (lam + alpha))
+
+
+def eigen_residual_sq(lam, gh, bb, xh) -> float:
+    """||A Q xh - b||^2 in O(n) from A^T A = Q diag(lam) Q^T, gh = Q^T A^T b and
+    bb = ||b||^2, clamped at 0; its absolute roundoff is of order
+    eps_mach (bb + |xh . gh| + xh . lam xh)."""
+    return max(bb + float(xh @ (lam * xh - 2.0 * gh)), 0.0)
 
 
 def solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=SOLVE_RTOL):
@@ -293,20 +300,20 @@ class NewtonStep(NamedTuple):
                 self.dinv, self.theta, self.case_id, self.dir_norm)
 
 
-def newton_steps(lam, gh, residual, eps, xh, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
+def newton_steps(lam, gh, bb, eps, xh, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
     """Safeguarded Newton steps on the coupled system in the eigenbasis of its
     Gram matrix G = Q diag(lam) Q^T, as returned by ``spectral_gram``.
 
-    ``gh`` = Q^T A^T b and ``residual(xh)`` is the exact residual
-    A (Q xh) - b; F1 = Q ((lam + alpha) xh - gh) and F2 = 0.5 ||r||^2 -
-    0.5 eps^2. Yields the start point, then one record per step, and stops
-    once ||F|| < tol or after ``cap`` steps.
+    ``gh`` = Q^T A^T b and ``bb`` = ||b||^2; F1 = Q ((lam + alpha) xh - gh)
+    and F2 = 0.5 ||A Q xh - b||^2 - 0.5 eps^2, the residual taken from
+    ``eigen_residual_sq``, so a step is O(n) and touches neither Q nor A.
+    Yields the start point, then one record per step, and stops once
+    ||F|| < tol or after ``cap`` steps.
     """
 
     def F(xh, alpha):
-        r = residual(xh)
-        F2 = 0.5 * float(r @ r) - 0.5 * eps * eps
-        return (lam + alpha) * xh - gh, F2, float(np.linalg.norm(r))
+        r2 = eigen_residual_sq(lam, gh, bb, xh)
+        return (lam + alpha) * xh - gh, 0.5 * r2 - 0.5 * eps * eps, math.sqrt(r2)
 
     F1h, F2, res = F(xh, alpha)
     Fnorm = stacked_norm(F1h, F2)
@@ -358,18 +365,19 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> Nt
 
     trace = SolveTrace(columns=NTM_COLUMNS)
     steps = newton_steps(
-        lam, gh, lambda xh: A.matvec(Q @ xh) - b, eps, gh / (lam + config.alpha0),
+        lam, gh, float(b @ b), eps, gh / (lam + config.alpha0),
         config.alpha0, rule, config.tol, config.max_iter,
     )
     for k, step in enumerate(steps):
         trace.append(k, *step.row)
 
+    x = Q @ step.xh
     return NtmResult(
-        x=Q @ step.xh,
+        x=x,
         alpha=float(step.alpha),
         trace=trace,
         converged=step.F_norm < config.tol,
         n_iter=k,
-        residual_norm=step.res_norm,
+        residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
         F_norm=step.F_norm,
     )

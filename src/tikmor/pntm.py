@@ -8,17 +8,18 @@ yh = (Q^T B^T c) / (lam + alpha). The projected discrepancy equation has
 a root only while the LSQR residual phi_k = min_z ||B z - c|| is below
 eps; until then alpha is carried unchanged. Once it is, the safeguarded
 Newton steps of ``ntm.newton_steps`` run on the small projected system,
-each with one product with Q and one with B for the exact residual
-B (Q yh) - c. The outer loop stops only when the projected system is
-solved *and* alpha has stagnated, since the projected system can be
-solved accurately long before the subspace is rich enough for the full
-problem; it stops unconverged once the factorization is final (a
-breakdown, or k = min(m, n)) with phi_k still at or above eps, since no
-root can appear after that.
+O(k) each: the residual ||B Q yh - c|| comes from the eigenpairs and
+||c|| = beta, with no product with Q or B. The outer loop stops only when
+the projected system is solved *and* alpha has stagnated, since the
+projected system can be solved accurately long before the subspace is
+rich enough for the full problem; it stops unconverged once the
+factorization is final (a breakdown, or k = min(m, n)) with phi_k still
+at or above eps, since no root can appear after that.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -30,6 +31,7 @@ from .linop import as_operator
 from .ntm import (
     StepRule,
     _check_discrepancy_feasible,
+    eigen_residual_sq,
     newton_steps,
     spectral_gram,
 )
@@ -149,11 +151,9 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     trace = SolveTrace(columns=PNTM_COLUMNS)
 
     def update(k, B, c, lam, Q, gh, phi, alpha):
-        def residual(yh):
-            return B @ (Q @ yh) - c
-
+        cc = float(c @ c)
         yh = gh / (lam + alpha)  # warm start at the carried alpha
-        warm_res = float(np.linalg.norm(residual(yh)))
+        warm_res = math.sqrt(eigen_residual_sq(lam, gh, cc, yh))
         if phi >= eps:  # no root yet: no Newton step, alpha is kept
             cap = 0
         elif warm_res > eps:
@@ -161,7 +161,7 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
         else:
             cap = config.inner_cap_large
         steps = newton_steps(
-            lam, gh, residual, eps, yh, alpha, config.step_rule, config.tol, cap,
+            lam, gh, cc, eps, yh, alpha, config.step_rule, config.tol, cap,
             rtol=PROJECTED_SOLVE_RTOL,
         )
         for l, step in enumerate(steps):

@@ -15,3 +15,24 @@ def random_operator(rng, m, n, scale=1.0):
     from tikmor import as_operator
 
     return as_operator(scale * rng.standard_normal((m, n)))
+
+
+def counting_operator(A):
+    """(op, calls): a DenseOperator of A whose gram, matvec and rmatvec calls
+    are counted in the dict ``calls``."""
+    from tikmor import DenseOperator
+
+    op = DenseOperator(np.asarray(A, dtype=float))
+    calls = {"gram": 0, "matvec": 0, "rmatvec": 0}
+
+    def counted(name):
+        method = getattr(op, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return spy
+
+    op.gram, op.matvec, op.rmatvec = counted("gram"), counted("matvec"), counted("rmatvec")
+    return op, calls

@@ -20,6 +20,7 @@ from tikmor.cli import (
     sample_discrepancy_curve,
 )
 
+from conftest import counting_operator
 from oracles import normal_equation_solve
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
@@ -422,6 +423,17 @@ def test_curve_forms_gram_once(monkeypatch):
     pts = sample_discrepancy_curve(p, [1e-2, 1.0, 1e2])
     assert len(pts) == 3
     assert len(calls) == 1
+
+
+def test_curve_applies_operator_once():
+    # every grid point is priced in eigen-coordinates: one gram for the
+    # eigenpairs, one rmatvec for Q^T A^T b and no matvec
+    p = random_uniform_problem(60, 40, 0.10, seed=5)
+    op, calls = counting_operator(p.operator.to_dense())
+    problem = InverseProblem(operator=op, b=p.b, noise_level=p.noise_level)
+    pts = sample_discrepancy_curve(problem, np.geomspace(1e-3, 1e3, 12))
+    assert len(pts) == 12
+    assert calls == {"gram": 1, "matvec": 0, "rmatvec": 1}
 
 
 @pytest.mark.parametrize(

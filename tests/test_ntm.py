@@ -6,7 +6,6 @@ from scipy.linalg import lu_factor, lu_solve, svdvals
 
 from tikmor import (
     InfeasibleDiscrepancyError,
-    DenseOperator,
     InverseProblem,
     NtmConfig,
     SingularJacobianError,
@@ -21,10 +20,12 @@ from tikmor import (
 from tikmor.ntm import (
     SOLVE_RTOL,
     arrowhead_min_abs_eig,
+    eigen_residual_sq,
     solve_rescaled_system,
     spectral_gram,
 )
 
+from conftest import counting_operator
 from oracles import (
     bordered_matrix,
     eval_F,
@@ -64,6 +65,42 @@ def test_eval_F_matches_direct_formula(rng):
     assert np.allclose(F1, (A.T @ A + alpha * np.eye(5)) @ x - A.T @ b, atol=1e-12)
     r = A @ x - b
     assert F2 == pytest.approx(0.5 * r @ r - 0.5 * eps**2)
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(0, 8),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_eigen_residual_sq_matches_operator_residual(n, extra, log_scale, log_x, seed):
+    # A and b scaled by c = 10**log_scale; the closed form's roundoff is
+    # absolute, of order eps_mach times the terms it sums
+    rng = np.random.default_rng(seed)
+    c = 10.0**log_scale
+    A = c * rng.standard_normal((n + extra, n))
+    b = c * rng.standard_normal(n + extra)
+    lam, Q = spectral_gram(A.T @ A)
+    gh = (A.T @ b) @ Q
+    bb = float(b @ b)
+    xh = 10.0**log_x * rng.standard_normal(n)
+    r = A @ (Q @ xh) - b
+    got = eigen_residual_sq(lam, gh, bb, xh)
+    scale = bb + abs(float(xh @ gh)) + float(xh @ (lam * xh))
+    assert got >= 0.0
+    assert abs(got - float(r @ r)) <= 64 * np.finfo(float).eps * scale
+
+
+def test_eigen_residual_sq_clamps_at_zero():
+    # A = diag(s), x = A^-1 b: the exact residual is 0 and on seed 0 the
+    # closed form's sum rounds below it
+    rng = np.random.default_rng(0)
+    s, b = rng.uniform(0.5, 2.0, 9), rng.standard_normal(9)
+    lam, gh, xh = s * s, s * b, b / s
+    assert float(b @ b) + float(xh @ (lam * xh - 2.0 * gh)) < 0.0
+    assert eigen_residual_sq(lam, gh, float(b @ b), xh) == 0.0
 
 
 # -- Newton system ---------------------------------------------------------------
@@ -407,28 +444,17 @@ def test_case1_direction_norms_strictly_decrease():
 
 
 def test_step_applies_operator_once():
-    # a step makes one matvec for the exact residual; F1 comes from the
-    # eigenpairs and Q^T A^T b, so rmatvec runs once per solve
+    # a step takes F1 and the residual from the eigenpairs, Q^T A^T b and
+    # ||b||^2, so a solve makes one gram, one rmatvec and one matvec, the
+    # last for the residual it reports
     p = random_uniform_problem(60, 40, 0.10, seed=5)
-    op = DenseOperator(p.operator.to_dense())
-    calls = {"gram": 0, "matvec": 0, "rmatvec": 0}
-
-    def counted(name):
-        method = getattr(op, name)
-
-        def spy(*args):
-            calls[name] += 1
-            return method(*args)
-
-        return spy
-
-    op.gram, op.matvec, op.rmatvec = counted("gram"), counted("matvec"), counted("rmatvec")
+    op, calls = counting_operator(p.operator.to_dense())
     problem = InverseProblem(operator=op, b=p.b, noise_level=p.noise_level)
     for variant in ("case1", "case2"):
         calls.update(gram=0, matvec=0, rmatvec=0)
         res = ntm_solve(problem, NtmConfig(alpha0=0.01, step_rule=StepRule(variant=variant)))
         assert res.converged and res.n_iter >= 4
-        assert calls == {"gram": 1, "matvec": res.n_iter + 1, "rmatvec": 1}
+        assert calls == {"gram": 1, "matvec": 1, "rmatvec": 1}
 
 
 @pytest.mark.parametrize(
@@ -452,6 +478,17 @@ def test_morozov_consistency_at_convergence():
     assert res.converged
     eps = p.noise_level
     assert abs(res.residual_norm - eps) <= 2 * 1e-3 * eps
+
+
+@pytest.mark.parametrize("noise", [1e-3, 0.1])
+def test_reported_residual_is_the_operators(noise):
+    # the steps price the residual in closed form; the result recomputes it
+    p = random_uniform_problem(120, 80, noise, seed=7)
+    res = ntm_solve(p)
+    recomputed = float(np.linalg.norm(p.operator.matvec(res.x) - p.b))
+    assert res.converged
+    assert res.residual_norm == pytest.approx(recomputed, rel=1e-12)
+    assert res.trace.column("res_norm")[-1] == pytest.approx(recomputed, rel=1e-8)
 
 
 def test_infeasible_discrepancy_rejected():

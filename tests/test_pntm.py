@@ -187,6 +187,30 @@ def test_outer_budget_exhaustion_flagged():
     assert len(res.trace) > 0
 
 
+@pytest.mark.parametrize("noise", [1e-3, 0.1])
+def test_reported_residual_is_the_operators(noise):
+    # inner steps price ||B y - c|| in closed form; the result recomputes
+    # ||A x - b|| from the lifted x
+    p = random_uniform_problem(120, 80, noise, seed=7)
+    res = pntm_solve(p)
+    recomputed = float(np.linalg.norm(p.operator.matvec(res.x) - p.b))
+    assert res.converged
+    assert res.residual_norm == pytest.approx(recomputed, rel=1e-12)
+    assert res.trace.column("res_norm")[-1] == pytest.approx(recomputed, rel=1e-8)
+
+
+@pytest.mark.parametrize("seed, pntm_inner, gbit_outer", [(2000, 74, 28), (2001, 72, 28)])
+def test_krylov_iteration_counts_pinned(seed, pntm_inner, gbit_outer):
+    # the first problems of configs/random_large.cfg
+    p = random_uniform_problem(2100, 1500, 0.10, seed=seed)
+    res = pntm_solve(p)
+    assert res.converged
+    assert (res.n_outer, res.n_inner_total) == (16, pntm_inner)
+    ref = gbit_solve(p)
+    assert ref.converged
+    assert ref.n_outer == gbit_outer
+
+
 def test_infeasible_discrepancy_rejected():
     p = InverseProblem(
         operator=as_operator(np.eye(3)), b=np.ones(3), noise_level=5.0
