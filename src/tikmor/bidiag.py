@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateRhsError, TikmorError
+from .errors import ConvergenceFailure, DegenerateRhsError, TikmorError
 from .linop import as_operator
 
 
@@ -67,7 +67,10 @@ class BidiagFactorization:
         self.lsqr_residual = float(beta)
         self._cos = 1.0  # cosine of the last Givens rotation
         self.breakdown = False
-        self.breakdown_tol = 1e-14 * self.A.frobenius_norm()
+        norm = self.A.frobenius_norm()
+        if not math.isfinite(norm):
+            raise ConvergenceFailure(f"||A||_F = {norm!r} is not finite")
+        self.breakdown_tol = 1e-14 * norm
 
     def _grow(self):
         # room for one more vector of U; V never holds more vectors than U

@@ -81,6 +81,7 @@ from .problems import (
     random_uniform_problem,
     save_problem,
     sine_wave_problem,
+    uniform_operator,
 )
 from .reference import (
     GbitConfig,
@@ -147,7 +148,7 @@ class ProblemSpec:
             else:
                 # a child of the seed's stream, which sine_wave_problem draws the noise from
                 rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-                op = 2.0 * rng.random((self.m, self.n)) - 1.0
+                op = uniform_operator(rng, self.m, self.n)
             return sine_wave_problem(op, self.noise, seed)
         if self.kind == "directory":
             return load_problem(self.path)

@@ -27,8 +27,8 @@ class UnsupportedFormatError(MatrixMarketError):
 
 
 class ConvergenceFailure(TikmorError):
-    """A solve cannot start or reach its tolerance, e.g. its Tikhonov start
-    system is not numerically positive definite."""
+    """A solve cannot start or reach its tolerance, e.g. A or b is not finite
+    or its Tikhonov start system is not numerically positive definite."""
 
 
 class DegenerateRhsError(TikmorError):

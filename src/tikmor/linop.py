@@ -7,13 +7,18 @@ general-form Tikhonov problems to standard form. Tikhonov systems
 (G + alpha I) x = g are not solved here: ``ntm.normal_equation_solve``
 solves them in the eigenbasis of the dense Gram matrix ``gram()``.
 
-Everything is float64; operators are immutable after construction.
+Everything is float64; operators are immutable after construction. A
+``DenseOperator`` holds a read-only float64 array that owns its data as is
+(a generator hands A over) and copies anything else, so a caller may
+change its writable array later. ``scipy.sparse`` is imported on first
+sparse use, so a dense run never loads it.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DimensionError,
@@ -60,10 +65,13 @@ class LinearOperator:
 
 class DenseOperator(LinearOperator):
     def __init__(self, matrix):
-        A = np.array(matrix, dtype=float)  # own copy: operators are immutable
+        A = matrix  # a read-only float64 array that owns its data is taken as is
+        if not (isinstance(A, np.ndarray) and A.dtype == float
+                and A.flags.owndata and not A.flags.writeable):
+            A = np.array(matrix, dtype=float)  # own copy: operators are immutable
+            A.setflags(write=False)
         if A.ndim != 2:
             raise DimensionError(f"dense operator needs a 2-d array, got ndim={A.ndim}")
-        A.setflags(write=False)
         self._A = A
         self.rows, self.cols = A.shape
 
@@ -79,6 +87,7 @@ class DenseOperator(LinearOperator):
 
 class SparseOperator(LinearOperator):
     def __init__(self, matrix):
+        import scipy.sparse as sp
         A = sp.csr_matrix(matrix).astype(float)
         self._A = A
         self._At = A.T.tocsr()
@@ -185,13 +194,28 @@ class PriorconditionedOperator(LinearOperator):
     def to_dense(self):
         return self.reg.solve_transpose(self.base.to_dense())
 
+    def frobenius_norm(self):
+        # by row blocks of A inv(L) of about 1 MB: the m x n product is never held whole
+        A = self.base.to_dense()
+        step = max(1, (1 << 17) // self.cols)
+        total = 0.0
+        for i in range(0, self.rows, step):
+            block = self.reg.solve_transpose(A[i : i + step])
+            total += float(np.vdot(block, block))
+        return float(np.sqrt(total))
+
+
+def _issparse(obj):
+    sp = sys.modules.get("scipy.sparse")  # not loaded: obj cannot be sparse
+    return sp is not None and sp.issparse(obj)
+
 
 def as_operator(obj) -> LinearOperator:
     if isinstance(obj, LinearOperator):
         return obj
-    if sp.issparse(obj):
+    if _issparse(obj):
         return SparseOperator(obj)
-    return DenseOperator(np.asarray(obj, dtype=float))
+    return DenseOperator(obj)
 
 
 # -- Matrix Market ----------------------------------------------------------
@@ -298,17 +322,19 @@ def load_matrix_market(path) -> LinearOperator:
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, sign * vals[off]]),
         )
-    A = sp.coo_matrix((vals, (rows, cols)), shape=(m, n))
-    if layout == "coordinate":
-        return SparseOperator(A.tocsr())
-    return DenseOperator(A.toarray())
+    if layout == "array":  # each position stored once: no duplicates to sum
+        A = np.zeros((m, n))
+        A[rows, cols] = vals
+        return DenseOperator(A)
+    import scipy.sparse as sp
+    return SparseOperator(sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr())
 
 
 def save_matrix_market(path, matrix):
     """Write a dense array or sparse matrix as a real general MM file."""
     with open(path, "w", encoding="ascii") as fh:
-        if sp.issparse(matrix):
-            coo = sp.coo_matrix(matrix)
+        if _issparse(matrix):
+            coo = matrix.tocoo()
             fh.write("%%MatrixMarket matrix coordinate real general\n")
             fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
             for i, j, v in zip(coo.row, coo.col, coo.data):

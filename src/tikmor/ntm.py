@@ -47,7 +47,12 @@ def stacked_norm(F1, F2) -> float:
 def spectral_gram(G):
     """(lam, Q) with G = Q diag(lam) Q^T, lam ascending; G is semidefinite,
     so roundoff-negative lam are set to 0 and lam + alpha > 0 for alpha > 0."""
-    lam, Q = np.linalg.eigh(G)
+    try:
+        lam, Q = np.linalg.eigh(G)
+    except np.linalg.LinAlgError as exc:  # LAPACK gives up on NaN/inf entries
+        raise ConvergenceFailure(f"Gram matrix is not finite: {exc}") from exc
+    if not (np.isfinite(lam).all() and math.isfinite(Q.sum())):  # |Q_ij| <= 1: no overflow
+        raise ConvergenceFailure("Gram matrix is not finite: its eigenpairs are not")
     return np.maximum(lam, 0.0), Q
 
 
@@ -270,6 +275,8 @@ class NtmResult:
 
 def _check_discrepancy_feasible(b, eps):
     bnorm = float(np.linalg.norm(b))
+    if not math.isfinite(bnorm + eps):
+        raise ConvergenceFailure(f"||b|| = {bnorm:.6g}, eps = {eps:.6g}: not finite")
     if eps <= 0:
         raise InfeasibleDiscrepancyError("discrepancy level must be positive")
     if eps >= bnorm:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .linop import (
+    DenseOperator,
     LinearOperator,
     PriorconditionedOperator,
     as_operator,
@@ -82,6 +83,15 @@ class RelativeStats:
     rel_error_defined: bool = False
 
 
+def uniform_operator(rng: np.random.Generator, m: int, n: int) -> DenseOperator:
+    """i.i.d. U(-1, 1) entries, bitwise 2.0 * rng.random((m, n)) - 1.0, built in place."""
+    M = rng.random((m, n))
+    M *= 2.0
+    M -= 1.0
+    M.setflags(write=False)
+    return DenseOperator(M)
+
+
 def _add_noise(operator, x_exact, noise_fraction, rng):
     b_exact = operator.matvec(x_exact)
     m = operator.rows
@@ -99,7 +109,7 @@ def random_uniform_problem(m, n, noise_fraction, seed) -> InverseProblem:
     if not (0 < noise_fraction < 1):
         raise ValueError("noise fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    A = as_operator(2.0 * rng.random((m, n)) - 1.0)
+    A = uniform_operator(rng, m, n)
     x_exact = 2.0 * rng.random(n) - 1.0
     b_exact, e, sigma, eps = _add_noise(A, x_exact, noise_fraction, rng)
     return InverseProblem(

@@ -44,3 +44,41 @@ def test_import_does_not_load_scipy_linalg():
         check=True, timeout=60,
     )
     assert out.stdout.strip() == "False"
+
+
+DENSE_RUN = """
+import sys, tempfile
+import tikmor, tikmor.cli
+from tikmor import (
+    DenseOperator, RegularizationMatrix, SparseOperator, as_operator, cgls_priorconditioned,
+    gbit_solve, load_matrix_market, load_problem, ntm_solve, pntm_solve,
+    random_uniform_problem, save_problem, sirt_solve,
+)
+
+p = random_uniform_problem(40, 30, 0.1, 3)
+ntm_solve(p), pntm_solve(p), gbit_solve(p), sirt_solve(p)
+cgls_priorconditioned(p, RegularizationMatrix(30))
+with tempfile.TemporaryDirectory() as d:
+    save_problem(p, d)
+    assert isinstance(load_problem(d).operator, DenseOperator)
+print('scipy.sparse' in sys.modules)
+
+# sparse inputs still load it and give sparse operators
+assert isinstance(load_matrix_market(sys.argv[1]), SparseOperator)
+import scipy.sparse
+assert isinstance(as_operator(scipy.sparse.eye(3, format="csr")), SparseOperator)
+"""
+
+
+def test_dense_path_does_not_load_scipy_sparse():
+    # scipy.sparse costs every process its import time and resident memory;
+    # only a sparse input (csr matrix, coordinate .mtx) may bring it in
+    fixture = Path(__file__).parent / "fixtures" / "survey219.mtx"
+    src = str(Path(tikmor.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", DENSE_RUN, str(fixture)], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -14,6 +14,7 @@ from tikmor import (
     UnsupportedFormatError,
     as_operator,
     load_matrix_market,
+    random_uniform_problem,
     save_matrix_market,
 )
 from tikmor.ntm import normal_equation_solve, spectral_gram
@@ -52,6 +53,36 @@ def test_composite_adjoint_consistency(rng):
     base = DenseOperator(rng.standard_normal((12, 8)))
     op = PriorconditionedOperator(base, RegularizationMatrix(8))
     assert adjoint_defect(op, rng) <= 1e-12
+
+
+def test_dense_operator_copies_a_writable_array(rng):
+    A = rng.standard_normal((6, 4))
+    op = DenseOperator(A)
+    v = rng.standard_normal(4)
+    before = op.matvec(v)
+    A[:] = 0.0
+    assert np.array_equal(op.matvec(v), before)
+    assert not op.to_dense().flags.writeable
+    with pytest.raises(ValueError):
+        op.to_dense()[0, 0] = 1.0
+
+
+def test_dense_operator_takes_a_frozen_owned_array_as_is(rng):
+    A = rng.standard_normal((6, 4))
+    A.setflags(write=False)
+    assert DenseOperator(A).to_dense() is A
+    view = A[:3]  # read-only, but shares its data: copied
+    assert DenseOperator(view).to_dense() is not view
+    ints = np.arange(6).reshape(3, 2)
+    ints.setflags(write=False)
+    assert DenseOperator(ints).to_dense().dtype == float
+
+
+def test_generated_matrix_is_bitwise_two_u_minus_one():
+    # built in place as u *= 2; u -= 1, which rounds exactly as 2.0 * u - 1.0
+    A = random_uniform_problem(2100, 1500, 0.1, 2000).operator.to_dense()
+    ref = 2.0 * np.random.default_rng(2000).random((2100, 1500)) - 1.0
+    assert A.tobytes() == ref.tobytes()
 
 
 def test_dimension_checks(rng):
@@ -108,6 +139,15 @@ def test_composite_frobenius_matches_column_sweep(rng, shape, reg):
         # both sum the same column partial sums in a different order: the
         # float64 rounding of n-term sums bounds the gap
         assert abs(op.frobenius_norm() - ref) <= 4 * n * np.finfo(float).eps * ref
+
+
+def test_composite_frobenius_over_row_blocks(rng):
+    # wide enough that the norm sums several row blocks of A inv(L)
+    m, n = 100, 3000
+    op = PriorconditionedOperator(DenseOperator(rng.standard_normal((m, n))),
+                                  RegularizationMatrix(n))
+    ref = np.linalg.norm(op.to_dense())
+    assert abs(op.frobenius_norm() - ref) <= 1e-12 * ref
 
 
 # -- regularization matrix ----------------------------------------------------

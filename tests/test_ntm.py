@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve, svdvals
 
 from tikmor import (
+    ConvergenceFailure,
     InfeasibleDiscrepancyError,
     InverseProblem,
     NtmConfig,
@@ -12,7 +13,9 @@ from tikmor import (
     StepRule,
     as_operator,
     dinv_norm,
+    gbit_solve,
     ntm_solve,
+    pntm_solve,
     random_uniform_problem,
     step_interval,
     step_size,
@@ -496,6 +499,32 @@ def test_infeasible_discrepancy_rejected():
     p = InverseProblem(operator=as_operator(np.eye(2)), b=b, noise_level=2.0)
     with pytest.raises(InfeasibleDiscrepancyError):
         ntm_solve(p)
+
+
+@pytest.mark.parametrize("where", ["A", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("solve", [ntm_solve, pntm_solve, gbit_solve])
+def test_nonfinite_input_fails_typed(solve, bad, where):
+    # caught on norms the solvers already form (||b||, ||A||_F, the Gram
+    # eigenvalues), not numpy's LinAlgError from eigh or a later symptom
+    p = random_uniform_problem(30, 20, 0.10, seed=5)
+    A, b = p.operator.to_dense().copy(), p.b.copy()
+    if where == "A":
+        A[3, 4] = bad
+    else:
+        b[7] = bad
+    with pytest.raises(ConvergenceFailure, match="not finite"):
+        solve(InverseProblem(operator=as_operator(A), b=b, noise_level=p.noise_level))
+
+
+@pytest.mark.parametrize("G", [
+    [[1.0, np.nan], [np.nan, 2.0]],
+    [[np.nan, 0.5], [0.5, 2.0]],  # LAPACK returns finite eigenvalues, NaN vectors
+    [[1.0, 0.5], [0.5, np.inf]],
+])
+def test_spectral_gram_rejects_nonfinite(G):
+    with pytest.raises(ConvergenceFailure, match="not finite"):
+        spectral_gram(np.array(G))
 
 
 def test_nonconvergence_flagged_with_trace():
