@@ -1,9 +1,9 @@
 """Table of solver behavior on Matrix Market fixtures with smooth priors.
 
 For each fixture: build a sine-wave problem with 10% noise, rewrite it in
-standard form through the smoothing regularizer, and run PNTM, GBiT and
-priorconditioned CGLS. Columns follow the relative discrepancy / error /
-residual convention; non-converged runs are marked with '*'.
+standard form through the smoothing regularizer, run PNTM, GBiT and CGLS
+on it and map each solution back. Columns follow the relative discrepancy
+/ error / residual convention; non-converged runs are marked with '*'.
 
 Usage: python scripts/run_sparse_fixture_table.py [paths...]
 """
@@ -15,7 +15,7 @@ from tikmor import (
     GbitConfig,
     PntmConfig,
     RegularizationMatrix,
-    cgls_priorconditioned,
+    cgls,
     gbit_solve,
     load_matrix_market,
     pntm_solve,
@@ -52,8 +52,9 @@ def main():
         sp = relative_stats(problem, recover(p.x))
         g = gbit_solve(transformed, GbitConfig())
         sg = relative_stats(problem, recover(g.x))
-        c = cgls_priorconditioned(problem, reg, max_iter=5000)
-        sc = relative_stats(problem, c.x)
+        c = cgls(transformed.operator, transformed.b, transformed.discrepancy_target,
+                 max_iter=5000)
+        sc = relative_stats(problem, recover(c.x))
 
         def mark(flag):
             return " " if flag else "*"

@@ -60,7 +60,6 @@ from .reference import (
     GbitConfig,
     SirtResult,
     cgls,
-    cgls_priorconditioned,
     gbit_solve,
     sirt_operators,
     sirt_solve,
@@ -100,7 +99,6 @@ __all__ = [
     "ZeroSumError",
     "as_operator",
     "cgls",
-    "cgls_priorconditioned",
     "dinv_norm",
     "gbit_solve",
     "init_bidiag",

@@ -29,10 +29,12 @@ Configuration is a flat INI file (sections of key=value pairs) with one
     spacing = log               ; log | linear
 
 The other sections take only the keys shown, plus ``precondition``
-(none | smooth) in ``[problem]`` and ``alphas`` (a comma-separated
-grid) in ``[curve]``; a section of any other name is a config error.
-``matrixmarket`` is ``sineWave`` on the Matrix Market file at ``path``,
-which it requires.
+(none | smooth) in ``[problem]``; a section of any other name is a
+config error. ``precondition = smooth`` hands every solver the
+standard-form problem A inv(L) z = b of the smoothing prior L
+(``problems.priorconditioned_problem``); cgls-pc applies that transform
+itself to a problem that does not carry it yet. ``matrixmarket`` is
+``sineWave`` on the Matrix Market file at ``path``, which it requires.
 Solver keys besides ``method``, by method (defaults are those of the
 config dataclasses; any other key, or a value the solver rejects, is a
 config error):
@@ -86,7 +88,6 @@ from .problems import (
 from .reference import (
     GbitConfig,
     cgls,
-    cgls_priorconditioned,
     gbit_solve,
     sirt_solve,
 )
@@ -94,20 +95,17 @@ from .trace import write_csv
 
 logger = logging.getLogger(__name__)
 
-PROBLEM_TYPES = {
+PROBLEM_TYPES = {  # lower-cased ``type`` -> ProblemSpec.kind
     "randomuniform": "random_uniform",
-    "random_uniform": "random_uniform",
     "sinewave": "sine_wave",
-    "sine_wave": "sine_wave",
     "matrixmarket": "sine_wave",
-    "matrix_market": "sine_wave",
     "directory": "directory",
 }
 
 SECTION_KEYS = {  # keys of the sections other than [solver <label>]
     "experiment": ("repetitions", "seed", "output"),
     "problem": ("type", "m", "n", "noise", "path", "precondition"),
-    "curve": ("alphas", "alpha_min", "alpha_max", "points", "spacing"),
+    "curve": ("alpha_min", "alpha_max", "points", "spacing"),
 }
 
 
@@ -133,11 +131,7 @@ class ProblemSpec:
 
     def build(self, seed: int) -> InverseProblem:
         problem = self._build_raw(seed)
-        if self.precondition == "smooth":
-            problem, _ = priorconditioned_problem(
-                problem, RegularizationMatrix(problem.operator.cols)
-            )
-        return problem
+        return _smoothed(problem) if self.precondition == "smooth" else problem
 
     def _build_raw(self, seed: int) -> InverseProblem:
         if self.kind == "random_uniform":
@@ -155,38 +149,40 @@ class ProblemSpec:
         raise ConfigError(f"unknown problem type {self.kind!r}")
 
 
+def _smoothed(problem):
+    """The standard-form problem A inv(L) z = b of the smoothing prior L."""
+    return priorconditioned_problem(problem, RegularizationMatrix(problem.operator.cols))[0]
+
+
 def _run_ntm(problem, cfg):
     r = ntm_solve(problem, cfg)
-    return r.x, r.alpha, r.n_iter, r.converged, r.residual_norm, r.trace
+    return r.alpha, r.n_iter, r.converged, r.residual_norm, r.trace
 
 
 def _run_krylov(solve):
     def run(problem, cfg):
         r = solve(problem, cfg)
-        return r.x, r.alpha, r.n_outer, r.converged, r.residual_norm, r.trace
+        return r.alpha, r.n_outer, r.converged, r.residual_norm, r.trace
 
     return run
 
 
 def _run_sirt(problem, opts):
     r = sirt_solve(problem, **opts)
-    return r.x, None, r.n_iter, r.reached_discrepancy, r.residual_norm, r.trace
+    return None, r.n_iter, r.reached_discrepancy, r.residual_norm, r.trace
 
 
 def _run_cgls_pc(problem, opts):
-    if isinstance(problem.operator, PriorconditionedOperator):
-        # problem already carries the smoothing transform
-        r = cgls(problem.operator, problem.b, problem.discrepancy_target, **opts)
-    else:
-        reg = RegularizationMatrix(problem.operator.cols)
-        r = cgls_priorconditioned(problem, reg, **opts)
-    return r.x, None, r.n_iter, r.converged, r.residual_norm, r.trace
+    if not isinstance(problem.operator, PriorconditionedOperator):  # transform once
+        problem = _smoothed(problem)
+    r = cgls(problem.operator, problem.b, problem.discrepancy_target, **opts)
+    return None, r.n_iter, r.converged, r.residual_norm, r.trace
 
 
 class Method(NamedTuple):
     config: Callable  # keyword fields -> the options ``run`` takes
     keys: dict  # INI key -> (field, parser)
-    run: Callable  # (problem, options) -> (x, alpha, iters, converged, res_norm, trace)
+    run: Callable  # (problem, options) -> (alpha, iters, converged, res_norm, trace)
 
 
 _START_KEYS = {"alpha0": ("alpha0", float), "tol": ("tol", float)}
@@ -289,7 +285,7 @@ def load_config(path) -> ExperimentConfig:
         path=psec.get("path", None),
         precondition=psec.get("precondition", "none").strip(),
     )
-    if raw_kind.lower() in ("matrixmarket", "matrix_market", "directory") and not problem.path:
+    if raw_kind.lower() in ("matrixmarket", "directory") and not problem.path:
         raise ConfigError(f"problem type {raw_kind!r} needs a path")
     generated = kind == "random_uniform" or (kind == "sine_wave" and not problem.path)
     if generated and (problem.m < 1 or problem.n < 1):
@@ -328,17 +324,11 @@ def load_config(path) -> ExperimentConfig:
         spacing = csec.get("spacing", "log").strip()
         if spacing not in ("log", "linear"):
             raise ConfigError(f"unknown curve spacing {spacing!r}; use log or linear")
-        if csec.get("alphas"):
-            grid = np.array([float(t) for t in csec["alphas"].split(",")])
-        else:
-            lo = csec.getfloat("alpha_min", 1e-2)
-            hi = csec.getfloat("alpha_max", 1e2)
-            pts = csec.getint("points", 20)
-            if spacing == "linear":
-                grid = np.linspace(lo, hi, pts)
-            else:
-                grid = np.geomspace(lo, hi, pts)
-        curve_grid = grid
+        lo = csec.getfloat("alpha_min", 1e-2)
+        hi = csec.getfloat("alpha_max", 1e2)
+        pts = csec.getint("points", 20)
+        space = np.linspace if spacing == "linear" else np.geomspace
+        curve_grid = space(lo, hi, pts)
 
     return ExperimentConfig(
         problem=problem,
@@ -411,7 +401,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         for spec in config.solvers:
             key = f"{spec.label}_rep{rep}"
             try:
-                x, alpha, iters, conv, resid, trace = spec.run(problem)
+                alpha, iters, conv, resid, trace = spec.run(problem)
             except TikmorError as exc:
                 logger.error("solver %s failed on rep %d: %s", spec.label, rep, exc)
                 statuses[key] = f"error: {exc}"

@@ -157,25 +157,20 @@ class RegularizationMatrix:
 
 
 class PriorconditionedOperator(LinearOperator):
-    """Composite operator A @ inv(L) with shift bookkeeping.
+    """The standard-form operator A @ inv(L) of a smoothing prior L.
 
-    Solving the transformed system in z and mapping back through
-    ``recover`` embeds the smoothness prior carried by L. ``reg`` provides
-    ``dim``, ``solve`` and ``solve_transpose`` (along the last axis).
+    A solution z of A inv(L) z = b maps back to x = inv(L) z
+    (``priorconditioned_problem``). ``reg`` provides ``dim``, ``solve`` and
+    ``solve_transpose`` (along the last axis).
     """
 
-    def __init__(self, base: LinearOperator, reg, shift=None):
+    def __init__(self, base: LinearOperator, reg):
         if reg.dim != base.cols:
             raise DimensionError(
                 f"regularizer dim {reg.dim} does not match operator cols {base.cols}"
             )
         self.base = base
         self.reg = reg
-        self.shift = (
-            np.zeros(base.cols) if shift is None else np.asarray(shift, dtype=float)
-        )
-        if self.shift.shape != (base.cols,):
-            raise DimensionError("shift length must equal operator cols")
         self.rows, self.cols = base.rows, base.cols
 
     def matvec(self, z):
@@ -183,13 +178,6 @@ class PriorconditionedOperator(LinearOperator):
 
     def rmatvec(self, w):
         return self.reg.solve_transpose(self.base.rmatvec(w))
-
-    def recover(self, z):
-        """Map a transformed solution z back to the original variable."""
-        return self.shift + self.reg.solve(z)
-
-    def effective_rhs(self, b):
-        return np.asarray(b, dtype=float) - self.base.matvec(self.shift)
 
     def to_dense(self):
         return self.reg.solve_transpose(self.base.to_dense())
@@ -228,87 +216,88 @@ def load_matrix_market(path) -> LinearOperator:
 
     Coordinate files become sparse operators, array files dense ones.
     Symmetric and skew-symmetric storage is expanded. Complex and
-    pattern fields are rejected.
+    pattern fields are rejected. The file is read in one pass, straight
+    into the value arrays.
     """
     with open(path, "r", encoding="ascii") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError("empty file", line=1)
+        first = fh.readline()
+        if not first:
+            raise MatrixMarketError("empty file", line=1)
+        header = first.strip().lower().split()
+        if len(header) != 5 or header[0] != _MM_BANNER or header[1] != "matrix":
+            raise MatrixMarketError(f"bad header {first.strip()!r}", line=1)
+        layout, field, symmetry = header[2], header[3], header[4]
+        if layout not in ("coordinate", "array"):
+            raise UnsupportedFormatError(f"unsupported layout {layout!r}", line=1)
+        if field not in ("real", "integer"):
+            raise UnsupportedFormatError(f"unsupported field {field!r}", line=1)
+        if symmetry not in ("general", "symmetric", "skew-symmetric"):
+            raise UnsupportedFormatError(f"unsupported symmetry {symmetry!r}", line=1)
 
-    header = lines[0].strip().lower().split()
-    if len(header) != 5 or header[0] != _MM_BANNER or header[1] != "matrix":
-        raise MatrixMarketError(f"bad header {lines[0].strip()!r}", line=1)
-    layout, field, symmetry = header[2], header[3], header[4]
-    if layout not in ("coordinate", "array"):
-        raise UnsupportedFormatError(f"unsupported layout {layout!r}", line=1)
-    if field not in ("real", "integer"):
-        raise UnsupportedFormatError(f"unsupported field {field!r}", line=1)
-    if symmetry not in ("general", "symmetric", "skew-symmetric"):
-        raise UnsupportedFormatError(f"unsupported symmetry {symmetry!r}", line=1)
+        # skip comments/blank lines; keep real line numbers for diagnostics
+        numbered = enumerate(fh, start=2)
+        size_lineno = 1
+        for size_lineno, size_line in numbered:
+            size_line = size_line.strip()
+            if size_line and not size_line.startswith("%"):
+                break
+        else:
+            raise MatrixMarketError("missing size line", line=size_lineno)
+        parts = size_line.split()
+        try:
+            dims = [int(p) for p in parts]
+        except ValueError:
+            raise MatrixMarketError(f"bad size line {size_line!r}", line=size_lineno)
+        size_fields = "rows cols nnz" if layout == "coordinate" else "rows cols"
+        if len(dims) != len(size_fields.split()):
+            raise MatrixMarketError(f"{layout} size line needs {size_fields!r}", line=size_lineno)
+        if min(dims) < 0:
+            raise MatrixMarketError(f"negative size in {size_line!r}", line=size_lineno)
+        m, n = dims[:2]
+        if symmetry != "general" and m != n:
+            raise MatrixMarketError("symmetric storage requires a square matrix", line=size_lineno)
 
-    # skip comments/blank lines; remember real line numbers for diagnostics
-    body = [
-        (i + 1, ln.strip())
-        for i, ln in enumerate(lines[1:], start=1)
-        if ln.strip() and not ln.lstrip().startswith("%")
-    ]
-    if not body:
-        raise MatrixMarketError("missing size line", line=len(lines))
-
-    size_lineno, size_line = body[0]
-    parts = size_line.split()
-    try:
-        dims = [int(p) for p in parts]
-    except ValueError:
-        raise MatrixMarketError(f"bad size line {size_line!r}", line=size_lineno)
-    size_fields = "rows cols nnz" if layout == "coordinate" else "rows cols"
-    if len(dims) != len(size_fields.split()):
-        raise MatrixMarketError(f"{layout} size line needs {size_fields!r}", line=size_lineno)
-    m, n = dims[:2]
-    if symmetry != "general" and m != n:
-        raise MatrixMarketError("symmetric storage requires a square matrix", line=size_lineno)
-
-    entries = body[1:]
-    if layout == "coordinate":
-        nnz = dims[2]
-        if len(entries) != nnz:
-            raise MatrixMarketError(
-                f"expected {nnz} entries, found {len(entries)}", line=size_lineno
-            )
-        rows = np.empty(nnz, dtype=np.int64)
-        cols = np.empty(nnz, dtype=np.int64)
-        vals = np.empty(nnz, dtype=float)
-        for idx, (lineno, ln) in enumerate(entries):
-            toks = ln.split()
-            if len(toks) != 3:
-                raise MatrixMarketError(f"bad entry {ln!r}", line=lineno)
-            try:
-                i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
-            except ValueError:
-                raise MatrixMarketError(f"bad entry {ln!r}", line=lineno)
-            if not (1 <= i <= m and 1 <= j <= n):
-                raise MatrixMarketError(
-                    f"index ({i},{j}) outside {m}x{n}", line=lineno
-                )
-            rows[idx], cols[idx], vals[idx] = i - 1, j - 1, v
-    else:  # array layout: column-major dense values
-        if symmetry == "general":
-            expected = m * n
+        entries = (
+            (i, ln.strip()) for i, ln in numbered
+            if ln.strip() and not ln.lstrip().startswith("%")
+        )
+        if layout == "coordinate":
+            expected, what = dims[2], "entries"
+            rows = np.empty(expected, dtype=np.int64)
+            cols = np.empty(expected, dtype=np.int64)
+        elif symmetry == "general":
+            expected, what = m * n, "values"
         else:
             expected = m * (m + 1) // 2 if symmetry == "symmetric" else m * (m - 1) // 2
-        if len(entries) != expected:
-            raise MatrixMarketError(
-                f"expected {expected} values, found {len(entries)}", line=size_lineno
-            )
+            what = "values"
         vals = np.empty(expected, dtype=float)
-        for idx, (lineno, ln) in enumerate(entries):
+        found = 0
+        for found, (lineno, ln) in enumerate(entries, start=1):
+            if found > expected:
+                continue  # only counted, for the error below
+            idx = found - 1
             toks = ln.split()
-            if len(toks) != 1:
-                raise MatrixMarketError(f"expected one value per line, got {ln!r}", line=lineno)
-            try:
-                vals[idx] = float(toks[0])
-            except ValueError:
-                raise MatrixMarketError(f"bad value {ln!r}", line=lineno)
+            if layout == "coordinate":
+                if len(toks) != 3:
+                    raise MatrixMarketError(f"bad entry {ln!r}", line=lineno)
+                try:
+                    i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
+                except ValueError:
+                    raise MatrixMarketError(f"bad entry {ln!r}", line=lineno)
+                if not (1 <= i <= m and 1 <= j <= n):
+                    raise MatrixMarketError(f"index ({i},{j}) outside {m}x{n}", line=lineno)
+                rows[idx], cols[idx], vals[idx] = i - 1, j - 1, v
+            else:  # array layout: column-major dense values
+                if len(toks) != 1:
+                    raise MatrixMarketError(f"expected one value per line, got {ln!r}", line=lineno)
+                try:
+                    vals[idx] = float(toks[0])
+                except ValueError:
+                    raise MatrixMarketError(f"bad value {ln!r}", line=lineno)
+        if found != expected:
+            raise MatrixMarketError(f"expected {expected} {what}, found {found}", line=size_lineno)
+
+    if layout == "array":
         if symmetry == "general":
             return DenseOperator(vals.reshape((n, m)).T.copy())
         # the stored lower triangle, column by column

@@ -164,22 +164,21 @@ def relative_stats(problem: InverseProblem, x) -> RelativeStats:
     )
 
 
-def priorconditioned_problem(problem: InverseProblem, reg, x0=None):
-    """Rewrite the problem in standard form through the regularizer L.
+def priorconditioned_problem(problem: InverseProblem, reg):
+    """Rewrite the problem in standard form through the smoothing prior L.
 
-    Returns the transformed problem (same discrepancy level; the residual
-    norms agree) and a function mapping transformed solutions back.
+    Returns the problem A inv(L) z = b (same ``b`` and discrepancy level,
+    so residual norms agree) and ``reg.solve``, the map x = inv(L) z back
+    from its solutions. This is the one place the transform is applied.
     """
-    op = PriorconditionedOperator(as_operator(problem.operator), reg, x0)
-    rhs = op.effective_rhs(problem.b)
     transformed = InverseProblem(
-        operator=op,
-        b=rhs,
+        operator=PriorconditionedOperator(as_operator(problem.operator), reg),
+        b=problem.b,
         noise_level=problem.noise_level,
         eta=problem.eta,
         seed=problem.seed,
     )
-    return transformed, op.recover
+    return transformed, reg.solve
 
 
 # -- directory serialization --------------------------------------------------

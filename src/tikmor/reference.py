@@ -1,6 +1,9 @@
 """Comparison solvers: secant-updated bidiagonal Tikhonov (GBiT),
 simultaneous iterative reconstruction (SIRT), and conjugate-gradient
-least squares with priorconditioning and discrepancy stopping (CGLS-PC).
+least squares with discrepancy stopping (CGLS). Priorconditioned CGLS
+(CGLS-PC) is ``cgls`` on the standard-form problem that
+``problems.priorconditioned_problem`` builds, mapped back by the function
+it returns.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InfeasibleDiscrepancyError, ZeroSumError
-from .linop import PriorconditionedOperator, as_operator
+from .linop import as_operator
 from .ntm import normal_equation_solve, stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
@@ -173,21 +176,19 @@ class CglsResult:
     converged: bool
     n_iter: int
     residual_norm: float
-    z: Optional[np.ndarray] = None
 
 
-def cgls(A, b, eps, max_iter=1000, x0=None) -> CglsResult:
+def cgls(A, b, eps, max_iter=1000) -> CglsResult:
     """Conjugate-gradient least squares with discrepancy stopping.
 
-    Iterates on min ||A x - b|| and stops at the first iterate whose
-    residual norm is at or below eps, which must be positive.
+    Iterates on min ||A x - b|| from x = 0 and stops at the first iterate
+    whose residual norm is at or below eps, which must be positive.
     """
     if eps <= 0:
         raise InfeasibleDiscrepancyError("discrepancy level must be positive")
     A = as_operator(A)
-    b = np.asarray(b, dtype=float)
-    x = np.zeros(A.cols) if x0 is None else np.asarray(x0, dtype=float).copy()
-    r = b - A.matvec(x)
+    x = np.zeros(A.cols)
+    r = np.array(b, dtype=float)  # b - A x at x = 0
     s = A.rmatvec(r)
     p = s.copy()
     gamma = float(s @ s)
@@ -218,26 +219,4 @@ def cgls(A, b, eps, max_iter=1000, x0=None) -> CglsResult:
         gamma = gamma_new
     return CglsResult(
         x=x, trace=trace, converged=converged, n_iter=n_iter, residual_norm=res
-    )
-
-
-def cgls_priorconditioned(
-    problem: InverseProblem, reg, x0=None, max_iter=1000
-) -> CglsResult:
-    """CGLS on the right-preconditioned system A inv(L) z = b - A x0.
-
-    The regularizer acts as a smoothness prior rather than a convergence
-    accelerator; the returned x is recovered as x0 + inv(L) z.
-    """
-    op = PriorconditionedOperator(as_operator(problem.operator), reg, x0)
-    rhs = op.effective_rhs(problem.b)
-    inner = cgls(op, rhs, problem.discrepancy_target, max_iter=max_iter)
-    x = op.recover(inner.x)
-    return CglsResult(
-        x=x,
-        trace=inner.trace,
-        converged=inner.converged,
-        n_iter=inner.n_iter,
-        residual_norm=inner.residual_norm,
-        z=inner.x,
     )

@@ -16,7 +16,7 @@ from tikmor import (
     RegularizationMatrix,
     StepRule,
     as_operator,
-    cgls_priorconditioned,
+    cgls,
     dinv_norm,
     gbit_solve,
     init_bidiag,
@@ -308,11 +308,13 @@ def test_criterion_10_matrix_market_fixture_study():
                 transformed, PntmConfig(inner_cap_large=1000)
             ),
             "gbit": gbit_solve(transformed, GbitConfig()),
-            "cgls-pc": cgls_priorconditioned(problem, reg, max_iter=5000),
+            "cgls-pc": cgls(
+                transformed.operator, transformed.b, transformed.discrepancy_target,
+                max_iter=5000,
+            ),
         }
         for method, res in runs.items():
-            x = recover(res.x) if method != "cgls-pc" else res.x
-            stats = relative_stats(problem, x)
+            stats = relative_stats(problem, recover(res.x))
             in_band = (
                 stats.rel_discrepancy - 0.01
                 <= stats.rel_residual

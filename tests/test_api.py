@@ -15,6 +15,7 @@ REMOVED = (
     "PntmResult",
     "GbitResult",
     "normal_equation_solve",
+    "cgls_priorconditioned",
 )
 
 
@@ -50,14 +51,15 @@ DENSE_RUN = """
 import sys, tempfile
 import tikmor, tikmor.cli
 from tikmor import (
-    DenseOperator, RegularizationMatrix, SparseOperator, as_operator, cgls_priorconditioned,
+    DenseOperator, RegularizationMatrix, SparseOperator, as_operator, cgls,
     gbit_solve, load_matrix_market, load_problem, ntm_solve, pntm_solve,
-    random_uniform_problem, save_problem, sirt_solve,
+    priorconditioned_problem, random_uniform_problem, save_problem, sirt_solve,
 )
 
 p = random_uniform_problem(40, 30, 0.1, 3)
 ntm_solve(p), pntm_solve(p), gbit_solve(p), sirt_solve(p)
-cgls_priorconditioned(p, RegularizationMatrix(30))
+t, recover = priorconditioned_problem(p, RegularizationMatrix(30))
+recover(cgls(t.operator, t.b, t.discrepancy_target).x)
 with tempfile.TemporaryDirectory() as d:
     save_problem(p, d)
     assert isinstance(load_problem(d).operator, DenseOperator)

@@ -337,6 +337,40 @@ max_iter = 200
     assert runs[1].split(",")[5] == "1"  # converged
 
 
+def test_cgls_pc_same_with_and_without_smooth_precondition(tmp_path):
+    # cgls-pc transforms a plain problem itself, and a smoothed one only once
+    cfg = """
+[experiment]
+repetitions = 2
+seed = 3
+output = {out}
+
+[problem]
+type = sineWave
+m = 30
+n = 20
+noise = 0.10
+precondition = {precondition}
+
+[solver cgls-pc]
+method = cgls-pc
+max_iter = 200
+"""
+    outs = {}
+    for precondition in ("none", "smooth"):
+        out = tmp_path / precondition
+        path = write_cfg(tmp_path, cfg.format(out=out, precondition=precondition),
+                         f"{precondition}.cfg")
+        assert main(["run", str(path)]) == 0
+        outs[precondition] = out
+    runs = (outs["none"] / "runs.csv").read_text()
+    assert runs == (outs["smooth"] / "runs.csv").read_text()
+    assert runs.count("cgls-pc,") == 2
+    for rep in range(2):
+        trace = f"traces/cgls-pc_rep{rep}.csv"
+        assert (outs["none"] / trace).read_bytes() == (outs["smooth"] / trace).read_bytes()
+
+
 def test_solver_error_recorded_per_run(tmp_path):
     # pntm started at a subnormal alpha fails at its first step with a typed
     # error; the batch still finishes and reports gbit's run
@@ -442,8 +476,15 @@ def test_curve_applies_operator_once():
         ("[solver ntm-case2]", "[curve]\npoints = 5\nspacing = linaer\n\n[solver ntm-case2]"),
         ("type = randomUniform\nm = 40\nn = 25", "type = sineWave"),
         ("type = randomUniform", "type = matrixmarket"),
+        ("[solver ntm-case2]", "[curve]\nalphas = 0.1, 1, 10\n\n[solver ntm-case2]"),
+        ("type = randomUniform", "type = random_uniform"),
+        ("type = randomUniform", "type = sine_wave"),
+        ("type = randomUniform", "type = matrix_market\npath = survey219.mtx"),
     ],
-    ids=["curve-spacing", "sinewave-without-size", "matrixmarket-without-path"],
+    ids=[
+        "curve-spacing", "sinewave-without-size", "matrixmarket-without-path",
+        "curve-alphas", "type-random_uniform", "type-sine_wave", "type-matrix_market",
+    ],
 )
 def test_bad_problem_or_curve_fails_before_work(tmp_path, edit):
     text = BASE_CFG.format(reps=1, out=tmp_path / "o").replace(*edit)

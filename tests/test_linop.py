@@ -197,24 +197,16 @@ def test_reg_solve_transpose_acts_on_rows(rng):
 
 
 def test_priorconditioning_round_trip(rng):
+    # z = L x maps back through inv(L), and A inv(L) z reproduces A x
     n = 15
     reg = RegularizationMatrix(n)
     base = DenseOperator(rng.standard_normal((20, n)))
-    x0 = rng.standard_normal(n)
-    op = PriorconditionedOperator(base, reg, x0)
+    op = PriorconditionedOperator(base, reg)
     x = rng.standard_normal(n)
-    z = reg.matvec(x - x0)
-    rec = op.recover(z)
+    z = reg.matvec(x)
+    rec = reg.solve(z)
     assert np.linalg.norm(rec - x) <= 1e-12 * max(1.0, np.linalg.norm(x))
-
-
-def test_effective_rhs(rng):
-    n = 6
-    base = DenseOperator(rng.standard_normal((9, n)))
-    x0 = rng.standard_normal(n)
-    op = PriorconditionedOperator(base, RegularizationMatrix(n), x0)
-    b = rng.standard_normal(9)
-    assert np.allclose(op.effective_rhs(b), b - base.matvec(x0))
+    assert np.allclose(op.matvec(z), base.matvec(x), rtol=0, atol=1e-12)
 
 
 # -- Matrix Market ------------------------------------------------------------
@@ -312,6 +304,18 @@ def test_mm_symmetric_storage_needs_square(tmp_path, layout, body):
     with pytest.raises(MatrixMarketError, match="square") as err:
         load_matrix_market(path)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize(
+    "layout, body",
+    [("coordinate", "2 2 -1\n"), ("array", "-2 -3\n" + "1\n" * 6)],
+)
+def test_mm_negative_size_rejected(tmp_path, layout, body):
+    path = tmp_path / "neg.mtx"
+    path.write_text(f"%%MatrixMarket matrix {layout} real general\n% note\n{body}")
+    with pytest.raises(MatrixMarketError, match="negative") as err:
+        load_matrix_market(path)
+    assert err.value.line == 3
 
 
 def test_mm_round_trip_sparse(tmp_path, rng):
