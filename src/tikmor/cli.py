@@ -41,8 +41,8 @@ config error):
 
 * ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2),
   ``omega``
-* pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_small``,
-  ``inner_large``, ``rule``, ``omega``
+* pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_large``, ``rule``,
+  ``omega``
 * gbit: ``alpha0``, ``tol``, ``max_iter``
 * sirt: ``max_iter``, ``stop_at_discrepancy`` (true | false)
 * cgls-pc: ``max_iter``
@@ -195,7 +195,6 @@ METHODS = {
     }, _run_ntm),
     "pntm": Method(PntmConfig, {
         **_START_KEYS, "outer_max": ("outer_iter_max", int),
-        "inner_small": ("inner_cap_small", int),
         "inner_large": ("inner_cap_large", int), **_RULE_KEYS,
     }, _run_krylov(pntm_solve)),
     "gbit": Method(GbitConfig, {

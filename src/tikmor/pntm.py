@@ -1,16 +1,18 @@
 """Projected Newton solve: the coupled system restricted to a growing
 Golub-Kahan subspace, and the Krylov outer loop it shares with GBiT.
 
-Each outer iteration expands the bidiagonalization by one column,
-diagonalizes B^T B = Q diag(lam) Q^T, and warm starts from the projected
-Tikhonov solution at the current alpha, in eigen-coordinates
-yh = (Q^T B^T c) / (lam + alpha). The projected discrepancy equation has
-a root only while the LSQR residual phi_k = min_z ||B z - c|| is below
-eps; until then alpha is carried unchanged. Once it is, the safeguarded
-Newton steps of ``ntm.newton_steps`` run on the small projected system,
-O(k) each: the residual ||B Q yh - c|| comes from the eigenpairs and
-||c|| = beta, with no product with Q or B. The outer loop stops only when
-the projected system is solved *and* alpha has stagnated, since the
+Each outer iteration expands the bidiagonalization by one column and
+diagonalizes B^T B = Q diag(lam) Q^T. The projected discrepancy equation
+has a root only while the LSQR residual phi_k = min_z ||B z - c|| is
+below eps; until then alpha is carried unchanged and no step is taken.
+Once it is, alpha is the root of the projected secular equation
+(``secular_root``), and the safeguarded Newton steps of
+``ntm.newton_steps`` start there, at the projected Tikhonov solution
+yh = (Q^T B^T c) / (lam + alpha) in eigen-coordinates. F vanishes there
+up to rounding, so they normally only certify ||F|| < tol. Both price
+||B Q yh - c|| from the eigenpairs and ||c|| = beta in O(k), with no
+product with Q or B. The outer loop stops only when the
+projected system is solved *and* alpha has stagnated, since the
 projected system can be solved accurately long before the subspace is
 rich enough for the full problem; it stops unconverged once the
 factorization is final (a breakdown, or k = min(m, n)) with phi_k still
@@ -19,7 +21,6 @@ at or above eps, since no root can appear after that.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -29,6 +30,7 @@ from .bidiag import BidiagFactorization, init_bidiag
 from .errors import DegenerateRhsError
 from .linop import as_operator
 from .ntm import (
+    _EPS,
     StepRule,
     _check_discrepancy_feasible,
     eigen_residual_sq,
@@ -46,15 +48,12 @@ class PntmConfig:
     alpha0: float = 1.0
     tol: float = 1e-3
     outer_iter_max: int = 100
-    inner_cap_small: int = 10
     inner_cap_large: int = 10000
     step_rule: StepRule = field(default_factory=StepRule)
 
     def __post_init__(self):
         if self.alpha0 <= 0 or self.tol <= 0:
             raise ValueError("alpha0 and tol must be positive")
-        if self.inner_cap_small > self.inner_cap_large:
-            raise ValueError("inner_cap_small must not exceed inner_cap_large")
         if self.outer_iter_max < 1:
             raise ValueError("outer_iter_max must be >= 1")
 
@@ -73,6 +72,41 @@ class KrylovResult:
     F_norm: float
     y: np.ndarray
     factorization: BidiagFactorization
+
+
+def secular_root(lam, gh, cc, eps, alpha):
+    """Root a > 0 of the projected discrepancy equation ||B y_a - c|| = eps,
+    y_a = Q (gh / (lam + a)), given phi_k < eps < ||c||:
+
+        f(a) = cc - eps^2 - sum gh_i^2 (lam_i + 2a) / (lam_i + a)^2
+
+    (Golub & von Matt 1991), priced by ``eigen_residual_sq`` as the Newton
+    steps price F2, O(k) per evaluation. In t = 1/a, f is convex
+    and decreasing, so Newton in t falls monotonically onto the root from
+    any a above it and cannot leave (0, inf). The tangent at t = 0 gives
+    such a point, a_up = 2 ||gh||^2 / (cc - eps^2). The search starts at
+    the carried alpha if that is smaller. The previous root lies below
+    this one, as the projected residual at fixed alpha does not grow with
+    k; from below the root, Newton lands above it, or a_up is taken.
+    Stops once f is down to the roundoff of the residual, or the iterates
+    stop decreasing.
+    """
+    a_up = 2.0 * float(gh @ gh) / (cc - eps * eps)
+    a = min(alpha, a_up)
+    for i in range(100):
+        q = gh / (lam + a)
+        f = eigen_residual_sq(lam, gh, cc, q) - eps * eps
+        slope = 2.0 * a * a * float(q @ (q / (lam + a)))  # -df/dt
+        if f <= 0.0 and i == 0:  # the start lies below the root
+            a = min(a * slope / (slope + f), a_up) if slope + f > 0.0 else a_up
+            continue
+        if f <= 4.0 * _EPS * cc:  # at the root up to the residual's roundoff
+            break
+        nxt = a * slope / (slope + f)
+        if not 0.0 < nxt < a:
+            break
+        a = nxt
+    return a
 
 
 def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
@@ -152,20 +186,16 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
 
     def update(k, B, c, lam, Q, gh, phi, alpha):
         cc = float(c @ c)
-        yh = gh / (lam + alpha)  # warm start at the carried alpha
-        warm_res = math.sqrt(eigen_residual_sq(lam, gh, cc, yh))
-        if phi >= eps:  # no root yet: no Newton step, alpha is kept
-            cap = 0
-        elif warm_res > eps:
-            cap = min(k, config.inner_cap_small)
-        else:
+        cap = 0  # no root yet: no Newton step, alpha is kept
+        if phi < eps:
+            alpha = secular_root(lam, gh, cc, eps, alpha)
             cap = config.inner_cap_large
         steps = newton_steps(
-            lam, gh, cc, eps, yh, alpha, config.step_rule, config.tol, cap,
-            rtol=PROJECTED_SOLVE_RTOL,
+            lam, gh, cc, eps, gh / (lam + alpha), alpha, config.step_rule,
+            config.tol, cap, rtol=PROJECTED_SOLVE_RTOL,
         )
         for l, step in enumerate(steps):
-            trace.append(len(trace) + 1, *step.row, k, l, lam.size, warm_res)
+            trace.append(len(trace) + 1, *step.row, k, l, lam.size, phi)
         return Q @ step.xh, step.alpha, step.F_norm, l
 
     return krylov_loop(

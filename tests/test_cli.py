@@ -372,7 +372,7 @@ max_iter = 200
 
 
 def test_solver_error_recorded_per_run(tmp_path):
-    # pntm started at a subnormal alpha fails at its first step with a typed
+    # ntm started at a subnormal alpha fails at its first step with a typed
     # error; the batch still finishes and reports gbit's run
     cfg = """
 [experiment]
@@ -387,8 +387,8 @@ n = 150
 noise = 0.10
 precondition = smooth
 
-[solver pntm]
-method = pntm
+[solver ntm]
+method = ntm
 alpha0 = 1e-320
 
 [solver gbit]
@@ -399,9 +399,9 @@ method = gbit
     assert main(["run", str(path)]) == 2
     runs = (out / "runs.csv").read_text().splitlines()
     assert len(runs) == 3
-    pntm_row, gbit_row = runs[1].split(",", 7), runs[2].split(",", 7)
-    assert pntm_row[0] == "pntm" and pntm_row[3:7] == ["", "", "", ""]
-    assert "not finite" in pntm_row[7]
+    ntm_row, gbit_row = runs[1].split(",", 7), runs[2].split(",", 7)
+    assert ntm_row[0] == "ntm" and ntm_row[3:7] == ["", "", "", ""]
+    assert "not finite" in ntm_row[7]
     assert gbit_row[0] == "gbit" and gbit_row[5] == "1" and gbit_row[7] == ""
 
 
@@ -480,10 +480,12 @@ def test_curve_applies_operator_once():
         ("type = randomUniform", "type = random_uniform"),
         ("type = randomUniform", "type = sine_wave"),
         ("type = randomUniform", "type = matrix_market\npath = survey219.mtx"),
+        ("[solver gbit]", "[solver pntm]\nmethod = pntm\ninner_small = 10\n\n[solver gbit]"),
     ],
     ids=[
         "curve-spacing", "sinewave-without-size", "matrixmarket-without-path",
         "curve-alphas", "type-random_uniform", "type-sine_wave", "type-matrix_market",
+        "pntm-inner_small",
     ],
 )
 def test_bad_problem_or_curve_fails_before_work(tmp_path, edit):

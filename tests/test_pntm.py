@@ -14,6 +14,8 @@ from tikmor import (
     priorconditioned_problem,
     random_uniform_problem,
 )
+from tikmor.ntm import spectral_gram
+from tikmor.pntm import secular_root
 from oracles import (
     normal_equation_solve,
     projected_eval_F,
@@ -165,18 +167,38 @@ def test_monotone_subspace_quality(rng):
         last = r
 
 
-def test_inner_cap_small_limits_early_iterations():
-    p = random_uniform_problem(100, 60, 0.10, seed=8)
-    res = pntm_solve(p, PntmConfig(inner_cap_small=2))
-    t = res.trace
-    inner = t.column("inner_iter")
-    outer = t.column("outer_iter")
-    warm_res = t.column("proj_res")
-    eps = p.noise_level
-    for k in np.unique(outer):
-        mask = outer == k
-        if warm_res[mask][0] > eps:
-            assert inner[mask].max() <= 2
+@pytest.mark.parametrize("alpha", [1e-320, 1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("w", [0.01, 0.5, 0.99])
+def test_secular_root_solves_the_projected_discrepancy(rng, w, alpha):
+    # eps anywhere in (phi_k, ||c||), the search started below or above the root
+    A, b, f = small_factorization(rng, m=30, n=20, steps=6)
+    B, c = f.B, f.c
+    lam, Q = spectral_gram(B.T @ B)
+    phi, cnorm = f.lsqr_residual, float(np.linalg.norm(c))
+    eps = phi + w * (cnorm - phi)
+    a = secular_root(lam, (B.T @ c) @ Q, cnorm * cnorm, eps, alpha)
+    y = np.linalg.solve(B.T @ B + a * np.eye(f.k), B.T @ c)
+    assert a > 0
+    assert np.linalg.norm(B @ y - c) == pytest.approx(eps, rel=1e-12)
+
+
+def test_trace_proj_res_is_the_lsqr_residual():
+    # every row of outer iteration k records phi_k = min_z ||B_k z - c||,
+    # which a replayed factorization of the same problem reproduces
+    raw = random_uniform_problem(210, 150, 0.10, seed=2005)
+    p, _ = priorconditioned_problem(raw, RegularizationMatrix(150))
+    res = pntm_solve(p)
+    outer = res.trace.column("outer_iter")
+    proj = res.trace.column("proj_res")
+    f = init_bidiag(as_operator(p.operator), p.b)
+    phis = []
+    for k in range(1, res.n_outer + 1):
+        if f.can_expand():
+            f.expand()
+        phis.append(f.lsqr_residual)
+        assert proj[outer == k] == pytest.approx(phis[-1], rel=1e-12, abs=0)
+    assert (np.diff(phis) <= 0).all()
+    assert phis[0] >= p.discrepancy_target > phis[-1]
 
 
 def test_outer_budget_exhaustion_flagged():
@@ -199,7 +221,7 @@ def test_reported_residual_is_the_operators(noise):
     assert res.trace.column("res_norm")[-1] == pytest.approx(recomputed, rel=1e-8)
 
 
-@pytest.mark.parametrize("seed, pntm_inner, gbit_outer", [(2000, 74, 28), (2001, 72, 28)])
+@pytest.mark.parametrize("seed, pntm_inner, gbit_outer", [(2000, 0, 28), (2001, 0, 28)])
 def test_krylov_iteration_counts_pinned(seed, pntm_inner, gbit_outer):
     # the first problems of configs/random_large.cfg
     p = random_uniform_problem(2100, 1500, 0.10, seed=seed)
@@ -271,3 +293,27 @@ def test_plain_seed_3649_converges_in_band():
     assert res.converged
     assert abs(res.residual_norm - eps) <= 2 * 1e-3 * eps
     assert res.n_outer <= gbit_solve(p).n_outer
+
+
+@pytest.mark.parametrize("noise", [1e-3, 1e-5])
+@pytest.mark.parametrize("seed", [3, 7])
+def test_low_noise_converges_in_band(seed, noise):
+    # the Newton loop used to stop here on its absolute ||F|| < tol with
+    # res/eps at 1.05 / 0.99 (noise 1e-3) and 28 / 49 (noise 1e-5); alpha
+    # from the projected secular root puts the residual on eps
+    p = random_uniform_problem(300, 200, noise, seed)
+    res = pntm_solve(p)
+    eps = p.discrepancy_target
+    assert res.converged
+    assert abs(res.residual_norm - eps) <= 2 * 1e-3 * eps
+
+
+def test_subnormal_alpha0_reaches_the_same_root():
+    # alpha0 = 1e-320 is carried until phi_k < eps and then only starts the
+    # secular search, so it ends where alpha0 = 1 does
+    raw = random_uniform_problem(210, 150, 0.10, seed=2005)
+    p, _ = priorconditioned_problem(raw, RegularizationMatrix(150))
+    tiny = pntm_solve(p, PntmConfig(alpha0=1e-320))
+    ref = pntm_solve(p, PntmConfig(alpha0=1.0))
+    assert tiny.converged and ref.converged
+    assert tiny.alpha == pytest.approx(ref.alpha, rel=1e-9)
