@@ -33,7 +33,6 @@ from .linop import (
 from .metrics import ImageView, ssim
 from .ntm import (
     NtmConfig,
-    NtmResult,
     StepRule,
     dinv_norm,
     ntm_solve,
@@ -56,22 +55,19 @@ from .problems import (
     sine_wave_problem,
 )
 from .reference import (
-    CglsResult,
     GbitConfig,
-    SirtResult,
     cgls,
     gbit_solve,
     sirt_operators,
     sirt_solve,
 )
-from .trace import SolveTrace
+from .trace import SolveResult, SolveTrace
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BidiagBreakdown",
     "BidiagFactorization",
-    "CglsResult",
     "ConvergenceFailure",
     "DegenerateRhsError",
     "DenseOperator",
@@ -84,13 +80,12 @@ __all__ = [
     "LinearOperator",
     "MatrixMarketError",
     "NtmConfig",
-    "NtmResult",
     "PntmConfig",
     "PriorconditionedOperator",
     "RegularizationMatrix",
     "RelativeStats",
     "SingularJacobianError",
-    "SirtResult",
+    "SolveResult",
     "SolveTrace",
     "SparseOperator",
     "StepRule",

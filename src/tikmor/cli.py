@@ -154,35 +154,17 @@ def _smoothed(problem):
     return priorconditioned_problem(problem, RegularizationMatrix(problem.operator.cols))[0]
 
 
-def _run_ntm(problem, cfg):
-    r = ntm_solve(problem, cfg)
-    return r.alpha, r.n_iter, r.converged, r.residual_norm, r.trace
-
-
-def _run_krylov(solve):
-    def run(problem, cfg):
-        r = solve(problem, cfg)
-        return r.alpha, r.n_outer, r.converged, r.residual_norm, r.trace
-
-    return run
-
-
-def _run_sirt(problem, opts):
-    r = sirt_solve(problem, **opts)
-    return None, r.n_iter, r.reached_discrepancy, r.residual_norm, r.trace
-
-
-def _run_cgls_pc(problem, opts):
+def _run_cgls_pc(problem, **opts):
     if not isinstance(problem.operator, PriorconditionedOperator):  # transform once
         problem = _smoothed(problem)
-    r = cgls(problem.operator, problem.b, problem.discrepancy_target, **opts)
-    return None, r.n_iter, r.converged, r.residual_norm, r.trace
+    return cgls(problem.operator, problem.b, problem.discrepancy_target, **opts)
 
 
 class Method(NamedTuple):
-    config: Callable  # keyword fields -> the options ``run`` takes
+    config: Callable  # keyword fields -> the options ``solve`` takes
     keys: dict  # INI key -> (field, parser)
-    run: Callable  # (problem, options) -> (alpha, iters, converged, res_norm, trace)
+    solve: Callable  # (problem, config) or (problem, **options) -> result
+    count: str = "n_iter"  # the result field that fills ``iters``
 
 
 _START_KEYS = {"alpha0": ("alpha0", float), "tol": ("tol", float)}
@@ -192,18 +174,18 @@ _RULE_FIELDS = {f.name for f in fields(StepRule)}
 METHODS = {
     "ntm": Method(NtmConfig, {
         **_START_KEYS, "max_iter": ("max_iter", int), **_RULE_KEYS,
-    }, _run_ntm),
+    }, ntm_solve),
     "pntm": Method(PntmConfig, {
         **_START_KEYS, "outer_max": ("outer_iter_max", int),
         "inner_large": ("inner_cap_large", int), **_RULE_KEYS,
-    }, _run_krylov(pntm_solve)),
+    }, pntm_solve, "n_outer"),
     "gbit": Method(GbitConfig, {
         **_START_KEYS, "max_iter": ("max_iter", int),
-    }, _run_krylov(gbit_solve)),
+    }, gbit_solve, "n_outer"),
     "sirt": Method(dict, {
         "max_iter": ("max_iter", int),
         "stop_at_discrepancy": ("stop_at_discrepancy", _parse_flag),
-    }, _run_sirt),
+    }, sirt_solve),
     "cgls-pc": Method(dict, {"max_iter": ("max_iter", int)}, _run_cgls_pc),
 }
 SOLVER_METHODS = tuple(METHODS)
@@ -215,8 +197,36 @@ class SolverSpec:
     method: str
     config: object  # what METHODS[method].config built from the section
 
-    def run(self, problem: InverseProblem):
-        return METHODS[self.method].run(problem, self.config)
+    def solve(self, problem: InverseProblem):
+        """The method's result on the problem; a ``TikmorError`` propagates."""
+        method = METHODS[self.method]
+        if isinstance(self.config, dict):
+            return method.solve(problem, **self.config)
+        return method.solve(problem, self.config)
+
+
+class _Run(NamedTuple):
+    """One solver's run on one repetition: a row of runs.csv, whose header
+    is the field names. A failed run has only its error."""
+
+    method: str  # the solver label
+    rep: int
+    seed: int
+    iters: Optional[int] = None
+    alpha: Optional[float] = None
+    converged: Optional[bool] = None
+    res_norm: Optional[float] = None
+    error: str = ""
+
+    @property
+    def failed(self):
+        return self.iters is None
+
+    @property
+    def status(self):
+        if self.failed:
+            return f"error: {self.error}"
+        return "ok" if self.converged else "not-converged"
 
 
 @dataclass
@@ -367,7 +377,7 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     return [(float(a), float(r)) for a, r in zip(grid, residuals)]
 
 
-def _write_manifest(path, config: ExperimentConfig, seeds, statuses):
+def _write_manifest(path, config: ExperimentConfig, seeds, runs):
     lines = [
         f"package_version={__version__}",
         f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
@@ -377,10 +387,18 @@ def _write_manifest(path, config: ExperimentConfig, seeds, statuses):
         for section in config.raw.sections():
             for key, val in config.raw[section].items():
                 lines.append(f"config.{section}.{key}={val}")
-    for key, status in sorted(statuses.items()):
-        lines.append(f"run.{key}={status}")
+    statuses = sorted((f"{r.method}_rep{r.rep}", r.status) for r in runs)
+    lines.extend(f"run.{key}={status}" for key, status in statuses)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _mean_sd(values):
+    """(mean, sample sd) of the values: sd 0 for one value, both None for none."""
+    a = np.array(values, dtype=float)
+    if not a.size:
+        return None, None
+    return float(a.mean()), float(a.std(ddof=1)) if a.size > 1 else 0.0
 
 
 def run_experiment(config: ExperimentConfig) -> int:
@@ -390,72 +408,40 @@ def run_experiment(config: ExperimentConfig) -> int:
     traces.mkdir(parents=True, exist_ok=True)
 
     seeds = [config.seed + r for r in range(config.repetitions)]
-    per_solver = {s.label: [] for s in config.solvers}
-    run_rows = []
-    statuses = {}
-    any_failed = False
-
+    runs = []
     for rep, seed in enumerate(seeds):
         problem = config.problem.build(seed)
         for spec in config.solvers:
-            key = f"{spec.label}_rep{rep}"
             try:
-                alpha, iters, conv, resid, trace = spec.run(problem)
+                r = spec.solve(problem)
             except TikmorError as exc:
                 logger.error("solver %s failed on rep %d: %s", spec.label, rep, exc)
-                statuses[key] = f"error: {exc}"
-                run_rows.append((spec.label, rep, seed, None, None, None, None, str(exc)))
-                any_failed = True
+                runs.append(_Run(spec.label, rep, seed, error=str(exc)))
                 continue
-            statuses[key] = "ok" if conv else "not-converged"
-            trace.write_csv(traces / f"{key}.csv")
-            per_solver[spec.label].append((iters, alpha, conv))
-            run_rows.append(
-                (spec.label, rep, seed, iters, alpha, int(bool(conv)), resid, "")
+            r.trace.write_csv(traces / f"{spec.label}_rep{rep}.csv")
+            iters = getattr(r, METHODS[spec.method].count)
+            runs.append(
+                _Run(spec.label, rep, seed, iters, r.alpha, bool(r.converged), r.residual_norm)
             )
-
-    write_csv(
-        out / "runs.csv",
-        ("method", "rep", "seed", "iters", "alpha", "converged", "res_norm", "error"),
-        run_rows,
-    )
+    write_csv(out / "runs.csv", _Run._fields, runs)
 
     summary_rows = []
     for spec in config.solvers:
-        entries = per_solver[spec.label]
-        iters = np.array([e[0] for e in entries], dtype=float)
-        alphas = np.array(
-            [e[1] for e in entries if e[1] is not None], dtype=float
-        )
-        n_ok = len(entries)
-        n_failed = config.repetitions - n_ok
-
-        def _mean(a):
-            return float(a.mean()) if a.size else None
-
-        def _sd(a):
-            if a.size > 1:
-                return float(a.std(ddof=1))
-            return 0.0 if a.size == 1 else None
-
-        summary_rows.append(
-            (
-                spec.label,
-                _mean(iters),
-                _sd(iters),
-                _mean(alphas),
-                _sd(alphas),
-                n_ok,
-                n_failed,
-            )
-        )
+        done = [r for r in runs if r.method == spec.label and not r.failed]
+        summary_rows.append((
+            spec.label,
+            *_mean_sd([r.iters for r in done]),
+            *_mean_sd([r.alpha for r in done if r.alpha is not None]),
+            len(done),
+            config.repetitions - len(done),
+        ))
     write_csv(
         out / "summary.csv",
         ("method", "mean_iters", "sd_iters", "mean_alpha", "sd_alpha", "n_runs", "n_failed"),
         summary_rows,
     )
-    _write_manifest(out / "manifest.txt", config, seeds, statuses)
-    return 2 if any_failed else 0
+    _write_manifest(out / "manifest.txt", config, seeds, runs)
+    return 2 if any(r.failed for r in runs) else 0
 
 
 def run_curve(config: ExperimentConfig) -> int:

@@ -4,8 +4,8 @@ Operators expose ``matvec``/``rmatvec`` plus exact dimensions. Three
 representations are supported: dense (ndarray), sparse (CSR) and the
 composite right-preconditioned product ``A @ inv(L)`` used to reduce
 general-form Tikhonov problems to standard form. Tikhonov systems
-(G + alpha I) x = g are not solved here: ``ntm.normal_equation_solve``
-solves them in the eigenbasis of the dense Gram matrix ``gram()``.
+(G + alpha I) x = g are not solved here: the solvers solve them in the
+eigenbasis of the dense Gram matrix ``gram()``.
 
 Everything is float64; operators are immutable after construction. A
 ``DenseOperator`` holds a read-only float64 array that owns its data as is

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, SingularJacobianError
 from .linop import as_operator
 from .problems import InverseProblem
-from .trace import NTM_COLUMNS, SolveTrace
+from .trace import NTM_COLUMNS, SolveResult, SolveTrace
 
 SOLVE_RTOL = 1e-10
 # bound on ||(x, F1, F2)|| / alpha: the rescaled system's norms fit in a float
@@ -54,15 +54,6 @@ def spectral_gram(G):
     if not (np.isfinite(lam).all() and math.isfinite(Q.sum())):  # |Q_ij| <= 1: no overflow
         raise ConvergenceFailure("Gram matrix is not finite: its eigenpairs are not")
     return np.maximum(lam, 0.0), Q
-
-
-def normal_equation_solve(lam, Q, gh, alpha):
-    """x with (G + alpha I) x = g, from G = Q diag(lam) Q^T and gh = Q^T g.
-
-    x = Q ((Q^T g) / (lam + alpha)), O(n^2); the Newton solvers and the curve
-    take its eigen-coordinates gh / (lam + alpha) without the product with Q.
-    """
-    return Q @ (gh / (lam + alpha))
 
 
 def eigen_residual_sq(lam, gh, bb, xh) -> float:
@@ -262,17 +253,6 @@ class NtmConfig:
             raise ValueError("tol must be positive and max_iter >= 1")
 
 
-@dataclass
-class NtmResult:
-    x: np.ndarray
-    alpha: float
-    trace: SolveTrace
-    converged: bool
-    n_iter: int
-    residual_norm: float
-    F_norm: float
-
-
 def _check_discrepancy_feasible(b, eps):
     bnorm = float(np.linalg.norm(b))
     if not math.isfinite(bnorm + eps):
@@ -344,7 +324,7 @@ def newton_steps(lam, gh, bb, eps, xh, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
         yield NewtonStep(xh, alpha, res, Fnorm, gamma, dinv, theta, case_id, dir_norm)
 
 
-def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> NtmResult:
+def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> SolveResult:
     """Full-space Newton solve for (x, alpha).
 
     Starts on the discrepancy curve (x0 solves the Tikhonov normal
@@ -379,12 +359,11 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> Nt
         trace.append(k, *step.row)
 
     x = Q @ step.xh
-    return NtmResult(
+    return SolveResult(
         x=x,
         alpha=float(step.alpha),
         trace=trace,
         converged=step.F_norm < config.tol,
         n_iter=k,
         residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
-        F_norm=step.F_norm,
     )

@@ -69,7 +69,6 @@ class KrylovResult:
     n_outer: int
     n_inner_total: int
     residual_norm: float
-    F_norm: float
     y: np.ndarray
     factorization: BidiagFactorization
 
@@ -129,7 +128,6 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     f = init_bidiag(A, b)
     alpha_prev = alpha = alpha0
     y = np.zeros(0)
-    Fnorm = np.inf
     converged = False
     total_inner = 0
     n_outer = 0
@@ -166,7 +164,6 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
         n_outer=n_outer,
         n_inner_total=total_inner,
         residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
-        F_norm=float(Fnorm),
         y=y,
         factorization=f,
     )

@@ -92,14 +92,23 @@ def uniform_operator(rng: np.random.Generator, m: int, n: int) -> DenseOperator:
     return DenseOperator(M)
 
 
-def _add_noise(operator, x_exact, noise_fraction, rng):
+def _add_noise(operator, x_exact, noise_fraction, rng, seed) -> InverseProblem:
+    """The problem with b = A x_exact plus noise by the module's recipe."""
     b_exact = operator.matvec(x_exact)
     m = operator.rows
     nrm = np.linalg.norm(b_exact)
     sigma = noise_fraction * nrm / np.sqrt(m)
     e = sigma * gaussian(rng, m) if noise_fraction > 0 else np.zeros(m)
-    eps = sigma * np.sqrt(m)  # == noise_fraction * ||b_exact|| exactly
-    return b_exact, e, sigma, eps
+    return InverseProblem(
+        operator=operator,
+        b=b_exact + e,
+        noise_level=sigma * np.sqrt(m),  # == noise_fraction * ||b_exact|| exactly
+        ground_truth=x_exact,
+        b_exact=b_exact,
+        noise=e,
+        sigma=sigma,
+        seed=seed,
+    )
 
 
 def random_uniform_problem(m, n, noise_fraction, seed) -> InverseProblem:
@@ -111,17 +120,7 @@ def random_uniform_problem(m, n, noise_fraction, seed) -> InverseProblem:
     rng = np.random.default_rng(seed)
     A = uniform_operator(rng, m, n)
     x_exact = 2.0 * rng.random(n) - 1.0
-    b_exact, e, sigma, eps = _add_noise(A, x_exact, noise_fraction, rng)
-    return InverseProblem(
-        operator=A,
-        b=b_exact + e,
-        noise_level=eps,
-        ground_truth=x_exact,
-        b_exact=b_exact,
-        noise=e,
-        sigma=sigma,
-        seed=seed,
-    )
+    return _add_noise(A, x_exact, noise_fraction, rng, seed)
 
 
 def sine_wave_problem(A, noise_fraction, seed) -> InverseProblem:
@@ -130,18 +129,7 @@ def sine_wave_problem(A, noise_fraction, seed) -> InverseProblem:
     n = A.cols
     h = 2.0 * np.pi / (n + 1)
     x_exact = np.sin(h * np.arange(1, n + 1))
-    rng = np.random.default_rng(seed)
-    b_exact, e, sigma, eps = _add_noise(A, x_exact, noise_fraction, rng)
-    return InverseProblem(
-        operator=A,
-        b=b_exact + e,
-        noise_level=eps,
-        ground_truth=x_exact,
-        b_exact=b_exact,
-        noise=e,
-        sigma=sigma,
-        seed=seed,
-    )
+    return _add_noise(A, x_exact, noise_fraction, np.random.default_rng(seed), seed)
 
 
 def relative_stats(problem: InverseProblem, x) -> RelativeStats:

@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import InfeasibleDiscrepancyError, ZeroSumError
 from .linop import as_operator
-from .ntm import normal_equation_solve, stacked_norm
+from .ntm import stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
-from .trace import CGLS_COLUMNS, GBIT_COLUMNS, SIRT_COLUMNS, SolveTrace
+from .trace import CGLS_COLUMNS, GBIT_COLUMNS, SIRT_COLUMNS, SolveResult, SolveTrace
 
 logger = logging.getLogger(__name__)
 
@@ -67,7 +67,7 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     trace = SolveTrace(columns=GBIT_COLUMNS)
 
     def update(k, B, c, lam, Q, gh, res_z, alpha_prev):
-        y = normal_equation_solve(lam, Q, gh, alpha_prev)
+        y = Q @ (gh / (lam + alpha_prev))  # (B^T B + alpha_prev I) y = B^T c
         res_y = float(np.linalg.norm(B @ y - c))
         if res_y == res_z:
             logger.warning(
@@ -128,19 +128,11 @@ def sirt_operators(A) -> SirtOperators:
     )
 
 
-@dataclass
-class SirtResult:
-    x: np.ndarray
-    trace: SolveTrace
-    reached_discrepancy: bool
-    n_iter: int
-    residual_norm: float
-
-
 def sirt_solve(
     problem: InverseProblem, max_iter=1000, stop_at_discrepancy=True
-) -> SirtResult:
-    """Stationary iteration x <- x + C A^T R (b - A x) from x = 0."""
+) -> SolveResult:
+    """Stationary iteration x <- x + C A^T R (b - A x) from x = 0; converged
+    means the residual reached the discrepancy level and stopped the run."""
     A = as_operator(problem.operator)
     b = problem.b
     eps = problem.discrepancy_target
@@ -150,18 +142,19 @@ def sirt_solve(
     x = np.zeros(A.cols)
     reached = False
     n_iter = 0
+    r = b  # b - A x at x = 0
     res = float(np.linalg.norm(b))
     for k in range(1, max_iter + 1):
-        r = b - A.matvec(x)
         x = x + ops.col_scale * A.rmatvec(ops.row_scale * r)
-        res = float(np.linalg.norm(b - A.matvec(x)))
+        r = b - A.matvec(x)
+        res = float(np.linalg.norm(r))
         n_iter = k
         trace.append(k, None, res)
         if stop_at_discrepancy and res <= eps:
             reached = True
             break
-    return SirtResult(
-        x=x, trace=trace, reached_discrepancy=reached, n_iter=n_iter,
+    return SolveResult(
+        x=x, alpha=None, trace=trace, converged=reached, n_iter=n_iter,
         residual_norm=res,
     )
 
@@ -169,16 +162,7 @@ def sirt_solve(
 # -- CGLS ---------------------------------------------------------------------
 
 
-@dataclass
-class CglsResult:
-    x: np.ndarray
-    trace: SolveTrace
-    converged: bool
-    n_iter: int
-    residual_norm: float
-
-
-def cgls(A, b, eps, max_iter=1000) -> CglsResult:
+def cgls(A, b, eps, max_iter=1000) -> SolveResult:
     """Conjugate-gradient least squares with discrepancy stopping.
 
     Iterates on min ||A x - b|| from x = 0 and stops at the first iterate
@@ -217,6 +201,7 @@ def cgls(A, b, eps, max_iter=1000) -> CglsResult:
         gamma_new = float(s @ s)
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
-    return CglsResult(
-        x=x, trace=trace, converged=converged, n_iter=n_iter, residual_norm=res
+    return SolveResult(
+        x=x, alpha=None, trace=trace, converged=converged, n_iter=n_iter,
+        residual_norm=res,
     )

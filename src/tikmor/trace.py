@@ -1,4 +1,4 @@
-"""Per-iteration solve traces and their CSV form.
+"""Per-iteration solve traces, their CSV form, and the result record of a solve.
 
 Every solver appends aligned rows; the CSV schema is fixed per solver so
 runs of different methods can be overlaid by downstream tooling. Missing
@@ -9,6 +9,7 @@ also writes the experiment tables of the CLI.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -61,11 +62,21 @@ class SolveTrace:
             dtype=float,
         )
 
-    def last(self, name):
-        return self.column(name)[-1]
-
     def __len__(self):
         return len(self.rows)
 
     def write_csv(self, path):
         write_csv(path, self.columns, self.rows)
+
+
+@dataclass
+class SolveResult:
+    """Outcome of an ntm, sirt or cgls solve; alpha is None for sirt and cgls,
+    and ``converged`` says whether the method's stop test was met."""
+
+    x: np.ndarray
+    alpha: Optional[float]
+    trace: SolveTrace
+    converged: bool
+    n_iter: int
+    residual_norm: float

@@ -16,6 +16,9 @@ REMOVED = (
     "GbitResult",
     "normal_equation_solve",
     "cgls_priorconditioned",
+    "NtmResult",
+    "SirtResult",
+    "CglsResult",
 )
 
 

