@@ -9,11 +9,11 @@ Configuration is a flat INI file (sections of key=value pairs) with one
     output = out/table1
 
     [problem]
-    type = randomUniform        ; randomUniform | sineWave | matrixmarket | directory
+    type = randomUniform        ; randomUniform | sineWave | directory
     m = 700
     n = 500
     noise = 0.10
-    ; path = fixtures/survey219.mtx   (sineWave / matrixmarket / directory)
+    ; path = fixtures/survey219.mtx   (sineWave / directory)
 
     [solver ntm-case2]
     method = ntm                ; ntm | pntm | gbit | sirt | cgls-pc
@@ -33,8 +33,7 @@ The other sections take only the keys shown, plus ``precondition``
 config error. ``precondition = smooth`` hands every solver the
 standard-form problem A inv(L) z = b of the smoothing prior L
 (``problems.priorconditioned_problem``); cgls-pc applies that transform
-itself to a problem that does not carry it yet. ``matrixmarket`` is
-``sineWave`` on the Matrix Market file at ``path``, which it requires.
+itself to a problem that does not carry it yet.
 Solver keys besides ``method``, by method (defaults are those of the
 config dataclasses; any other key, or a value the solver rejects, is a
 config error):
@@ -98,7 +97,6 @@ logger = logging.getLogger(__name__)
 PROBLEM_TYPES = {  # lower-cased ``type`` -> ProblemSpec.kind
     "randomuniform": "random_uniform",
     "sinewave": "sine_wave",
-    "matrixmarket": "sine_wave",
     "directory": "directory",
 }
 
@@ -294,7 +292,7 @@ def load_config(path) -> ExperimentConfig:
         path=psec.get("path", None),
         precondition=psec.get("precondition", "none").strip(),
     )
-    if raw_kind.lower() in ("matrixmarket", "directory") and not problem.path:
+    if kind == "directory" and not problem.path:
         raise ConfigError(f"problem type {raw_kind!r} needs a path")
     generated = kind == "random_uniform" or (kind == "sine_wave" and not problem.path)
     if generated and (problem.m < 1 or problem.n < 1):

@@ -123,18 +123,6 @@ class RegularizationMatrix:
             raise DimensionError("regularization matrix needs dim >= 1")
         self.dim = int(dim)
 
-    def matvec(self, z):
-        z = np.asarray(z, dtype=float)
-        out = -z.copy()
-        out[:-1] += z[1:]
-        return out
-
-    def rmatvec(self, z):
-        z = np.asarray(z, dtype=float)
-        out = -z.copy()
-        out[1:] += z[:-1]
-        return out
-
     def solve(self, w):
         """z with L z = w (back substitution, O(n))."""
         w = np.asarray(w, dtype=float)
@@ -150,10 +138,6 @@ class RegularizationMatrix:
             raise DimensionError(f"expected last axis of length {self.dim}, got {w.shape}")
         z = np.cumsum(w, axis=-1)
         return np.negative(z, out=z)
-
-    def to_dense(self):
-        n = self.dim
-        return -np.eye(n) + np.diag(np.ones(n - 1), 1)
 
 
 class PriorconditionedOperator(LinearOperator):

@@ -33,14 +33,6 @@ class ImageView:
                 f"width*height = {self.width * self.height} != data length {self.data.size}"
             )
 
-    @classmethod
-    def from_array(cls, arr):
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionError("expected a 2-d array")
-        h, w = arr.shape
-        return cls(data=arr.ravel(), width=w, height=h)
-
 
 def ssim(x: ImageView, y: ImageView) -> float:
     """Global structural similarity of two equally sized images."""

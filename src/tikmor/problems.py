@@ -68,10 +68,6 @@ class InverseProblem:
     def discrepancy_target(self) -> float:
         return self.eta * self.noise_level
 
-    @property
-    def shape(self):
-        return self.operator.shape
-
 
 @dataclass
 class RelativeStats:
@@ -79,8 +75,7 @@ class RelativeStats:
 
     rel_discrepancy: float
     rel_residual: float
-    rel_error: Optional[float] = None
-    rel_error_defined: bool = False
+    rel_error: Optional[float] = None  # None without a nonzero ground truth
 
 
 def uniform_operator(rng: np.random.Generator, m: int, n: int) -> DenseOperator:
@@ -138,18 +133,11 @@ def relative_stats(problem: InverseProblem, x) -> RelativeStats:
     rel_disc = problem.noise_level / bnorm
     rel_res = np.linalg.norm(problem.operator.matvec(x) - problem.b) / bnorm
     rel_err = None
-    defined = False
     if problem.ground_truth is not None:
         tnorm = np.linalg.norm(problem.ground_truth)
         if tnorm > 0:
             rel_err = float(np.linalg.norm(x - problem.ground_truth) / tnorm)
-            defined = True
-    return RelativeStats(
-        rel_discrepancy=float(rel_disc),
-        rel_residual=float(rel_res),
-        rel_error=rel_err,
-        rel_error_defined=defined,
-    )
+    return RelativeStats(float(rel_disc), float(rel_res), rel_err)
 
 
 def priorconditioned_problem(problem: InverseProblem, reg):

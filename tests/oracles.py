@@ -80,6 +80,11 @@ def projected_newton_system(f, y, alpha, eps):
     return spectral_direction(B.T @ B, y, alpha, F1, F2, PROJECTED_SOLVE_RTOL)
 
 
+def regularization_dense(dim):
+    """L of the smoothing stencil: -1 on the diagonal, +1 above it."""
+    return -np.eye(dim) + np.diag(np.ones(dim - 1), 1)
+
+
 def inverse_dense(dim):
     """inv(L) of the smoothing stencil: -triu(ones), column j is -1 on rows <= j."""
     return -np.triu(np.ones((dim, dim)))

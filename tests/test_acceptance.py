@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
 The random-matrix batches are shared across criteria through module-scoped
-fixtures, so the expensive solves run once.
+fixtures, so the expensive solves run once. The last test pins the scale
+invariance that ntm, pntm and gbit do not have yet (ROADMAP item 2).
 """
 
 import numpy as np
@@ -353,3 +354,45 @@ def test_criterion_11_ssim_suite():
         11, "image similarity suite", ok,
         f"anticorrelated pair={got:.6f} (oracle {oracle:.6f})",
     )
+
+
+SCALE_XFAIL = pytest.mark.xfail(
+    strict=True, reason="absolute stop tests are not scale invariant (ROADMAP item 2)"
+)
+
+
+def _scaled_solve(method, p, c):
+    """(counts, converged, alpha / c^2) of the solve of c A x = c b at eps c and alpha0 c^2."""
+    q = InverseProblem(
+        operator=as_operator(c * p.operator.to_dense()), b=c * p.b, noise_level=c * p.noise_level
+    )
+    if method == "ntm":
+        r = ntm_solve(q, NtmConfig(alpha0=c * c))
+        counts = (r.n_iter,)
+    elif method == "pntm":
+        r = pntm_solve(q, PntmConfig(alpha0=c * c, inner_cap_large=50))
+        counts = (r.n_outer, r.n_inner_total)
+    else:
+        r = gbit_solve(q, GbitConfig(alpha0=c * c))
+        counts = (r.n_outer,)
+    return counts, r.converged, r.alpha / (c * c)
+
+
+@pytest.mark.parametrize(
+    "method, c",
+    [
+        pytest.param("ntm", 1e3, marks=SCALE_XFAIL),  # 500 steps, alpha stays at alpha0
+        pytest.param("ntm", 1e6, marks=SCALE_XFAIL),
+        ("pntm", 1e3),
+        pytest.param("pntm", 1e6, marks=SCALE_XFAIL),  # 100 outer / 4800 inner, unconverged
+        pytest.param("gbit", 1e3, marks=SCALE_XFAIL),  # converges, 34 outer against 16
+        pytest.param("gbit", 1e6, marks=SCALE_XFAIL),  # converges, 65 outer
+    ],
+)
+def test_scaled_problem_solves_like_unscaled(method, c):
+    # scaling A, b and eps by c maps the solution x to x and alpha to c^2 alpha
+    p = random_uniform_problem(120, 80, 0.1, 7)
+    counts, converged, alpha = _scaled_solve(method, p, 1.0)
+    scaled_counts, scaled_converged, scaled_alpha = _scaled_solve(method, p, c)
+    assert (scaled_counts, scaled_converged) == (counts, converged)
+    assert scaled_alpha == pytest.approx(alpha, rel=1e-9)

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,8 @@ from tikmor.cli import (
 from conftest import counting_operator
 from oracles import normal_equation_solve
 
-CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
 
 BASE_CFG = """
 [experiment]
@@ -74,6 +76,26 @@ def test_invalid_solver_name_fails_before_work(tmp_path):
 def test_shipped_config_loads(path):
     cfg = load_config(path)
     assert cfg.solvers
+
+
+def shrunk(text, out):
+    """A shipped config at a tenth of its size, 2 repetitions, writing to out."""
+    text = re.sub(r"^([mn]) = (\d+)$", lambda g: f"{g[1]} = {int(g[2]) // 10}", text,
+                  flags=re.M)
+    text = re.sub(r"^repetitions = .*\n", "", text, flags=re.M)
+    text = text.replace("[experiment]", "[experiment]\nrepetitions = 2", 1)
+    text = re.sub(r"^output = .*$", f"output = {out}", text, flags=re.M)
+    return re.sub(r"^path = (.*)$", lambda g: f"path = {ROOT / g[1]}", text, flags=re.M)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_runs(tmp_path, path):
+    # each study runs end to end: 700x500 becomes 70x50, 2100x1500 210x150
+    cfg = write_cfg(tmp_path, shrunk(path.read_text(), tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
+    labels = [s.label for s in load_config(cfg).solvers]
+    assert [ln.split(",")[0] for ln in runs[1:]] == labels * 2
 
 
 def append_solver(tmp_path, body):
@@ -476,6 +498,7 @@ def test_curve_applies_operator_once():
         ("[solver ntm-case2]", "[curve]\npoints = 5\nspacing = linaer\n\n[solver ntm-case2]"),
         ("type = randomUniform\nm = 40\nn = 25", "type = sineWave"),
         ("type = randomUniform", "type = matrixmarket"),
+        ("type = randomUniform", f"type = matrixmarket\npath = {ROOT / 'tests/fixtures/survey219.mtx'}"),
         ("[solver ntm-case2]", "[curve]\nalphas = 0.1, 1, 10\n\n[solver ntm-case2]"),
         ("type = randomUniform", "type = random_uniform"),
         ("type = randomUniform", "type = sine_wave"),
@@ -484,6 +507,7 @@ def test_curve_applies_operator_once():
     ],
     ids=[
         "curve-spacing", "sinewave-without-size", "matrixmarket-without-path",
+        "matrixmarket-with-path",
         "curve-alphas", "type-random_uniform", "type-sine_wave", "type-matrix_market",
         "pntm-inner_small",
     ],

@@ -64,9 +64,3 @@ def test_dimension_mismatch_rejected():
 def test_image_view_validates_size():
     with pytest.raises(DimensionError):
         ImageView(data=np.zeros(5), width=2, height=2)
-
-
-def test_image_view_from_array():
-    img = ImageView.from_array(np.arange(6.0).reshape(2, 3))
-    assert (img.width, img.height) == (3, 2)
-    assert np.array_equal(img.data, np.arange(6.0))

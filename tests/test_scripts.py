@@ -28,13 +28,7 @@ def run(args, cwd=ROOT):
 
 
 @pytest.mark.parametrize(
-    "script",
-    [
-        ["run_random_matrix_study.py", "--reps", "1", "--m", "70", "--n", "50"],
-        ["run_projected_comparison.py", "--reps", "1", "--m", "210", "--n", "150"],
-        ["run_sparse_fixture_table.py", "--inner-cap", "10"],
-    ],
-    ids=lambda s: s[0],
+    "script", [["run_sparse_fixture_table.py", "--inner-cap", "10"]], ids=lambda s: s[0]
 )
 def test_script_runs(script):
     out = run([str(ROOT / "scripts" / script[0]), *script[1:]])
