@@ -8,7 +8,7 @@ Reference methods (GBiT, SIRT, priorconditioned CGLS) and an experiment
 CLI round out the package.
 """
 
-from .bidiag import BidiagBreakdown, BidiagFactorization, init_bidiag
+from .bidiag import BidiagBreakdown, BidiagFactorization
 from .errors import (
     ConvergenceFailure,
     DegenerateRhsError,
@@ -96,7 +96,6 @@ __all__ = [
     "cgls",
     "dinv_norm",
     "gbit_solve",
-    "init_bidiag",
     "load_matrix_market",
     "load_problem",
     "ntm_solve",

@@ -46,9 +46,6 @@ class LinearOperator:
     def to_dense(self):
         raise NotImplementedError
 
-    def frobenius_norm(self):
-        return float(np.linalg.norm(self.to_dense()))
-
     def gram(self):
         """Dense A^T A, diagonalized once per full-space solve (``ntm.spectral_gram``)."""
         A = self.to_dense()
@@ -101,9 +98,6 @@ class SparseOperator(LinearOperator):
 
     def to_dense(self):
         return self._A.toarray()
-
-    def frobenius_norm(self):
-        return float(np.sqrt((self._A.data**2).sum()))
 
     @property
     def sparse(self):
@@ -165,16 +159,6 @@ class PriorconditionedOperator(LinearOperator):
 
     def to_dense(self):
         return self.reg.solve_transpose(self.base.to_dense())
-
-    def frobenius_norm(self):
-        # by row blocks of A inv(L) of about 1 MB: the m x n product is never held whole
-        A = self.base.to_dense()
-        step = max(1, (1 << 17) // self.cols)
-        total = 0.0
-        for i in range(0, self.rows, step):
-            block = self.reg.solve_transpose(A[i : i + step])
-            total += float(np.vdot(block, block))
-        return float(np.sqrt(total))
 
 
 def _issparse(obj):

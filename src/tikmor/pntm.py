@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bidiag import BidiagFactorization, init_bidiag
+from .bidiag import BidiagFactorization
 from .errors import DegenerateRhsError
 from .linop import as_operator
 from .ntm import (
@@ -125,7 +125,7 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     eps = problem.discrepancy_target
     _check_discrepancy_feasible(b, eps)
 
-    f = init_bidiag(A, b)
+    f = BidiagFactorization(A, b, max_iter)
     alpha_prev = alpha = alpha0
     y = np.zeros(0)
     converged = False

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tikmor import (
+    BidiagFactorization,
     GbitConfig,
     ImageView,
     InverseProblem,
@@ -20,7 +21,6 @@ from tikmor import (
     cgls,
     dinv_norm,
     gbit_solve,
-    init_bidiag,
     load_matrix_market,
     ntm_solve,
     pntm_solve,
@@ -225,7 +225,7 @@ def test_criterion_7_bidiagonalization_suite():
         m = n + int(rng.integers(0, 41))
         m = min(m, 100)
         A = rng.standard_normal((m, n))
-        f = init_bidiag(A, rng.standard_normal(m))
+        f = BidiagFactorization(A, rng.standard_normal(m), n)
         while f.can_expand():
             if not f.expand():
                 break

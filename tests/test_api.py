@@ -19,6 +19,7 @@ REMOVED = (
     "NtmResult",
     "SirtResult",
     "CglsResult",
+    "init_bidiag",
 )
 
 

@@ -3,10 +3,14 @@ import pytest
 
 from tikmor import (
     BidiagBreakdown,
+    BidiagFactorization,
     DegenerateRhsError,
     DenseOperator,
+    InverseProblem,
     TikmorError,
-    init_bidiag,
+    as_operator,
+    gbit_solve,
+    pntm_solve,
 )
 from tikmor.bidiag import _cgs2
 
@@ -31,7 +35,7 @@ def factorization_checks(A, f):
 
 
 def test_init_normalizes_rhs():
-    f = init_bidiag(np.eye(2), np.array([3.0, 4.0]))
+    f = BidiagFactorization(np.eye(2), np.array([3.0, 4.0]), 2)
     assert np.allclose(f.U[:, 0], [0.6, 0.8])
     assert f.c[0] == pytest.approx(5.0)
     assert f.k == 0
@@ -39,18 +43,18 @@ def test_init_normalizes_rhs():
 
 def test_init_rejects_zero_rhs():
     with pytest.raises(DegenerateRhsError):
-        init_bidiag(np.eye(2), np.zeros(2))
+        BidiagFactorization(np.eye(2), np.zeros(2), 2)
 
 
 def test_u1_unit_norm(rng):
     b = rng.standard_normal(30)
-    f = init_bidiag(rng.standard_normal((30, 10)), b)
+    f = BidiagFactorization(rng.standard_normal((30, 10)), b, 10)
     assert abs(np.linalg.norm(f.U[:, 0]) - 1.0) <= 1e-15
 
 
 def test_first_expansion_diagonal_example():
     A = np.diag([2.0, 1.0])
-    f = init_bidiag(A, np.array([1.0, 1.0]))
+    f = BidiagFactorization(A, np.array([1.0, 1.0]), 2)
     assert f.expand()
     # r_1 = A^T u_1 = [2, 1]/sqrt(2), mu_1 = sqrt(5/2)
     assert f.B[0, 0] == pytest.approx(np.sqrt(2.5), rel=1e-12)
@@ -59,7 +63,7 @@ def test_first_expansion_diagonal_example():
 
 def test_identity_breakdown():
     # A v_1 = u_1 exactly, so the nu step collapses
-    f = init_bidiag(np.eye(3), np.array([1.0, 0.0, 0.0]))
+    f = BidiagFactorization(np.eye(3), np.array([1.0, 0.0, 0.0]), 3)
     assert not f.expand()
     assert f.breakdown
     assert f.k == 1
@@ -70,9 +74,47 @@ def test_identity_breakdown():
     assert isinstance(info.value, TikmorError)
 
 
+def test_expands_up_to_its_budget(rng):
+    # storage holds k_max columns; past them the factorization is final
+    f = BidiagFactorization(rng.standard_normal((30, 10)), rng.standard_normal(30), 3)
+    for _ in range(3):
+        assert f.can_expand()
+        assert f.expand()
+    assert f.k == 3 and f.U.shape == (30, 4) and f.B.shape == (4, 3)
+    assert not f.can_expand()
+    with pytest.raises(BidiagBreakdown, match="full"):
+        f.expand()
+
+
+# sigma = 1e10, 1 and 1e-5, and b has no component along the 1e10 direction:
+# ||A||_F counts a singular value the Krylov space never reaches
+GRADED_A = np.vstack([np.diag([1e10, 1.0, 1e-5]), np.zeros((1, 3))])
+GRADED_B = np.array([0.0, 1.0, 1.0, 1.0])
+
+
+def test_breakdown_scale_is_the_subspaces_own():
+    # the 1e-5 direction is genuine next to mu_1 = 1, though below 1e-14 ||A||_F
+    f = BidiagFactorization(GRADED_A, GRADED_B, 3)
+    expand_fully(f)
+    assert f.k == 2
+    lsq = np.linalg.norm(GRADED_A @ np.linalg.lstsq(GRADED_A, GRADED_B, rcond=None)[0]
+                         - GRADED_B)
+    assert lsq == pytest.approx(1.0, rel=1e-12)
+    assert f.lsqr_residual == pytest.approx(lsq, rel=1e-12)
+
+
+@pytest.mark.parametrize("solve", [pntm_solve, gbit_solve])
+def test_krylov_solves_reach_the_graded_discrepancy(solve):
+    eps, tol = 1.2, 1e-3
+    res = solve(InverseProblem(operator=as_operator(GRADED_A), b=GRADED_B,
+                               noise_level=eps))
+    assert res.converged
+    assert abs(res.residual_norm - eps) <= 2 * tol * eps
+
+
 def test_full_expansion_factorization(rng):
     A = rng.standard_normal((30, 20))
-    f = init_bidiag(A, rng.standard_normal(30))
+    f = BidiagFactorization(A, rng.standard_normal(30), 20)
     expand_fully(f)
     assert f.k == 20
     factorization_checks(A, f)
@@ -85,7 +127,7 @@ def test_factorization_after_breakdown(rng):
     left = rng.standard_normal((15, 4))
     right = rng.standard_normal((4, 10))
     A = left @ right
-    f = init_bidiag(A, rng.standard_normal(15))
+    f = BidiagFactorization(A, rng.standard_normal(15), 10)
     expand_fully(f)
     assert f.breakdown
     assert f.k <= 5
@@ -96,8 +138,8 @@ def test_krylov_span(rng):
     # V_k spans the Krylov space built from A^T b and powers of A^T A
     A = rng.standard_normal((12, 8))
     b = rng.standard_normal(12)
-    f = init_bidiag(A, b)
     k = 4
+    f = BidiagFactorization(A, b, k)
     for _ in range(k):
         f.expand()
     V = f.V
@@ -112,7 +154,7 @@ def test_krylov_span(rng):
 def test_mu_breakdown_keeps_lsqr_residual(rng):
     # rank one: after u_2 no new direction of V exists, so the mu step collapses
     A = np.outer(rng.standard_normal(6), rng.standard_normal(4))
-    f = init_bidiag(A, rng.standard_normal(6))
+    f = BidiagFactorization(A, rng.standard_normal(6), 4)
     assert f.expand()
     before = f.lsqr_residual
     assert not f.expand()
@@ -121,7 +163,7 @@ def test_mu_breakdown_keeps_lsqr_residual(rng):
 
 
 def test_projected_residual_zero_coordinates():
-    f = init_bidiag(np.eye(4), np.array([1.0, 2.0, 2.0, 0.0]))
+    f = BidiagFactorization(np.eye(4), np.array([1.0, 2.0, 2.0, 0.0]), 1)
     f.expand()
     assert projected_residual_norm(f, np.zeros(f.k)) == pytest.approx(3.0)
 
@@ -129,7 +171,7 @@ def test_projected_residual_zero_coordinates():
 def test_projected_residual_closed_form_k1(rng):
     A = rng.standard_normal((9, 5))
     b = rng.standard_normal(9)
-    f = init_bidiag(A, b)
+    f = BidiagFactorization(A, b, 1)
     f.expand()
     mu1, nu2 = f.B[0, 0], f.B[1, 0]
     beta = np.linalg.norm(b)
@@ -141,7 +183,7 @@ def test_projected_residual_closed_form_k1(rng):
 def test_projected_residual_matches_lifted(rng):
     A = rng.standard_normal((25, 15))
     b = rng.standard_normal(25)
-    f = init_bidiag(A, b)
+    f = BidiagFactorization(A, b, 6)
     for _ in range(6):
         f.expand()
     for _ in range(5):
@@ -153,7 +195,7 @@ def test_projected_residual_matches_lifted(rng):
 
 def test_invariants_hold_after_every_expansion(rng):
     A = rng.standard_normal((18, 12))
-    f = init_bidiag(A, rng.standard_normal(18))
+    f = BidiagFactorization(A, rng.standard_normal(18), 12)
     while f.can_expand():
         if not f.expand():
             break
@@ -183,7 +225,7 @@ def test_graded_operator_stays_orthonormal(rng):
     left = np.linalg.qr(rng.standard_normal((m, n)))[0]
     right = np.linalg.qr(rng.standard_normal((n, n)))[0]
     A = (left * np.logspace(0, -14, n)) @ right.T
-    f = init_bidiag(A, rng.standard_normal(m))
+    f = BidiagFactorization(A, rng.standard_normal(m), k)
     for _ in range(k):
         assert f.expand()
         B, c = f.B, f.c
@@ -210,7 +252,7 @@ def test_expand_applies_operator_once_each_way(rng):
         return spy
 
     op.matvec, op.rmatvec = counted("matvec"), counted("rmatvec")
-    f = init_bidiag(op, rng.standard_normal(20))
+    f = BidiagFactorization(op, rng.standard_normal(20), 12)
     for k in range(1, 13):
         assert f.expand()
         assert calls == {"matvec": k, "rmatvec": k}

@@ -6,10 +6,14 @@ from scipy.linalg import lu_factor, lu_solve, svdvals
 
 from tikmor import (
     ConvergenceFailure,
+    DenseOperator,
     InfeasibleDiscrepancyError,
     InverseProblem,
     NtmConfig,
+    PriorconditionedOperator,
+    RegularizationMatrix,
     SingularJacobianError,
+    SparseOperator,
     StepRule,
     as_operator,
     dinv_norm,
@@ -501,20 +505,34 @@ def test_infeasible_discrepancy_rejected():
         ntm_solve(p)
 
 
-@pytest.mark.parametrize("where", ["A", "b"])
+# a bad entry of A on a row where b is 0 meets u_1 = b / ||b|| only as 0 * bad
+ZERO_ROW_OPERATORS = {
+    "A_on_zero_b": DenseOperator,
+    "sparse_on_zero_b": SparseOperator,
+    "priorconditioned_on_zero_b": lambda A: PriorconditionedOperator(
+        DenseOperator(A), RegularizationMatrix(A.shape[1])),
+}
+
+
+@pytest.mark.parametrize("where", ["A", "b", *ZERO_ROW_OPERATORS])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("solve", [ntm_solve, pntm_solve, gbit_solve])
 def test_nonfinite_input_fails_typed(solve, bad, where):
-    # caught on norms the solvers already form (||b||, ||A||_F, the Gram
-    # eigenvalues), not numpy's LinAlgError from eigh or a later symptom
+    # caught on numbers the solvers already form (||b||, the Gram eigenvalues,
+    # the Golub-Kahan mu_1), not numpy's LinAlgError from eigh, a raw
+    # RuntimeWarning or a later symptom
     p = random_uniform_problem(30, 20, 0.10, seed=5)
     A, b = p.operator.to_dense().copy(), p.b.copy()
-    if where == "A":
-        A[3, 4] = bad
-    else:
+    op = as_operator
+    if where == "b":
         b[7] = bad
+    else:
+        A[3, 4] = bad
+    if where in ZERO_ROW_OPERATORS:
+        b[3] = 0.0
+        op = ZERO_ROW_OPERATORS[where]
     with pytest.raises(ConvergenceFailure, match="not finite"):
-        solve(InverseProblem(operator=as_operator(A), b=b, noise_level=p.noise_level))
+        solve(InverseProblem(operator=op(A), b=b, noise_level=p.noise_level))
 
 
 @pytest.mark.parametrize("G", [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tikmor import (
+    BidiagFactorization,
     InfeasibleDiscrepancyError,
     InverseProblem,
     PntmConfig,
@@ -9,7 +10,6 @@ from tikmor import (
     StepRule,
     as_operator,
     gbit_solve,
-    init_bidiag,
     pntm_solve,
     priorconditioned_problem,
     random_uniform_problem,
@@ -28,7 +28,7 @@ from oracles import (
 def small_factorization(rng, m=12, n=8, steps=4):
     A = rng.standard_normal((m, n))
     b = rng.standard_normal(m)
-    f = init_bidiag(A, b)
+    f = BidiagFactorization(A, b, steps)
     for _ in range(steps):
         f.expand()
     return A, b, f
@@ -131,7 +131,7 @@ def test_warm_start_satisfies_projected_normal_equations(rng):
     # replicate the warm-start construction and verify its defining property
     A = rng.standard_normal((25, 15))
     b = rng.standard_normal(25)
-    f = init_bidiag(A, b)
+    f = BidiagFactorization(A, b, 5)
     for _ in range(5):
         f.expand()
     B, c = f.B, f.c
@@ -156,7 +156,7 @@ def test_monotone_subspace_quality(rng):
     A = rng.standard_normal((30, 20))
     b = rng.standard_normal(30)
     alpha = 0.5
-    f = init_bidiag(A, b)
+    f = BidiagFactorization(A, b, 10)
     last = np.inf
     for _ in range(10):
         f.expand()
@@ -190,7 +190,7 @@ def test_trace_proj_res_is_the_lsqr_residual():
     res = pntm_solve(p)
     outer = res.trace.column("outer_iter")
     proj = res.trace.column("proj_res")
-    f = init_bidiag(as_operator(p.operator), p.b)
+    f = BidiagFactorization(as_operator(p.operator), p.b, res.n_outer)
     phis = []
     for k in range(1, res.n_outer + 1):
         if f.can_expand():

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from tikmor import (
+    BidiagFactorization,
     GbitConfig,
     InverseProblem,
     PriorconditionedOperator,
@@ -13,7 +14,6 @@ from tikmor import (
     as_operator,
     cgls,
     gbit_solve,
-    init_bidiag,
     pntm_solve,
     priorconditioned_problem,
     random_uniform_problem,
@@ -41,7 +41,7 @@ def test_gbit_z_is_projected_least_squares(rng):
     # the unregularized iterate minimizes ||B z - c|| in the subspace
     A = rng.standard_normal((20, 12))
     b = rng.standard_normal(20)
-    f = init_bidiag(A, b)
+    f = BidiagFactorization(A, b, 5)
     for _ in range(5):
         f.expand()
     B, c = f.B, f.c
