@@ -1,7 +1,7 @@
 """Experiment runner: seeded problem batches, solver comparisons, traces.
 
-Configuration is a flat INI file (sections of key=value pairs) with one
-``[problem]`` section and one or more ``[solver <label>]`` sections::
+A config is a flat INI file: one ``[problem]`` section, the ``[solver
+<label>]`` sections that ``run`` compares, and optional ``[experiment]`` and ``[curve]``::
 
     [experiment]
     repetitions = 20
@@ -28,29 +28,29 @@ Configuration is a flat INI file (sections of key=value pairs) with one
     points = 25
     spacing = log               ; log | linear
 
-The other sections take only the keys shown, plus ``precondition``
-(none | smooth) in ``[problem]``; a section of any other name is a
-config error. ``precondition = smooth`` hands every solver the
-standard-form problem A inv(L) z = b of the smoothing prior L
-(``problems.priorconditioned_problem``); cgls-pc applies that transform
-itself to a problem that does not carry it yet.
-Solver keys besides ``method``, by method (defaults are those of the
-config dataclasses; any other key, or a value the solver rejects, is a
-config error):
+``[problem]`` also takes ``precondition`` (none | smooth): ``smooth`` hands
+every solver the standard-form problem A inv(L) z = b of the smoothing
+prior L (``problems.priorconditioned_problem``); cgls-pc applies that
+transform itself to a problem that does not carry it yet. Solver keys
+besides ``method``, by method (defaults are those of the config classes):
 
-* ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2),
-  ``omega``
-* pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_large``, ``rule``,
-  ``omega``
+* ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2), ``omega``
+* pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_large``, ``rule``, ``omega``
 * gbit: ``alpha0``, ``tol``, ``max_iter``
 * sirt: ``max_iter``, ``stop_at_discrepancy`` (true | false)
 * cgls-pc: ``max_iter``
 
+One parser reads every section through its table of INI key -> (field,
+parser): ``SECTIONS``, and ``METHODS[method].keys`` for a solver. An unknown
+section or key, a value that does not parse or that its solver rejects, and
+a malformed file (a repeated section or key, a key above the first section)
+are a ``ConfigError``, raised before any work.
+
 Subcommands: ``run`` executes every solver on every seeded repetition and
-writes per-run trace CSVs, runs.csv, summary.csv and a manifest;
-``curve`` samples the discrepancy curve on an alpha grid; ``gen`` writes
-a generated problem to a directory. Exit codes: 0 success, 1 config
-error, 2 partial solver failures.
+writes per-run trace CSVs, runs.csv, summary.csv and a manifest; ``curve``
+samples the discrepancy curve on an alpha grid and ``gen`` writes a
+generated problem to a directory, neither reading a solver section. Exit
+codes: 0 success, 1 config error (one logged line), 2 partial solver failures.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ import configparser
 import logging
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
 
@@ -73,7 +73,7 @@ from .linop import (
     RegularizationMatrix,
     load_matrix_market,
 )
-from .ntm import NtmConfig, StepRule, eigen_residual_sq, ntm_solve, spectral_gram
+from .ntm import NtmConfig, StepRule, eigen_residual_sq, gram_spectrum, ntm_solve
 from .pntm import PntmConfig, pntm_solve
 from .problems import (
     InverseProblem,
@@ -94,18 +94,6 @@ from .trace import write_csv
 
 logger = logging.getLogger(__name__)
 
-PROBLEM_TYPES = {  # lower-cased ``type`` -> ProblemSpec.kind
-    "randomuniform": "random_uniform",
-    "sinewave": "sine_wave",
-    "directory": "directory",
-}
-
-SECTION_KEYS = {  # keys of the sections other than [solver <label>]
-    "experiment": ("repetitions", "seed", "output"),
-    "problem": ("type", "m", "n", "noise", "path", "precondition"),
-    "curve": ("alpha_min", "alpha_max", "points", "spacing"),
-}
-
 
 class ConfigError(TikmorError):
     """Experiment configuration is invalid."""
@@ -118,9 +106,20 @@ def _parse_flag(raw) -> bool:
     return configparser.ConfigParser.BOOLEAN_STATES[value]
 
 
+def _choice(*choices):
+    """A parser that takes one of the choices, blanks around it aside."""
+
+    def parse(raw):
+        if raw.strip() not in choices:
+            raise ValueError(f"{raw.strip()!r} is not one of {', '.join(choices)}")
+        return raw.strip()
+
+    return parse
+
+
 @dataclass
 class ProblemSpec:
-    kind: str
+    kind: str  # randomuniform | sinewave | directory: the lower-cased INI type
     m: int = 0
     n: int = 0
     noise: float = 0.1
@@ -132,9 +131,9 @@ class ProblemSpec:
         return _smoothed(problem) if self.precondition == "smooth" else problem
 
     def _build_raw(self, seed: int) -> InverseProblem:
-        if self.kind == "random_uniform":
+        if self.kind == "randomuniform":
             return random_uniform_problem(self.m, self.n, self.noise, seed)
-        if self.kind == "sine_wave":
+        if self.kind == "sinewave":
             if self.path:
                 op = load_matrix_market(self.path)
             else:
@@ -167,7 +166,7 @@ class Method(NamedTuple):
 
 _START_KEYS = {"alpha0": ("alpha0", float), "tol": ("tol", float)}
 _RULE_KEYS = {"rule": ("variant", str), "omega": ("omega", float)}
-_RULE_FIELDS = {f.name for f in fields(StepRule)}
+_RULE_FIELDS = {field for field, _ in _RULE_KEYS.values()}
 
 METHODS = {
     "ntm": Method(NtmConfig, {
@@ -186,7 +185,6 @@ METHODS = {
     }, sirt_solve),
     "cgls-pc": Method(dict, {"max_iter": ("max_iter", int)}, _run_cgls_pc),
 }
-SOLVER_METHODS = tuple(METHODS)
 
 
 @dataclass
@@ -231,121 +229,118 @@ class _Run(NamedTuple):
 class ExperimentConfig:
     problem: ProblemSpec
     solvers: list
+    raw: configparser.ConfigParser  # echoed into the manifest
     repetitions: int = 1
     seed: int = 0
     output: str = "out"
     curve_grid: Optional[np.ndarray] = None
-    raw: Optional[configparser.ConfigParser] = None
 
 
-def _solver_config(name, method, section):
-    """The method's options from its INI section, checked before any work."""
-    spec = METHODS[method]
-    kwargs, rule = {}, {}
+def _curve_grid(alpha_min=1e-2, alpha_max=1e2, points=20, spacing="log"):
+    """The [curve] section's grid: ``points`` alphas from alpha_min to alpha_max."""
+    space = np.linspace if spacing == "linear" else np.geomspace
+    return space(alpha_min, alpha_max, points)
+
+
+_problem_kind = _choice("randomuniform", "sinewave", "directory")
+
+SECTIONS = {  # the sections besides [solver <label>]: INI key -> (field, parser)
+    "experiment": {
+        "repetitions": ("repetitions", int), "seed": ("seed", int), "output": ("output", str),
+    },
+    "problem": {
+        "type": ("kind", lambda raw: _problem_kind(raw.lower())), "m": ("m", int),
+        "n": ("n", int), "noise": ("noise", float), "path": ("path", str),
+        "precondition": ("precondition", _choice("none", "smooth")),
+    },
+    "curve": {
+        "alpha_min": ("alpha_min", float), "alpha_max": ("alpha_max", float),
+        "points": ("points", int), "spacing": ("spacing", _choice("log", "linear")),
+    },
+}
+
+
+def _parse(name, section, keys):
+    """The fields that INI section ``name`` sets, by its table ``keys``
+    (INI key -> (field, parser)); an unknown key, or a value its parser
+    rejects, is a ConfigError naming the section and key."""
+    fields = {}
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"unknown key {key!r} in [{name}]; it takes {', '.join(keys)}")
+        field_name, parse = keys[key]
+        try:
+            fields[field_name] = parse(section[key])
+        except (ValueError, configparser.InterpolationError) as exc:
+            raise ConfigError(f"invalid value for {key!r} in [{name}]: {exc}") from exc
+    return fields
+
+
+def _build(name, make, fields):
+    """``make(**fields)``; a ValueError it raises is a ConfigError naming the section."""
     try:
-        for key, raw in section.items():
-            if key == "method":
-                continue
-            if key not in spec.keys:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{name}]; {method} accepts "
-                    f"{', '.join(spec.keys)}"
-                )
-            field_name, parse = spec.keys[key]
-            (rule if field_name in _RULE_FIELDS else kwargs)[field_name] = parse(raw)
-        if rule:
-            kwargs["step_rule"] = StepRule(**rule)
-        return spec.config(**kwargs)
+        return make(**fields)
     except ValueError as exc:
         raise ConfigError(f"invalid value in [{name}]: {exc}") from exc
 
 
+def _solver_spec(name, section, default_label):
+    """The solver of a [solver <label>] section, its options checked before any work."""
+    method = section.get("method", "", raw=True).strip()
+    if method not in METHODS:
+        raise ConfigError(
+            f"invalid solver name {method!r} in [{name}]; choose from {', '.join(METHODS)}"
+        )
+    spec = METHODS[method]
+    kwargs = _parse(name, section, {"method": ("method", str), **spec.keys})
+    del kwargs["method"]
+    rule = {f: kwargs.pop(f) for f in _RULE_FIELDS & kwargs.keys()}
+    if rule:
+        kwargs["step_rule"] = _build(name, StepRule, rule)
+    label = name[len("solver"):].strip() or default_label
+    return SolverSpec(label, method, _build(name, spec.config, kwargs))
+
+
 def load_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
+    try:
+        if not cp.read(path):
+            raise ConfigError(f"cannot read config file {path!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # e.g. a repeated section or key; some of these messages span lines
+        raise ConfigError(" ".join(str(exc).split())) from exc
+
+    parsed, solvers = {}, []
     for name in cp.sections():
         if name.startswith("solver"):
-            continue
-        keys = SECTION_KEYS.get(name)
-        if keys is None:
+            solvers.append(_solver_spec(name, cp[name], f"solver{len(solvers)}"))
+        elif name in SECTIONS:
+            parsed[name] = _parse(name, cp[name], SECTIONS[name])
+        else:
             raise ConfigError(
                 f"unknown section [{name}]; sections are "
-                f"{', '.join(SECTION_KEYS)} and solver <label>"
+                f"{', '.join(SECTIONS)} and solver <label>"
             )
-        for key in sorted(set(cp[name]) - set(keys)):
-            raise ConfigError(f"unknown key {key!r} in [{name}]; it takes {', '.join(keys)}")
-
-    if "problem" not in cp:
-        raise ConfigError("config needs a [problem] section")
-    psec = cp["problem"]
-    raw_kind = psec.get("type", "").strip()
-    kind = PROBLEM_TYPES.get(raw_kind.lower())
-    if kind is None:
-        raise ConfigError(f"unknown problem type {raw_kind!r}")
-    problem = ProblemSpec(
-        kind=kind,
-        m=psec.getint("m", 0),
-        n=psec.getint("n", 0),
-        noise=psec.getfloat("noise", 0.1),
-        path=psec.get("path", None),
-        precondition=psec.get("precondition", "none").strip(),
-    )
-    if kind == "directory" and not problem.path:
-        raise ConfigError(f"problem type {raw_kind!r} needs a path")
-    generated = kind == "random_uniform" or (kind == "sine_wave" and not problem.path)
-    if generated and (problem.m < 1 or problem.n < 1):
-        raise ConfigError(f"problem type {raw_kind!r} without a path needs positive m and n")
-    if problem.precondition not in ("none", "smooth"):
-        raise ConfigError(f"unknown precondition {problem.precondition!r}")
-
-    solvers = []
-    for name in cp.sections():
-        if not name.startswith("solver"):
-            continue
-        label = name[len("solver"):].strip() or f"solver{len(solvers)}"
-        method = cp[name].get("method", "").strip()
-        if method not in SOLVER_METHODS:
-            raise ConfigError(
-                f"invalid solver name {method!r} in [{name}]; "
-                f"choose from {', '.join(SOLVER_METHODS)}"
-            )
-        solvers.append(
-            SolverSpec(label, method, _solver_config(name, method, cp[name]))
-        )
-    if not solvers:
-        raise ConfigError("config needs at least one [solver <label>] section")
     labels = [s.label for s in solvers]
     if len(set(labels)) != len(labels):
         raise ConfigError(f"duplicate solver labels: {labels}")
 
-    esec = cp["experiment"] if "experiment" in cp else {}
-    repetitions = int(esec.get("repetitions", 1))
-    if repetitions < 1:
-        raise ConfigError("repetitions must be >= 1")
+    if "kind" not in parsed.get("problem", {}):
+        raise ConfigError("config needs a [problem] section with a type")
+    problem = ProblemSpec(**parsed["problem"])
+    if problem.kind == "directory" and not problem.path:
+        raise ConfigError("problem type directory needs a path")
+    if (problem.kind == "randomuniform" or not problem.path) and min(problem.m, problem.n) < 1:
+        raise ConfigError(f"problem type {problem.kind} without a path needs positive m and n")
 
-    curve_grid = None
-    if "curve" in cp:
-        csec = cp["curve"]
-        spacing = csec.get("spacing", "log").strip()
-        if spacing not in ("log", "linear"):
-            raise ConfigError(f"unknown curve spacing {spacing!r}; use log or linear")
-        lo = csec.getfloat("alpha_min", 1e-2)
-        hi = csec.getfloat("alpha_max", 1e2)
-        pts = csec.getint("points", 20)
-        space = np.linspace if spacing == "linear" else np.geomspace
-        curve_grid = space(lo, hi, pts)
-
-    return ExperimentConfig(
-        problem=problem,
-        solvers=solvers,
-        repetitions=repetitions,
-        seed=int(esec.get("seed", 0)),
-        output=str(esec.get("output", "out")),
-        curve_grid=curve_grid,
-        raw=cp,
+    curve = parsed.get("curve")
+    config = ExperimentConfig(
+        problem, solvers, cp, **parsed.get("experiment", {}),
+        curve_grid=None if curve is None else _build("curve", _curve_grid, curve),
     )
+    if config.repetitions < 1:
+        raise ConfigError("repetitions must be >= 1")
+    return config
 
 
 def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
@@ -364,10 +359,7 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
         raise ValueError("alpha grid values must be positive")
     if (np.diff(grid) <= 0).any():
         raise ValueError("alpha grid must be strictly ascending")
-    A, b = problem.operator, problem.b
-    lam, Q = spectral_gram(A.gram())
-    gh = A.rmatvec(b) @ Q
-    bb = float(b @ b)
+    lam, _, gh, bb = gram_spectrum(problem.operator, problem.b)
     residuals = np.sqrt([eigen_residual_sq(lam, gh, bb, gh / (lam + a)) for a in grid])
     slack = 1e-10 * max(1.0, residuals.max())
     if (np.diff(residuals) < -slack).any():
@@ -381,10 +373,9 @@ def _write_manifest(path, config: ExperimentConfig, seeds, runs):
         f"timestamp={time.strftime('%Y-%m-%dT%H:%M:%S%z')}",
         f"seeds={','.join(str(s) for s in seeds)}",
     ]
-    if config.raw is not None:
-        for section in config.raw.sections():
-            for key, val in config.raw[section].items():
-                lines.append(f"config.{section}.{key}={val}")
+    for section in config.raw.sections():
+        for key, val in config.raw[section].items():
+            lines.append(f"config.{section}.{key}={val}")
     statuses = sorted((f"{r.method}_rep{r.rep}", r.status) for r in runs)
     lines.extend(f"run.{key}={status}" for key, status in statuses)
     with open(path, "w", encoding="ascii") as fh:
@@ -401,6 +392,8 @@ def _mean_sd(values):
 
 def run_experiment(config: ExperimentConfig) -> int:
     """Execute all solvers over the seeded repetitions; returns exit code."""
+    if not config.solvers:
+        raise ConfigError("config needs at least one [solver <label>] section")
     out = Path(config.output)
     traces = out / "traces"
     traces.mkdir(parents=True, exist_ok=True)

@@ -63,6 +63,13 @@ def eigen_residual_sq(lam, gh, bb, xh) -> float:
     return max(bb + float(xh @ (lam * xh - 2.0 * gh)), 0.0)
 
 
+def gram_spectrum(A, b):
+    """(lam, Q, gh, bb): A^T A = Q diag(lam) Q^T by ``spectral_gram``,
+    gh = Q^T A^T b and bb = ||b||^2, which price any Tikhonov point in O(n)."""
+    lam, Q = spectral_gram(A.gram())
+    return lam, Q, A.rmatvec(b) @ Q, float(b @ b)
+
+
 def solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=SOLVE_RTOL):
     """Newton direction (dxh, dalpha) from the rescaled Jacobian, in the
     eigenbasis of G = Q diag(lam) Q^T: xh = Q^T x, F1h = Q^T F1, dxh = Q^T dx.
@@ -340,20 +347,18 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
     b = problem.b
     eps = problem.discrepancy_target
     _check_discrepancy_feasible(b, eps)
-    rule = config.step_rule
 
-    lam, Q = spectral_gram(A.gram())
+    lam, Q, gh, bb = gram_spectrum(A, b)
     if not lam[0] + config.alpha0 > lam.size * _EPS * lam[-1]:
         raise ConvergenceFailure(
             "A^T A + alpha0 I is not numerically positive definite at "
             f"alpha0 = {config.alpha0!r}"
         )
-    gh = A.rmatvec(b) @ Q
 
     trace = SolveTrace(columns=NTM_COLUMNS)
     steps = newton_steps(
-        lam, gh, float(b @ b), eps, gh / (lam + config.alpha0),
-        config.alpha0, rule, config.tol, config.max_iter,
+        lam, gh, bb, eps, gh / (lam + config.alpha0),
+        config.alpha0, config.step_rule, config.tol, config.max_iter,
     )
     for k, step in enumerate(steps):
         trace.append(k, *step.row)

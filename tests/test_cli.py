@@ -23,6 +23,7 @@ from tikmor.cli import (
 
 from conftest import counting_operator
 from oracles import normal_equation_solve
+from test_scripts import run
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.cfg"))
@@ -58,7 +59,7 @@ def test_load_config_parses_sections(tmp_path):
     path = write_cfg(tmp_path, BASE_CFG.format(reps=2, out=tmp_path / "o"))
     cfg = load_config(path)
     assert cfg.repetitions == 2
-    assert cfg.problem.kind == "random_uniform"
+    assert cfg.problem.kind == "randomuniform"
     assert [s.method for s in cfg.solvers] == ["ntm", "gbit"]
 
 
@@ -259,7 +260,7 @@ def test_sine_wave_noise_independent_of_matrix():
             return out
 
     m, n, seed = 20, 10, 1
-    p = ProblemSpec("sine_wave", m=m, n=n, noise=0.1).build(seed)
+    p = ProblemSpec("sinewave", m=m, n=n, noise=0.1).build(seed)
     A = p.operator.to_dense()
     replayed = p.sigma * gaussian(Replay((A.ravel()[:m] + 1.0) / 2.0), m)
     assert not np.allclose(p.noise, replayed, rtol=1e-12, atol=0.0)
@@ -520,3 +521,58 @@ def test_bad_problem_or_curve_fails_before_work(tmp_path, edit):
     for command in ("run", "curve"):
         assert main([command, str(path)]) == 1
     assert not list(tmp_path.rglob("*.csv"))
+
+
+CURVE_CFG = BASE_CFG + "\n[curve]\nalpha_min = 0.01\npoints = 8\n"
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (("m = 40", "m = 25x"), ["[problem]", "'m'", "'25x'"]),
+        (("repetitions = {reps}", "repetitions = three"), ["[experiment]", "'repetitions'"]),
+        (("noise = 0.10", "noise = lots"), ["[problem]", "'noise'", "'lots'"]),
+        (("alpha_min = 0.01", "alpha_min = tiny"), ["[curve]", "'alpha_min'", "'tiny'"]),
+        (("points = 8", "points = many"), ["[curve]", "'points'", "'many'"]),
+        (("output = {out}", "output = out/100%"), ["[experiment]", "'output'"]),
+        (("[solver gbit]", "[solver g]\nmethod = ntm\n\n[solver g]"), ["'solver g'"]),
+        (("n = 25", "n = 25\nn = 30"), ["'problem'", "'n'"]),
+        (("\n[experiment]", "m = 3\n[experiment]"), ["no section headers", "'m = 3"]),
+    ],
+    ids=[
+        "int", "repetitions", "float", "alpha_min", "points", "interpolation",
+        "repeated-section", "repeated-key", "key-above-sections",
+    ],
+)
+def test_malformed_config_is_one_config_error(tmp_path, edit, named):
+    text = CURVE_CFG.replace(*edit).format(reps=1, out=tmp_path / "o")
+    path = write_cfg(tmp_path, text)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert all(name in str(err.value) for name in named), str(err.value)
+    for command in ("run", "curve"):
+        proc = run(["-m", "tikmor.cli", command, str(path)], cwd=tmp_path, returncode=1)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("ERROR:") and proc.stderr.count("\n") == 1
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_undecodable_config_is_config_error(tmp_path):
+    # 0xff starts no UTF-8 sequence; read in a one-byte encoding it is no problem type
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"[problem]\ntype = \xff\n")
+    with pytest.raises(ConfigError):
+        load_config(path)
+
+
+def test_curve_and_gen_read_no_solver_section(tmp_path, monkeypatch):
+    # no [experiment] either: everything goes to the default output, out/
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, "[problem]\ntype = randomUniform\nm = 30\nn = 20\n"
+                               "\n[curve]\npoints = 5\n")
+    assert main(["run", str(path)]) == 1
+    assert not list(tmp_path.rglob("*.csv")) and not (tmp_path / "out").exists()
+    assert main(["gen", str(path)]) == 0
+    assert load_problem(tmp_path / "out").operator.shape == (30, 20)
+    assert main(["curve", str(path)]) == 0
+    assert len((tmp_path / "out" / "curve.csv").read_text().splitlines()) == 6

@@ -268,6 +268,44 @@ def test_mm_negative_size_rejected(tmp_path, layout, body):
     assert err.value.line == 3
 
 
+COORD = "%%MatrixMarket matrix coordinate real general\n"
+ARRAY = "%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, line, match",
+    [
+        ("", MatrixMarketError, 1, "empty file"),
+        ("%%MatrixMarket vector coordinate real general\n1 1 1\n", MatrixMarketError, 1,
+         "bad header"),
+        ("%%MatrixMarket matrix dense real general\n", UnsupportedFormatError, 1, "layout"),
+        ("%%MatrixMarket matrix coordinate real hermitian\n", UnsupportedFormatError, 1,
+         "symmetry"),
+        (COORD + "% only a comment\n", MatrixMarketError, 2, "missing size line"),
+        (COORD + "2 2 x\n", MatrixMarketError, 2, "bad size line"),
+        (COORD + "2 2\n", MatrixMarketError, 2, "needs 'rows cols nnz'"),
+        (COORD + "2 2 1\n1 1\n", MatrixMarketError, 3, "bad entry"),
+        (COORD + "2 2 1\n3 1 1.0\n", MatrixMarketError, 3, r"index \(3,1\) outside 2x2"),
+        (ARRAY + "2 1\n1.0 2.0\n", MatrixMarketError, 3, "one value per line"),
+        (ARRAY + "2 1\n1.0\nx\n", MatrixMarketError, 4, "bad value"),
+        (COORD + "2 2 2\n1 1 1.0\n", MatrixMarketError, 2, "expected 2 entries, found 1"),
+        (ARRAY + "2 1\n1\n2\n3\n", MatrixMarketError, 2, "expected 2 values, found 3"),
+    ],
+    ids=[
+        "empty", "header", "layout", "symmetry", "no-size-line", "size-not-integer",
+        "size-fields", "entry-tokens", "index-outside", "array-two-values",
+        "array-not-number", "too-few", "too-many",
+    ],
+)
+def test_mm_malformed_input_names_its_line(tmp_path, text, error, line, match):
+    path = tmp_path / "bad.mtx"
+    path.write_text(text)
+    with pytest.raises(MatrixMarketError, match=match) as err:
+        load_matrix_market(path)
+    assert type(err.value) is error
+    assert err.value.line == line
+
+
 def test_mm_round_trip_sparse(tmp_path, rng):
     A = sp.random(14, 9, density=0.25, random_state=3).tocsr()
     path = tmp_path / "rt.mtx"

@@ -6,6 +6,7 @@ from scipy.linalg import lu_factor, lu_solve, svdvals
 
 from tikmor import (
     ConvergenceFailure,
+    DegenerateRhsError,
     DenseOperator,
     InfeasibleDiscrepancyError,
     InverseProblem,
@@ -250,6 +251,10 @@ def test_direction_typed_failures(rng):
     F1, F2 = eval_F(A, b, 0.1, np.zeros(4), 1.0)
     with pytest.raises(SingularJacobianError, match="singular"):
         solve_rescaled_system(lam, np.zeros(4), 1.0, F1 @ Q, F2)
+    # no backward error passes rtol = 0, so the refinement pass runs and then gives up
+    F1, F2 = eval_F(A, b, 0.1, x, 1.0)
+    with pytest.raises(SingularJacobianError, match="stalled"):
+        solve_rescaled_system(lam, x @ Q, 1.0, F1 @ Q, F2, rtol=0.0)
 
 
 @pytest.mark.parametrize(
@@ -503,6 +508,24 @@ def test_infeasible_discrepancy_rejected():
     p = InverseProblem(operator=as_operator(np.eye(2)), b=b, noise_level=2.0)
     with pytest.raises(InfeasibleDiscrepancyError):
         ntm_solve(p)
+
+
+@pytest.mark.parametrize(
+    "solve, error, match",
+    [
+        (pntm_solve, DegenerateRhsError, "no Krylov direction"),
+        (gbit_solve, DegenerateRhsError, "no Krylov direction"),
+        (ntm_solve, SingularJacobianError, "singular"),
+    ],
+    ids=["pntm", "gbit", "ntm"],
+)
+def test_rhs_orthogonal_to_range_fails_typed(solve, error, match):
+    # A^T b = 0 while ||b|| = 1 > eps: the Krylov loop has no first direction,
+    # and ntm's start x = 0 leaves the Jacobian's last column zero
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    p = InverseProblem(as_operator(A), np.array([0.0, 0.0, 1.0]), noise_level=0.5)
+    with pytest.raises(error, match=match):
+        solve(p)
 
 
 # a bad entry of A on a row where b is 0 meets u_1 = b / ||b|| only as 0 * bad

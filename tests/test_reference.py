@@ -255,6 +255,14 @@ def test_cgls_iterates_live_in_krylov_space(rng):
     assert defect <= 1e-8 * max(1.0, np.linalg.norm(z))
 
 
+def test_cgls_stops_at_zero_when_rhs_orthogonal_to_range():
+    # A^T b = 0: the first search direction is zero, so cgls keeps x = 0
+    A = as_operator(np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]))
+    r = cgls(A, np.array([0.0, 0.0, 1.0]), 0.5)
+    assert np.array_equal(r.x, np.zeros(2))
+    assert (r.n_iter, r.converged, r.residual_norm) == (0, False, 1.0)
+
+
 def test_cgls_nonconvergence_flagged(rng):
     A = rng.standard_normal((20, 15))
     b = rng.standard_normal(20)

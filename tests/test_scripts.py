@@ -15,7 +15,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run(args, cwd=ROOT):
+def run(args, cwd=ROOT, returncode=0):
+    """The finished interpreter run on ``args``, which must exit with ``returncode``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )}
@@ -23,15 +24,15 @@ def run(args, cwd=ROOT):
         [sys.executable, "-W", "error::RuntimeWarning", *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
+    assert proc.returncode == returncode, proc.stderr
+    return proc
 
 
 @pytest.mark.parametrize(
     "script", [["run_sparse_fixture_table.py", "--inner-cap", "10"]], ids=lambda s: s[0]
 )
 def test_script_runs(script):
-    out = run([str(ROOT / "scripts" / script[0]), *script[1:]])
+    out = run([str(ROOT / "scripts" / script[0]), *script[1:]]).stdout
     assert out.strip() and "nan" not in out
 
 
