@@ -47,7 +47,8 @@ a malformed file (a repeated section or key, a key above the first section)
 are a ``ConfigError``, raised before any work.
 
 Subcommands: ``run`` executes every solver on every seeded repetition and
-writes per-run trace CSVs, runs.csv, summary.csv and a manifest; ``curve``
+writes per-run trace CSVs, runs.csv (``method, rep, seed, iters, alpha,
+converged, res_norm, rel_error, error``), summary.csv and a manifest; ``curve``
 samples the discrepancy curve on an alpha grid and ``gen`` writes a
 generated problem to a directory, neither reading a solver section. Exit
 codes: 0 success, 1 config error (one logged line), 2 partial solver failures.
@@ -80,6 +81,7 @@ from .problems import (
     load_problem,
     priorconditioned_problem,
     random_uniform_problem,
+    relative_stats,
     save_problem,
     sine_wave_problem,
     uniform_operator,
@@ -117,6 +119,18 @@ def _choice(*choices):
     return parse
 
 
+def _at_least(low):
+    """A parser of integers no less than ``low``."""
+
+    def parse(raw):
+        value = int(raw)
+        if value < low:
+            raise ValueError(f"{value} is less than {low}")
+        return value
+
+    return parse
+
+
 @dataclass
 class ProblemSpec:
     kind: str  # randomuniform | sinewave | directory: the lower-cased INI type
@@ -126,9 +140,14 @@ class ProblemSpec:
     path: Optional[str] = None
     precondition: str = "none"  # none | smooth (solve A inv(L) z = b instead)
 
-    def build(self, seed: int) -> InverseProblem:
-        problem = self._build_raw(seed)
-        return _smoothed(problem) if self.precondition == "smooth" else problem
+    def build(self, seed: int):
+        """``(problem, to_x, original)``: the problem the solvers are given,
+        the map from its solutions back to x (inv(L) under ``smooth``, else
+        the identity), and the problem as built, with its ground truth."""
+        original = self._build_raw(seed)
+        if self.precondition == "smooth":
+            return (*_smoothed(original), original)
+        return original, np.asarray, original
 
     def _build_raw(self, seed: int) -> InverseProblem:
         if self.kind == "randomuniform":
@@ -147,14 +166,18 @@ class ProblemSpec:
 
 
 def _smoothed(problem):
-    """The standard-form problem A inv(L) z = b of the smoothing prior L."""
-    return priorconditioned_problem(problem, RegularizationMatrix(problem.operator.cols))[0]
+    """The standard-form problem A inv(L) z = b of the smoothing prior L, and
+    the map x = inv(L) z back from its solutions."""
+    return priorconditioned_problem(problem, RegularizationMatrix(problem.operator.cols))
 
 
 def _run_cgls_pc(problem, **opts):
+    to_x = np.asarray  # x is in the coordinates of the problem given
     if not isinstance(problem.operator, PriorconditionedOperator):  # transform once
-        problem = _smoothed(problem)
-    return cgls(problem.operator, problem.b, problem.discrepancy_target, **opts)
+        problem, to_x = _smoothed(problem)
+    r = cgls(problem.operator, problem.b, problem.discrepancy_target, **opts)
+    r.x = to_x(r.x)
+    return r
 
 
 class Method(NamedTuple):
@@ -212,6 +235,7 @@ class _Run(NamedTuple):
     alpha: Optional[float] = None
     converged: Optional[bool] = None
     res_norm: Optional[float] = None
+    rel_error: Optional[float] = None  # ||x - truth|| / ||truth||, x mapped back by to_x
     error: str = ""
 
     @property
@@ -236,17 +260,31 @@ class ExperimentConfig:
     curve_grid: Optional[np.ndarray] = None
 
 
+def _alpha_grid(alphas):
+    """The alphas as a float array; a ValueError unless they are a nonempty,
+    positive, strictly ascending 1-d sequence."""
+    grid = np.asarray(alphas, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("alpha grid must be a nonempty 1-d sequence")
+    if (grid <= 0).any():
+        raise ValueError("alpha grid values must be positive")
+    if (np.diff(grid) <= 0).any():
+        raise ValueError("alpha grid must be strictly ascending")
+    return grid
+
+
 def _curve_grid(alpha_min=1e-2, alpha_max=1e2, points=20, spacing="log"):
     """The [curve] section's grid: ``points`` alphas from alpha_min to alpha_max."""
     space = np.linspace if spacing == "linear" else np.geomspace
-    return space(alpha_min, alpha_max, points)
+    return _alpha_grid(space(alpha_min, alpha_max, points))
 
 
 _problem_kind = _choice("randomuniform", "sinewave", "directory")
 
 SECTIONS = {  # the sections besides [solver <label>]: INI key -> (field, parser)
     "experiment": {
-        "repetitions": ("repetitions", int), "seed": ("seed", int), "output": ("output", str),
+        "repetitions": ("repetitions", _at_least(1)), "seed": ("seed", _at_least(0)),
+        "output": ("output", str),
     },
     "problem": {
         "type": ("kind", lambda raw: _problem_kind(raw.lower())), "m": ("m", int),
@@ -334,13 +372,10 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"problem type {problem.kind} without a path needs positive m and n")
 
     curve = parsed.get("curve")
-    config = ExperimentConfig(
+    return ExperimentConfig(
         problem, solvers, cp, **parsed.get("experiment", {}),
         curve_grid=None if curve is None else _build("curve", _curve_grid, curve),
     )
-    if config.repetitions < 1:
-        raise ConfigError("repetitions must be >= 1")
-    return config
 
 
 def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
@@ -352,13 +387,7 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
     checked to be nondecreasing (up to roundoff), which is the shape the
     discrepancy principle relies on.
     """
-    grid = np.asarray(alpha_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("alpha grid must be a nonempty 1-d sequence")
-    if (grid <= 0).any():
-        raise ValueError("alpha grid values must be positive")
-    if (np.diff(grid) <= 0).any():
-        raise ValueError("alpha grid must be strictly ascending")
+    grid = _alpha_grid(alpha_grid)
     lam, _, gh, bb = gram_spectrum(problem.operator, problem.b)
     residuals = np.sqrt([eigen_residual_sq(lam, gh, bb, gh / (lam + a)) for a in grid])
     slack = 1e-10 * max(1.0, residuals.max())
@@ -401,7 +430,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     seeds = [config.seed + r for r in range(config.repetitions)]
     runs = []
     for rep, seed in enumerate(seeds):
-        problem = config.problem.build(seed)
+        problem, to_x, original = config.problem.build(seed)
         for spec in config.solvers:
             try:
                 r = spec.solve(problem)
@@ -411,9 +440,10 @@ def run_experiment(config: ExperimentConfig) -> int:
                 continue
             r.trace.write_csv(traces / f"{spec.label}_rep{rep}.csv")
             iters = getattr(r, METHODS[spec.method].count)
-            runs.append(
-                _Run(spec.label, rep, seed, iters, r.alpha, bool(r.converged), r.residual_norm)
-            )
+            runs.append(_Run(
+                spec.label, rep, seed, iters, r.alpha, bool(r.converged), r.residual_norm,
+                relative_stats(original, to_x(r.x)).rel_error,
+            ))
     write_csv(out / "runs.csv", _Run._fields, runs)
 
     summary_rows = []
@@ -438,7 +468,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 def run_curve(config: ExperimentConfig) -> int:
     if config.curve_grid is None:
         raise ConfigError("curve subcommand needs a [curve] section")
-    problem = config.problem.build(config.seed)
+    problem = config.problem.build(config.seed)[0]
     points = sample_discrepancy_curve(problem, config.curve_grid)
     out = Path(config.output)
     out.mkdir(parents=True, exist_ok=True)
@@ -448,7 +478,7 @@ def run_curve(config: ExperimentConfig) -> int:
 
 
 def run_gen(config: ExperimentConfig) -> int:
-    problem = config.problem.build(config.seed)
+    problem = config.problem.build(config.seed)[0]
     save_problem(problem, config.output)
     logger.info("wrote problem to %s", config.output)
     return 0

@@ -1,3 +1,4 @@
+import csv
 import re
 from pathlib import Path
 
@@ -55,6 +56,16 @@ def write_cfg(tmp_path, text, name="exp.cfg"):
     return path
 
 
+# the runs.csv fields that a failed run leaves empty
+RESULT_FIELDS = ("iters", "alpha", "converged", "res_norm")
+
+
+def read_runs(out):
+    """The rows of out/runs.csv, each a dict keyed by the header's column names."""
+    with open(out / "runs.csv", newline="", encoding="ascii") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_load_config_parses_sections(tmp_path):
     path = write_cfg(tmp_path, BASE_CFG.format(reps=2, out=tmp_path / "o"))
     cfg = load_config(path)
@@ -97,6 +108,55 @@ def test_shipped_config_runs(tmp_path, path):
     runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
     labels = [s.label for s in load_config(cfg).solvers]
     assert [ln.split(",")[0] for ln in runs[1:]] == labels * 2
+
+
+@pytest.mark.parametrize(
+    "name, rel_errors",
+    [
+        ("sparse_fixture.cfg", {"pntm-case2": 0.03365, "gbit": 0.03366, "cgls-pc": 0.02072}),
+        ("lattice_fixture.cfg", {"pntm-case2": 0.09275, "gbit": 0.09270, "cgls-pc": 0.05957}),
+    ],
+)
+def test_fixture_study_rel_error(tmp_path, name, rel_errors):
+    # each solver's error against the sine truth, its z mapped back through
+    # inv(L); seed 1 is the first repetition
+    cfg = write_cfg(tmp_path, shrunk((ROOT / "configs" / name).read_text(), tmp_path / "out"))
+    assert main(["run", str(cfg)]) == 0
+    got = {r["method"]: float(r["rel_error"]) for r in read_runs(tmp_path / "out")
+           if r["seed"] == "1"}
+    assert got == pytest.approx(rel_errors, abs=5e-6)
+
+
+def run_saved(tmp_path, problem, solvers):
+    """``tikmor run``'s exit code on the problem saved as a directory, with the
+    given [solver <label>] sections; the outputs go to tmp_path / "out"."""
+    save_problem(problem, tmp_path / "prob")
+    cfg = (f"[experiment]\noutput = {tmp_path / 'out'}\n\n[problem]\ntype = directory\n"
+           f"path = {tmp_path / 'prob'}\n\n{solvers}")
+    return main(["run", str(write_cfg(tmp_path, cfg))])
+
+
+@pytest.mark.parametrize("truth", [None, np.zeros(20)], ids=["none", "zero"])
+def test_rel_error_empty_without_truth(tmp_path, truth):
+    p = random_uniform_problem(30, 20, 0.10, seed=2)
+    p.ground_truth = truth
+    assert run_saved(tmp_path, p, "[solver gbit]\nmethod = gbit\n") == 0
+    (row,) = read_runs(tmp_path / "out")
+    assert row["converged"] == "1" and row["rel_error"] == ""
+
+
+def test_error_with_comma_stays_one_field(tmp_path):
+    # the ntm and gbit messages read "||b|| = inf, eps = ...: not finite"
+    p = random_uniform_problem(30, 20, 0.10, seed=2)
+    p.b[0] = np.inf
+    solvers = "[solver ntm]\nmethod = ntm\n\n[solver gbit]\nmethod = gbit\n"
+    assert run_saved(tmp_path, p, solvers) == 2
+    rows = read_runs(tmp_path / "out")
+    assert [r["method"] for r in rows] == ["ntm", "gbit"]
+    for row in rows:
+        assert None not in row  # no field beyond the header
+        assert "inf, eps" in row["error"] and row["error"].endswith("not finite")
+        assert row["rel_error"] == ""
 
 
 def append_solver(tmp_path, body):
@@ -240,12 +300,13 @@ stop_at_discrepancy = false
 method = cgls-pc
 """
     assert main(["run", str(write_cfg(tmp_path, cfg))]) == 2
-    runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
-    assert len(runs) == 3
-    sirt_row, cgls_row = runs[1].split(",", 7), runs[2].split(",", 7)
-    assert sirt_row[0] == "sirt" and sirt_row[3] == "5" and sirt_row[7] == ""
-    assert cgls_row[0] == "cgls-pc" and cgls_row[3:7] == ["", "", "", ""]
-    assert "discrepancy level must be positive" in cgls_row[7]
+    runs = read_runs(tmp_path / "out")
+    assert len(runs) == 2
+    sirt_row, cgls_row = runs
+    assert sirt_row["method"] == "sirt" and sirt_row["iters"] == "5" and sirt_row["error"] == ""
+    assert cgls_row["method"] == "cgls-pc"
+    assert [cgls_row[f] for f in RESULT_FIELDS] == ["", "", "", ""]
+    assert "discrepancy level must be positive" in cgls_row["error"]
 
 
 def test_sine_wave_noise_independent_of_matrix():
@@ -260,7 +321,7 @@ def test_sine_wave_noise_independent_of_matrix():
             return out
 
     m, n, seed = 20, 10, 1
-    p = ProblemSpec("sinewave", m=m, n=n, noise=0.1).build(seed)
+    p = ProblemSpec("sinewave", m=m, n=n, noise=0.1).build(seed)[0]
     A = p.operator.to_dense()
     replayed = p.sigma * gaussian(Replay((A.ravel()[:m] + 1.0) / 2.0), m)
     assert not np.allclose(p.noise, replayed, rtol=1e-12, atol=0.0)
@@ -355,9 +416,9 @@ max_iter = 200
     out = tmp_path / "o"
     path = write_cfg(tmp_path, cfg.format(out=out))
     assert main(["run", str(path)]) == 0
-    runs = (out / "runs.csv").read_text().splitlines()
-    assert len(runs) == 2
-    assert runs[1].split(",")[5] == "1"  # converged
+    runs = read_runs(out)
+    assert len(runs) == 1
+    assert runs[0]["converged"] == "1"
 
 
 def test_cgls_pc_same_with_and_without_smooth_precondition(tmp_path):
@@ -420,12 +481,13 @@ method = gbit
     out = tmp_path / "out"
     path = write_cfg(tmp_path, cfg.format(out=out))
     assert main(["run", str(path)]) == 2
-    runs = (out / "runs.csv").read_text().splitlines()
-    assert len(runs) == 3
-    ntm_row, gbit_row = runs[1].split(",", 7), runs[2].split(",", 7)
-    assert ntm_row[0] == "ntm" and ntm_row[3:7] == ["", "", "", ""]
-    assert "not finite" in ntm_row[7]
-    assert gbit_row[0] == "gbit" and gbit_row[5] == "1" and gbit_row[7] == ""
+    runs = read_runs(out)
+    assert len(runs) == 2
+    ntm_row, gbit_row = runs
+    assert ntm_row["method"] == "ntm" and [ntm_row[f] for f in RESULT_FIELDS] == ["", "", "", ""]
+    assert "not finite" in ntm_row["error"]
+    assert gbit_row["method"] == "gbit" and gbit_row["converged"] == "1"
+    assert gbit_row["error"] == ""
 
 
 def test_unknown_section_fails_before_work(tmp_path):
@@ -461,11 +523,10 @@ alpha0 = 1e-16
 method = gbit
 """
     assert main(["run", str(write_cfg(tmp_path, cfg))]) == 2
-    runs = (tmp_path / "out" / "runs.csv").read_text().splitlines()
-    ntm_row, gbit_row = runs[1].split(",", 7), runs[2].split(",", 7)
-    assert ntm_row[0] == "ntm" and ntm_row[3:7] == ["", "", "", ""]
-    assert "not numerically positive definite" in ntm_row[7]
-    assert gbit_row[0] == "gbit" and gbit_row[7] == ""
+    ntm_row, gbit_row = read_runs(tmp_path / "out")
+    assert ntm_row["method"] == "ntm" and [ntm_row[f] for f in RESULT_FIELDS] == ["", "", "", ""]
+    assert "not numerically positive definite" in ntm_row["error"]
+    assert gbit_row["method"] == "gbit" and gbit_row["error"] == ""
     assert (tmp_path / "out" / "summary.csv").exists()
 
 
@@ -538,10 +599,14 @@ CURVE_CFG = BASE_CFG + "\n[curve]\nalpha_min = 0.01\npoints = 8\n"
         (("[solver gbit]", "[solver g]\nmethod = ntm\n\n[solver g]"), ["'solver g'"]),
         (("n = 25", "n = 25\nn = 30"), ["'problem'", "'n'"]),
         (("\n[experiment]", "m = 3\n[experiment]"), ["no section headers", "'m = 3"]),
+        (("seed = 11", "seed = -4"), ["[experiment]", "'seed'", "-4"]),
+        (("repetitions = {reps}", "repetitions = 0"), ["[experiment]", "'repetitions'"]),
+        (("alpha_min = 0.01", "alpha_min = 10\nalpha_max = 1"), ["[curve]", "ascending"]),
     ],
     ids=[
         "int", "repetitions", "float", "alpha_min", "points", "interpolation",
-        "repeated-section", "repeated-key", "key-above-sections",
+        "repeated-section", "repeated-key", "key-above-sections", "negative-seed",
+        "zero-repetitions", "descending-curve",
     ],
 )
 def test_malformed_config_is_one_config_error(tmp_path, edit, named):

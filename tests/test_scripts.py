@@ -1,16 +1,14 @@
-"""Smoke runs of the shipped scripts and the curve subcommand, at tiny sizes.
+"""The fixtures script, and the curve subcommand run in its own interpreter.
 
-Each runs in its own interpreter with numpy RuntimeWarnings as errors, so
-a script that imports a name the package no longer exports, or prints a
-statistic computed from too few samples, fails here.
+``run`` starts an interpreter with numpy RuntimeWarnings as errors, so a
+command that computes a statistic from too few samples fails here.
 """
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,12 +26,13 @@ def run(args, cwd=ROOT, returncode=0):
     return proc
 
 
-@pytest.mark.parametrize(
-    "script", [["run_sparse_fixture_table.py", "--inner-cap", "10"]], ids=lambda s: s[0]
-)
-def test_script_runs(script):
-    out = run([str(ROOT / "scripts" / script[0]), *script[1:]]).stdout
-    assert out.strip() and "nan" not in out
+def test_make_fixtures_reproduces_committed_files(tmp_path):
+    # the fixtures script's promise: a rerun writes the committed bytes
+    script = runpy.run_path(str(ROOT / "scripts" / "make_fixtures.py"))
+    for name, write in (("survey219", "write_survey"), ("lattice60", "write_lattice")):
+        script[write](tmp_path / f"{name}.mtx")
+        committed = (ROOT / "tests" / "fixtures" / f"{name}.mtx").read_bytes()
+        assert (tmp_path / f"{name}.mtx").read_bytes() == committed, name
 
 
 def test_curve_subcommand_on_shipped_config(tmp_path):

@@ -1,7 +1,9 @@
+import csv
+
 import numpy as np
 import pytest
 
-from tikmor.trace import format_cell
+from tikmor.trace import format_cell, write_csv
 
 
 @pytest.mark.parametrize(
@@ -21,3 +23,14 @@ from tikmor.trace import format_cell
 )
 def test_format_cell(value, text):
     assert format_cell(value) == text
+
+
+def test_write_csv_quotes_string_fields(tmp_path):
+    # an error message may hold commas, quotes and line breaks; numbers stay bare
+    message = '||b|| = inf, eps = 0.1: "not finite"\nat step 0'
+    write_csv(tmp_path / "t.csv", ("alpha", "error"), [(0.5, message), (1, "ok")])
+    text = (tmp_path / "t.csv").read_text()
+    assert text.startswith('alpha,error\n0.5,"||b|| = inf, eps = 0.1: ""not finite""')
+    assert text.endswith("\n1,ok\n")
+    with open(tmp_path / "t.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["alpha", "error"], ["0.5", message], ["1", "ok"]]
