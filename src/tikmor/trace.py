@@ -37,21 +37,18 @@ def format_cell(value) -> str:
 def _quoted(cell):
     """The cell as one CSV field, quoted (RFC 4180) if it holds a comma, a
     quote or a line break."""
-    if any(c in cell for c in ',"\r\n'):
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
 def write_csv(path, header, rows):
-    """The header and rows as CSV, cells by ``format_cell``; a cell that holds
-    a comma, a quote or a line break (only a string can) is quoted."""
+    """The header and rows as CSV, each cell by ``format_cell`` and
+    ``_quoted``."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            line = ",".join([format_cell(v) for v in row])
-            if line.count(",") >= len(row) or '"' in line or "\n" in line or "\r" in line:
-                line = ",".join([_quoted(format_cell(v)) for v in row])
-            fh.write(line + "\n")
+            fh.write(",".join([_quoted(format_cell(v)) for v in row]) + "\n")
 
 
 @dataclass
