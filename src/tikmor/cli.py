@@ -16,7 +16,7 @@ A config is a flat INI file: one ``[problem]`` section, the ``[solver
     ; path = fixtures/survey219.mtx   (sineWave / directory)
 
     [solver ntm-case2]
-    method = ntm                ; ntm | pntm | gbit | sirt | cgls-pc
+    method = ntm                ; ntm | pntm | gbit | sirt | cgls
     rule = case2
     alpha0 = 1.0
     omega = 0.9
@@ -30,15 +30,16 @@ A config is a flat INI file: one ``[problem]`` section, the ``[solver
 
 ``[problem]`` also takes ``precondition`` (none | smooth): ``smooth`` hands
 every solver the standard-form problem A inv(L) z = b of the smoothing
-prior L (``problems.priorconditioned_problem``); cgls-pc applies that
-transform itself to a problem that does not carry it yet. Solver keys
-besides ``method``, by method (defaults are those of the config classes):
+prior L (``problems.priorconditioned_problem``), and is the only switch
+for it: cgls on a smoothed problem is priorconditioned CGLS (CGLS-PC).
+Solver keys besides ``method``, by method (defaults are those of the
+config classes):
 
 * ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2), ``omega``
 * pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_large``, ``rule``, ``omega``
 * gbit: ``alpha0``, ``tol``, ``max_iter``
 * sirt: ``max_iter``, ``stop_at_discrepancy`` (true | false)
-* cgls-pc: ``max_iter``
+* cgls: ``max_iter``
 
 One parser reads every section through its table of INI key -> (field,
 parser): ``SECTIONS``, and ``METHODS[method].keys`` for a solver. An unknown
@@ -69,11 +70,7 @@ import numpy as np
 
 from . import __version__
 from .errors import TikmorError
-from .linop import (
-    PriorconditionedOperator,
-    RegularizationMatrix,
-    load_matrix_market,
-)
+from .linop import RegularizationMatrix, load_matrix_market
 from .ntm import NtmConfig, StepRule, eigen_residual_sq, gram_spectrum, ntm_solve
 from .pntm import PntmConfig, pntm_solve
 from .problems import (
@@ -146,7 +143,8 @@ class ProblemSpec:
         the identity), and the problem as built, with its ground truth."""
         original = self._build_raw(seed)
         if self.precondition == "smooth":
-            return (*_smoothed(original), original)
+            reg = RegularizationMatrix(original.operator.cols)
+            return (*priorconditioned_problem(original, reg), original)
         return original, np.asarray, original
 
     def _build_raw(self, seed: int) -> InverseProblem:
@@ -163,21 +161,6 @@ class ProblemSpec:
         if self.kind == "directory":
             return load_problem(self.path)
         raise ConfigError(f"unknown problem type {self.kind!r}")
-
-
-def _smoothed(problem):
-    """The standard-form problem A inv(L) z = b of the smoothing prior L, and
-    the map x = inv(L) z back from its solutions."""
-    return priorconditioned_problem(problem, RegularizationMatrix(problem.operator.cols))
-
-
-def _run_cgls_pc(problem, **opts):
-    to_x = np.asarray  # x is in the coordinates of the problem given
-    if not isinstance(problem.operator, PriorconditionedOperator):  # transform once
-        problem, to_x = _smoothed(problem)
-    r = cgls(problem.operator, problem.b, problem.discrepancy_target, **opts)
-    r.x = to_x(r.x)
-    return r
 
 
 class Method(NamedTuple):
@@ -206,7 +189,8 @@ METHODS = {
         "max_iter": ("max_iter", int),
         "stop_at_discrepancy": ("stop_at_discrepancy", _parse_flag),
     }, sirt_solve),
-    "cgls-pc": Method(dict, {"max_iter": ("max_iter", int)}, _run_cgls_pc),
+    "cgls": Method(dict, {"max_iter": ("max_iter", int)},
+                   lambda p, **opts: cgls(p.operator, p.b, p.discrepancy_target, **opts)),
 }
 
 
@@ -425,12 +409,12 @@ def run_experiment(config: ExperimentConfig) -> int:
         raise ConfigError("config needs at least one [solver <label>] section")
     out = Path(config.output)
     traces = out / "traces"
-    traces.mkdir(parents=True, exist_ok=True)
 
     seeds = [config.seed + r for r in range(config.repetitions)]
     runs = []
     for rep, seed in enumerate(seeds):
         problem, to_x, original = config.problem.build(seed)
+        traces.mkdir(parents=True, exist_ok=True)  # after a build: a failed one leaves none
         for spec in config.solvers:
             try:
                 r = spec.solve(problem)
@@ -478,7 +462,7 @@ def run_curve(config: ExperimentConfig) -> int:
 
 
 def run_gen(config: ExperimentConfig) -> int:
-    problem = config.problem.build(config.seed)[0]
+    problem = config.problem.build(config.seed)[2]  # as built, with its ground truth
     save_problem(problem, config.output)
     logger.info("wrote problem to %s", config.output)
     return 0

@@ -34,7 +34,7 @@ from .linop import as_operator
 from .problems import InverseProblem
 from .trace import NTM_COLUMNS, SolveResult, SolveTrace
 
-SOLVE_RTOL = 1e-10
+SOLVE_RTOL = 1e-12  # backward error a Newton direction solve must reach
 # bound on ||(x, F1, F2)|| / alpha: the rescaled system's norms fit in a float
 RESCALE_LIMIT = 1e300
 _EPS = float(np.finfo(float).eps)
@@ -65,7 +65,9 @@ def eigen_residual_sq(lam, gh, bb, xh) -> float:
 
 def gram_spectrum(A, b):
     """(lam, Q, gh, bb): A^T A = Q diag(lam) Q^T by ``spectral_gram``,
-    gh = Q^T A^T b and bb = ||b||^2, which price any Tikhonov point in O(n)."""
+    gh = Q^T A^T b and bb = ||b||^2, which price any Tikhonov point in O(n).
+    A is an operator or a matrix (pntm's projected B)."""
+    A = as_operator(A)
     lam, Q = spectral_gram(A.gram())
     return lam, Q, A.rmatvec(b) @ Q, float(b @ b)
 
@@ -294,9 +296,10 @@ class NewtonStep(NamedTuple):
                 self.dinv, self.theta, self.case_id, self.dir_norm)
 
 
-def newton_steps(lam, gh, bb, eps, xh, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
+def newton_steps(lam, gh, bb, eps, alpha, rule, tol, cap):
     """Safeguarded Newton steps on the coupled system in the eigenbasis of its
-    Gram matrix G = Q diag(lam) Q^T, as returned by ``spectral_gram``.
+    Gram matrix G = Q diag(lam) Q^T, as returned by ``gram_spectrum``,
+    from the Tikhonov point xh = gh / (lam + alpha).
 
     ``gh`` = Q^T A^T b and ``bb`` = ||b||^2; F1 = Q ((lam + alpha) xh - gh)
     and F2 = 0.5 ||A Q xh - b||^2 - 0.5 eps^2, the residual taken from
@@ -309,13 +312,14 @@ def newton_steps(lam, gh, bb, eps, xh, alpha, rule, tol, cap, rtol=SOLVE_RTOL):
         r2 = eigen_residual_sq(lam, gh, bb, xh)
         return (lam + alpha) * xh - gh, 0.5 * r2 - 0.5 * eps * eps, math.sqrt(r2)
 
+    xh = gh / (lam + alpha)
     F1h, F2, res = F(xh, alpha)
     Fnorm = stacked_norm(F1h, F2)
     yield NewtonStep(xh, alpha, res, Fnorm)
     for _ in range(cap):
         if Fnorm < tol:
             return
-        dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=rtol)
+        dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2)
         dinv = dinv_norm(lam, xh, alpha)
         gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
         gamma = step_size(
@@ -357,8 +361,7 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
 
     trace = SolveTrace(columns=NTM_COLUMNS)
     steps = newton_steps(
-        lam, gh, bb, eps, gh / (lam + config.alpha0),
-        config.alpha0, config.step_rule, config.tol, config.max_iter,
+        lam, gh, bb, eps, config.alpha0, config.step_rule, config.tol, config.max_iter
     )
     for k, step in enumerate(steps):
         trace.append(k, *step.row)

@@ -34,13 +34,11 @@ from .ntm import (
     StepRule,
     _check_discrepancy_feasible,
     eigen_residual_sq,
+    gram_spectrum,
     newton_steps,
-    spectral_gram,
 )
 from .problems import InverseProblem
 from .trace import PNTM_COLUMNS, SolveTrace
-
-PROJECTED_SOLVE_RTOL = 1e-12
 
 
 @dataclass
@@ -111,10 +109,11 @@ def secular_root(lam, gh, cc, eps, alpha):
 def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     """Golub-Kahan outer loop shared by pntm and gbit.
 
-    Each iteration grows the factorization by one column, diagonalizes
-    B^T B = Q diag(lam) Q^T and calls
-    ``update(k, B, c, lam, Q, gh, phi, alpha_prev) -> (y, alpha, F_norm, inner_steps)``
-    with gh = Q^T B^T c and phi the LSQR residual min_z ||B z - c||;
+    Each iteration grows the factorization by one column, takes the
+    spectrum (lam, Q, gh, cc) of B and c from ``ntm.gram_spectrum``
+    (B^T B = Q diag(lam) Q^T, gh = Q^T B^T c, cc = ||c||^2) and calls
+    ``update(k, B, c, spectrum, phi, alpha_prev) -> (y, alpha, F_norm, inner_steps)``
+    with phi the LSQR residual min_z ||B z - c||;
     ``update`` appends its own trace rows. Stops once phi < eps (the
     projected discrepancy equation has a root), F_norm < tol and alpha
     moved by less than tol relative; stops unconverged once the
@@ -140,9 +139,8 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
                 "A^T b is numerically zero: no Krylov direction exists"
             )
         B, c = f.B, f.c
-        lam, Q = spectral_gram(B.T @ B)
         phi = f.lsqr_residual
-        y, alpha, Fnorm, inner = update(k, B, c, lam, Q, (B.T @ c) @ Q, phi, alpha_prev)
+        y, alpha, Fnorm, inner = update(k, B, c, gram_spectrum(B, c), phi, alpha_prev)
         total_inner += inner
         if (
             phi < eps
@@ -181,16 +179,13 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     eps = problem.discrepancy_target
     trace = SolveTrace(columns=PNTM_COLUMNS)
 
-    def update(k, B, c, lam, Q, gh, phi, alpha):
-        cc = float(c @ c)
+    def update(k, B, c, spectrum, phi, alpha):
+        lam, Q, gh, cc = spectrum
         cap = 0  # no root yet: no Newton step, alpha is kept
         if phi < eps:
             alpha = secular_root(lam, gh, cc, eps, alpha)
             cap = config.inner_cap_large
-        steps = newton_steps(
-            lam, gh, cc, eps, gh / (lam + alpha), alpha, config.step_rule,
-            config.tol, cap, rtol=PROJECTED_SOLVE_RTOL,
-        )
+        steps = newton_steps(lam, gh, cc, eps, alpha, config.step_rule, config.tol, cap)
         for l, step in enumerate(steps):
             trace.append(len(trace) + 1, *step.row, k, l, lam.size, phi)
         return Q @ step.xh, step.alpha, step.F_norm, l

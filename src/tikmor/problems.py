@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, TikmorError
 from .linop import (
     DenseOperator,
     LinearOperator,
@@ -208,6 +208,8 @@ def load_problem(directory) -> InverseProblem:
             if "=" in ln:
                 key, val = ln.strip().split("=", 1)
                 meta[key] = val
+    if "epsilon" not in meta:
+        raise TikmorError(f"{d / 'meta.txt'} has no 'epsilon' line")
     ground_truth = _read_vector(d / "x_true.txt") if (d / "x_true.txt").exists() else None
     b_exact = _read_vector(d / "b_exact.txt") if (d / "b_exact.txt").exists() else None
     return InverseProblem(

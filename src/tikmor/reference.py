@@ -66,7 +66,8 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     eps = problem.discrepancy_target
     trace = SolveTrace(columns=GBIT_COLUMNS)
 
-    def update(k, B, c, lam, Q, gh, res_z, alpha_prev):
+    def update(k, B, c, spectrum, res_z, alpha_prev):
+        lam, Q, gh, _ = spectrum
         y = Q @ (gh / (lam + alpha_prev))  # (B^T B + alpha_prev I) y = B^T c
         res_y = float(np.linalg.norm(B @ y - c))
         if res_y == res_z:

@@ -12,8 +12,7 @@ same ``solve_rescaled_system`` the solvers run.
 import numpy as np
 
 from tikmor import as_operator
-from tikmor.ntm import SOLVE_RTOL, solve_rescaled_system, spectral_gram
-from tikmor.pntm import PROJECTED_SOLVE_RTOL
+from tikmor.ntm import solve_rescaled_system, spectral_gram
 
 
 def normal_equation_solve(A, b, alpha):
@@ -51,10 +50,10 @@ def eval_F(A, b, eps, x, alpha):
     return F1, F2
 
 
-def spectral_direction(G, x, alpha, F1, F2, rtol):
+def spectral_direction(G, x, alpha, F1, F2):
     """(dx, dalpha) from ``solve_rescaled_system``, rotated in and out of G's eigenbasis."""
     lam, Q = spectral_gram(G)
-    dxh, dalpha = solve_rescaled_system(lam, x @ Q, alpha, F1 @ Q, F2, rtol=rtol)
+    dxh, dalpha = solve_rescaled_system(lam, x @ Q, alpha, F1 @ Q, F2)
     return Q @ dxh, dalpha
 
 
@@ -63,7 +62,7 @@ def solve_newton_system(A, b, eps, x, alpha):
     A = as_operator(A)
     x = np.asarray(x, dtype=float)
     F1, F2 = eval_F(A, b, eps, x, alpha)
-    return spectral_direction(A.gram(), x, alpha, F1, F2, SOLVE_RTOL)
+    return spectral_direction(A.gram(), x, alpha, F1, F2)
 
 
 def projected_eval_F(B, c, eps, y, alpha):
@@ -77,7 +76,7 @@ def projected_newton_system(f, y, alpha, eps):
     B, c = f.B, f.c
     y = np.asarray(y, dtype=float)
     F1, F2 = projected_eval_F(B, c, eps, y, alpha)
-    return spectral_direction(B.T @ B, y, alpha, F1, F2, PROJECTED_SOLVE_RTOL)
+    return spectral_direction(B.T @ B, y, alpha, F1, F2)
 
 
 def regularization_dense(dim):

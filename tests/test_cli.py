@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 from pathlib import Path
 
@@ -272,8 +273,8 @@ stop_at_discrepancy = false
 
 @pytest.mark.parametrize("precondition", ["none", "smooth"])
 def test_cgls_pc_without_noise_recorded_per_run(tmp_path, precondition):
-    # eps = 0: cgls-pc has no discrepancy to stop at, under either branch
-    # (wrapping the operator, or plain cgls on a smoothed one); sirt's run stays
+    # eps = 0: cgls has no discrepancy to stop at, on the plain problem or on
+    # the smoothed one (CGLS-PC); sirt's run stays
     cfg = f"""
 [experiment]
 output = {tmp_path / "out"}
@@ -290,15 +291,15 @@ method = sirt
 max_iter = 5
 stop_at_discrepancy = false
 
-[solver cgls-pc]
-method = cgls-pc
+[solver cgls]
+method = cgls
 """
     assert main(["run", str(write_cfg(tmp_path, cfg))]) == 2
     runs = read_runs(tmp_path / "out")
     assert len(runs) == 2
     sirt_row, cgls_row = runs
     assert sirt_row["method"] == "sirt" and sirt_row["iters"] == "5" and sirt_row["error"] == ""
-    assert cgls_row["method"] == "cgls-pc"
+    assert cgls_row["method"] == "cgls"
     assert [cgls_row[f] for f in RESULT_FIELDS] == ["", "", "", ""]
     assert "discrepancy level must be positive" in cgls_row["error"]
 
@@ -344,6 +345,42 @@ def test_gen_subcommand_round_trips(tmp_path):
     q = random_uniform_problem(40, 25, 0.10, seed=11)
     assert np.array_equal(p.operator.to_dense(), q.operator.to_dense())
     assert np.array_equal(p.b, q.b)
+
+
+def test_gen_then_run_matches_generator_config(tmp_path):
+    # gen writes the problem as built, A with its truth: run on that directory
+    # smooths it once, as the generator config does
+    def config(out, problem):
+        text = ("[experiment]\nseed = 3\noutput = {}\n\n[problem]\n{}\nprecondition = smooth\n"
+                "\n[solver pntm]\nmethod = pntm\n\n[solver gbit]\nmethod = gbit\n")
+        return str(write_cfg(tmp_path, text.format(tmp_path / out, problem), f"{out}.cfg"))
+
+    sine = "type = sineWave\nm = 60\nn = 40"
+    assert main(["gen", config("prob", sine)]) == 0
+    assert main(["run", config("a", sine)]) == 0
+    assert main(["run", config("b", f"type = directory\npath = {tmp_path / 'prob'}")]) == 0
+    assert (tmp_path / "a" / "runs.csv").read_bytes() == (tmp_path / "b" / "runs.csv").read_bytes()
+    assert all(row["rel_error"] for row in read_runs(tmp_path / "b"))
+
+
+@pytest.mark.parametrize("case", ["noise", "epsilon"])
+def test_failed_build_is_one_error_and_no_output(tmp_path, caplog, case):
+    # the first problem is built before any output directory is made
+    if case == "noise":
+        problem = "type = randomUniform\nm = 30\nn = 20\nnoise = 1.5"
+        message = "noise fraction must lie in (0, 1)"
+    else:
+        save_problem(random_uniform_problem(30, 20, 0.10, seed=2), tmp_path / "prob")
+        meta = tmp_path / "prob" / "meta.txt"
+        lines = meta.read_text().splitlines(keepends=True)
+        meta.write_text("".join(ln for ln in lines if not ln.startswith("epsilon=")))
+        problem = f"type = directory\npath = {tmp_path / 'prob'}"
+        message = f"{meta} has no 'epsilon' line"
+    cfg = (f"[experiment]\noutput = {tmp_path / 'out'}\n\n[problem]\n{problem}\n\n"
+           "[solver gbit]\nmethod = gbit\n")
+    assert main(["run", str(write_cfg(tmp_path, cfg))]) == 1
+    assert [r.getMessage() for r in caplog.records if r.levelname == "ERROR"] == [message]
+    assert not (tmp_path / "out").exists()
 
 
 def test_discrepancy_curve_identity_value():
@@ -404,7 +441,7 @@ noise = 0.10
 precondition = smooth
 
 [solver cgls-pc]
-method = cgls-pc
+method = cgls
 max_iter = 200
 """
     out = tmp_path / "o"
@@ -413,40 +450,6 @@ max_iter = 200
     runs = read_runs(out)
     assert len(runs) == 1
     assert runs[0]["converged"] == "1"
-
-
-def test_cgls_pc_same_with_and_without_smooth_precondition(tmp_path):
-    # cgls-pc transforms a plain problem itself, and a smoothed one only once
-    cfg = """
-[experiment]
-repetitions = 2
-seed = 3
-output = {out}
-
-[problem]
-type = sineWave
-m = 30
-n = 20
-noise = 0.10
-precondition = {precondition}
-
-[solver cgls-pc]
-method = cgls-pc
-max_iter = 200
-"""
-    outs = {}
-    for precondition in ("none", "smooth"):
-        out = tmp_path / precondition
-        path = write_cfg(tmp_path, cfg.format(out=out, precondition=precondition),
-                         f"{precondition}.cfg")
-        assert main(["run", str(path)]) == 0
-        outs[precondition] = out
-    runs = (outs["none"] / "runs.csv").read_text()
-    assert runs == (outs["smooth"] / "runs.csv").read_text()
-    assert runs.count("cgls-pc,") == 2
-    for rep in range(2):
-        trace = f"traces/cgls-pc_rep{rep}.csv"
-        assert (outs["none"] / trace).read_bytes() == (outs["smooth"] / trace).read_bytes()
 
 
 def test_solver_error_recorded_per_run(tmp_path):
@@ -581,39 +584,77 @@ def test_bad_problem_or_curve_fails_before_work(tmp_path, edit):
 CURVE_CFG = BASE_CFG + "\n[curve]\nalpha_min = 0.01\npoints = 8\n"
 
 
-@pytest.mark.parametrize(
-    "edit, named",
-    [
-        (("m = 40", "m = 25x"), ["[problem]", "'m'", "'25x'"]),
-        (("repetitions = {reps}", "repetitions = three"), ["[experiment]", "'repetitions'"]),
-        (("noise = 0.10", "noise = lots"), ["[problem]", "'noise'", "'lots'"]),
-        (("alpha_min = 0.01", "alpha_min = tiny"), ["[curve]", "'alpha_min'", "'tiny'"]),
-        (("points = 8", "points = many"), ["[curve]", "'points'", "'many'"]),
-        (("output = {out}", "output = out/100%"), ["[experiment]", "'output'"]),
-        (("[solver gbit]", "[solver g]\nmethod = ntm\n\n[solver g]"), ["'solver g'"]),
-        (("n = 25", "n = 25\nn = 30"), ["'problem'", "'n'"]),
-        (("\n[experiment]", "m = 3\n[experiment]"), ["no section headers", "'m = 3"]),
-        (("seed = 11", "seed = -4"), ["[experiment]", "'seed'", "-4"]),
-        (("repetitions = {reps}", "repetitions = 0"), ["[experiment]", "'repetitions'"]),
-        (("alpha_min = 0.01", "alpha_min = 10\nalpha_max = 1"), ["[curve]", "ascending"]),
-    ],
-    ids=[
-        "int", "repetitions", "float", "alpha_min", "points", "interpolation",
-        "repeated-section", "repeated-key", "key-above-sections", "negative-seed",
-        "zero-repetitions", "descending-curve",
-    ],
-)
-def test_malformed_config_is_one_config_error(tmp_path, edit, named):
-    text = CURVE_CFG.replace(*edit).format(reps=1, out=tmp_path / "o")
-    path = write_cfg(tmp_path, text)
+# id -> (edit of CURVE_CFG, what the error must name)
+MALFORMED = {
+    "int": (("m = 40", "m = 25x"), ["[problem]", "'m'", "'25x'"]),
+    "repetitions": (("repetitions = {reps}", "repetitions = three"),
+                    ["[experiment]", "'repetitions'"]),
+    "float": (("noise = 0.10", "noise = lots"), ["[problem]", "'noise'", "'lots'"]),
+    "alpha_min": (("alpha_min = 0.01", "alpha_min = tiny"), ["[curve]", "'alpha_min'", "'tiny'"]),
+    "points": (("points = 8", "points = many"), ["[curve]", "'points'", "'many'"]),
+    "interpolation": (("output = {out}", "output = out/100%"), ["[experiment]", "'output'"]),
+    "repeated-section": (("[solver gbit]", "[solver g]\nmethod = ntm\n\n[solver g]"),
+                         ["'solver g'"]),
+    "repeated-key": (("n = 25", "n = 25\nn = 30"), ["'problem'", "'n'"]),
+    "key-above-sections": (("\n[experiment]", "m = 3\n[experiment]"),
+                           ["no section headers", "'m = 3"]),
+    "negative-seed": (("seed = 11", "seed = -4"), ["[experiment]", "'seed'", "-4"]),
+    "zero-repetitions": (("repetitions = {reps}", "repetitions = 0"),
+                         ["[experiment]", "'repetitions'"]),
+    "descending-curve": (("alpha_min = 0.01", "alpha_min = 10\nalpha_max = 1"),
+                         ["[curve]", "ascending"]),
+    # the method cgls-pc is now cgls on a problem with precondition = smooth
+    "method-cgls-pc": (("method = gbit", "method = cgls-pc"),
+                       ["[solver gbit]", "'cgls-pc'", "ntm, pntm, gbit, sirt, cgls"]),
+}
+
+# main(argv) for every argv in one interpreter, each with its own stderr; the
+# handlers are cleared so that main's basicConfig binds the new one
+ONE_INTERPRETER = """
+import io, json, logging, sys, traceback
+from tikmor.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    sys.stderr = io.StringIO()
+    logging.root.handlers.clear()
+    try:
+        code = main(argv)
+    except BaseException:
+        traceback.print_exc()
+        code = None
+    results.append([code, sys.stderr.getvalue()])
+sys.stdout.write(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def malformed_runs(tmp_path_factory):
+    """id -> (its directory, {command: (exit code, stderr)}) for each MALFORMED
+    config under run and curve, every command from one interpreter."""
+    root = tmp_path_factory.mktemp("malformed")
+    argvs = []
+    for case, (edit, _) in MALFORMED.items():
+        (root / case).mkdir()
+        text = CURVE_CFG.replace(*edit).format(reps=1, out=root / case / "o")
+        path = str(write_cfg(root / case, text))
+        argvs += [[command, path] for command in ("run", "curve")]
+    proc = run(["-c", ONE_INTERPRETER, json.dumps(argvs)], cwd=root)
+    results = iter(json.loads(proc.stdout))
+    return {case: (root / case, dict(zip(("run", "curve"), results))) for case in MALFORMED}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_is_one_config_error(malformed_runs, case):
+    named = MALFORMED[case][1]
+    directory, outcomes = malformed_runs[case]
     with pytest.raises(ConfigError) as err:
-        load_config(path)
+        load_config(directory / "exp.cfg")
     assert all(name in str(err.value) for name in named), str(err.value)
-    for command in ("run", "curve"):
-        proc = run(["-m", "tikmor.cli", command, str(path)], cwd=tmp_path, returncode=1)
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("ERROR:") and proc.stderr.count("\n") == 1
-    assert not list(tmp_path.rglob("*.csv"))
+    for command, (code, stderr) in outcomes.items():
+        assert code == 1, (command, stderr)
+        assert "Traceback" not in stderr
+        assert stderr.startswith("ERROR:") and stderr.count("\n") == 1
+    assert not list(directory.rglob("*.csv"))
 
 
 def test_undecodable_config_is_config_error(tmp_path):
