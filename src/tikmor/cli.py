@@ -33,13 +33,19 @@ every solver the standard-form problem A inv(L) z = b of the smoothing
 prior L (``problems.priorconditioned_problem``), and is the only switch
 for it: cgls on a smoothed problem is priorconditioned CGLS (CGLS-PC).
 Solver keys besides ``method``, by method (defaults are those of the
-config classes):
+config classes and of ``sirt_solve`` and ``cgls``):
 
 * ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2), ``omega``
 * pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_large``, ``rule``, ``omega``
 * gbit: ``alpha0``, ``tol``, ``max_iter``
 * sirt: ``max_iter``, ``stop_at_discrepancy`` (true | false)
 * cgls: ``max_iter``
+
+``alpha0`` and ``tol`` are positive and finite (NaN and inf are neither),
+every iteration budget (``max_iter``, ``outer_max``) is at least 1,
+``inner_large`` is at least 0 and ``omega`` lies strictly inside (0, 1);
+in ``[curve]``, ``alpha_min`` and ``alpha_max`` are positive and finite.
+Every method is called one way, ``METHODS[method].solve(problem, options)``.
 
 One parser reads every section through its table of INI key -> (field,
 parser): ``SECTIONS``, and ``METHODS[method].keys`` for a solver. An unknown
@@ -60,6 +66,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import logging
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -128,6 +135,14 @@ def _at_least(low):
     return parse
 
 
+def _positive(raw) -> float:
+    """A parser of positive, finite floats; NaN is neither."""
+    value = float(raw)
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{value!r} is not positive and finite")
+    return value
+
+
 @dataclass
 class ProblemSpec:
     kind: str  # randomuniform | sinewave | directory: the lower-cased INI type
@@ -166,7 +181,7 @@ class ProblemSpec:
 class Method(NamedTuple):
     config: Callable  # keyword fields -> the options ``solve`` takes
     keys: dict  # INI key -> (field, parser)
-    solve: Callable  # (problem, config) or (problem, **options) -> result
+    solve: Callable  # (problem, options) -> result
     count: str = "n_iter"  # the result field that fills ``iters``
 
 
@@ -186,26 +201,18 @@ METHODS = {
         **_START_KEYS, "max_iter": ("max_iter", int),
     }, gbit_solve, "n_outer"),
     "sirt": Method(dict, {
-        "max_iter": ("max_iter", int),
+        "max_iter": ("max_iter", _at_least(1)),
         "stop_at_discrepancy": ("stop_at_discrepancy", _parse_flag),
-    }, sirt_solve),
-    "cgls": Method(dict, {"max_iter": ("max_iter", int)},
-                   lambda p, **opts: cgls(p.operator, p.b, p.discrepancy_target, **opts)),
+    }, lambda p, opts: sirt_solve(p, **opts)),
+    "cgls": Method(dict, {"max_iter": ("max_iter", _at_least(1))},
+                   lambda p, opts: cgls(p.operator, p.b, p.discrepancy_target, **opts)),
 }
 
 
-@dataclass
-class SolverSpec:
+class SolverSpec(NamedTuple):
     label: str
     method: str
-    config: object  # what METHODS[method].config built from the section
-
-    def solve(self, problem: InverseProblem):
-        """The method's result on the problem; a ``TikmorError`` propagates."""
-        method = METHODS[self.method]
-        if isinstance(self.config, dict):
-            return method.solve(problem, **self.config)
-        return method.solve(problem, self.config)
+    options: object  # what METHODS[method].config built from the section
 
 
 class _Run(NamedTuple):
@@ -250,8 +257,8 @@ def _alpha_grid(alphas):
     grid = np.asarray(alphas, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("alpha grid must be a nonempty 1-d sequence")
-    if (grid <= 0).any():
-        raise ValueError("alpha grid values must be positive")
+    if not (np.isfinite(grid).all() and (grid > 0).all()):  # NaN fails both
+        raise ValueError("alpha grid values must be positive and finite")
     if (np.diff(grid) <= 0).any():
         raise ValueError("alpha grid must be strictly ascending")
     return grid
@@ -276,7 +283,7 @@ SECTIONS = {  # the sections besides [solver <label>]: INI key -> (field, parser
         "precondition": ("precondition", _choice("none", "smooth")),
     },
     "curve": {
-        "alpha_min": ("alpha_min", float), "alpha_max": ("alpha_max", float),
+        "alpha_min": ("alpha_min", _positive), "alpha_max": ("alpha_max", _positive),
         "points": ("points", int), "spacing": ("spacing", _choice("log", "linear")),
     },
 }
@@ -416,14 +423,15 @@ def run_experiment(config: ExperimentConfig) -> int:
         problem, to_x, original = config.problem.build(seed)
         traces.mkdir(parents=True, exist_ok=True)  # after a build: a failed one leaves none
         for spec in config.solvers:
+            method = METHODS[spec.method]
             try:
-                r = spec.solve(problem)
+                r = method.solve(problem, spec.options)
             except TikmorError as exc:
                 logger.error("solver %s failed on rep %d: %s", spec.label, rep, exc)
                 runs.append(_Run(spec.label, rep, seed, error=str(exc)))
                 continue
             r.trace.write_csv(traces / f"{spec.label}_rep{rep}.csv")
-            iters = getattr(r, METHODS[spec.method].count)
+            iters = getattr(r, method.count)
             runs.append(_Run(
                 spec.label, rep, seed, iters, r.alpha, bool(r.converged), r.residual_norm,
                 relative_stats(original, to_x(r.x)).rel_error,

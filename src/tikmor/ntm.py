@@ -248,6 +248,18 @@ class StepRule:
             raise ValueError("omega must lie strictly inside (0, 1)")
 
 
+def check_options(config, **least):
+    """A ValueError unless the config's ``alpha0`` and ``tol`` are positive and
+    finite and each field named in ``least`` is at least its value; NaN fails."""
+    for name in ("alpha0", "tol"):
+        value = getattr(config, name)
+        if not (value > 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+    for name, low in least.items():
+        if not getattr(config, name) >= low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+
+
 @dataclass
 class NtmConfig:
     alpha0: float = 1.0
@@ -256,10 +268,7 @@ class NtmConfig:
     step_rule: StepRule = field(default_factory=StepRule)
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError("alpha0 must be positive")
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("tol must be positive and max_iter >= 1")
+        check_options(self, max_iter=1)
 
 
 def _check_discrepancy_feasible(b, eps):

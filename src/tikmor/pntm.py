@@ -33,6 +33,7 @@ from .ntm import (
     _EPS,
     StepRule,
     _check_discrepancy_feasible,
+    check_options,
     eigen_residual_sq,
     gram_spectrum,
     newton_steps,
@@ -50,10 +51,7 @@ class PntmConfig:
     step_rule: StepRule = field(default_factory=StepRule)
 
     def __post_init__(self):
-        if self.alpha0 <= 0 or self.tol <= 0:
-            raise ValueError("alpha0 and tol must be positive")
-        if self.outer_iter_max < 1:
-            raise ValueError("outer_iter_max must be >= 1")
+        check_options(self, outer_iter_max=1, inner_cap_large=0)
 
 
 @dataclass

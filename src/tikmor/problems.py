@@ -8,6 +8,7 @@ recorded as the deterministic value eps = sigma * sqrt(m)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -59,10 +60,10 @@ class InverseProblem:
             raise DimensionError(
                 f"rhs length {self.b.shape} does not match operator rows {self.operator.rows}"
             )
-        if self.noise_level < 0:
-            raise ValueError("noise level must be nonnegative")
-        if self.eta < 1:
-            raise ValueError("eta must be >= 1")
+        if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):  # NaN fails
+            raise ValueError(f"noise level must be finite and >= 0, got {self.noise_level}")
+        if not (self.eta >= 1 and math.isfinite(self.eta)):
+            raise ValueError(f"eta must be finite and >= 1, got {self.eta}")
 
     @property
     def discrepancy_target(self) -> float:

@@ -9,14 +9,15 @@ it returns.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InfeasibleDiscrepancyError, ZeroSumError
+from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, ZeroSumError
 from .linop import as_operator
-from .ntm import stacked_norm
+from .ntm import check_options, stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
 from .trace import CGLS_COLUMNS, GBIT_COLUMNS, SIRT_COLUMNS, SolveResult, SolveTrace
@@ -34,8 +35,7 @@ class GbitConfig:
     max_iter: int = 100
 
     def __post_init__(self):
-        if self.alpha0 <= 0 or self.tol <= 0 or self.max_iter < 1:
-            raise ValueError("alpha0 and tol must be positive, max_iter >= 1")
+        check_options(self, max_iter=1)
 
 
 def secant_alpha_update(eps, res_unreg, res_reg, alpha_prev):
@@ -129,11 +129,20 @@ def sirt_operators(A) -> SirtOperators:
     )
 
 
+def _finite(name, value):
+    """The value; a ConvergenceFailure if it is not finite (A or b is not)."""
+    if not math.isfinite(value):
+        raise ConvergenceFailure(f"{name} = {value!r} is not finite")
+    return value
+
+
+@np.errstate(invalid="ignore", over="ignore")  # non-finite A or b: the residual says so
 def sirt_solve(
     problem: InverseProblem, max_iter=1000, stop_at_discrepancy=True
 ) -> SolveResult:
     """Stationary iteration x <- x + C A^T R (b - A x) from x = 0; converged
-    means the residual reached the discrepancy level and stopped the run."""
+    means the residual reached the discrepancy level and stopped the run.
+    A residual norm that is not finite raises ``ConvergenceFailure``."""
     A = as_operator(problem.operator)
     b = problem.b
     eps = problem.discrepancy_target
@@ -148,7 +157,7 @@ def sirt_solve(
     for k in range(1, max_iter + 1):
         x = x + ops.col_scale * A.rmatvec(ops.row_scale * r)
         r = b - A.matvec(x)
-        res = float(np.linalg.norm(r))
+        res = _finite("SIRT residual norm", float(np.linalg.norm(r)))
         n_iter = k
         trace.append(k, None, res)
         if stop_at_discrepancy and res <= eps:
@@ -163,11 +172,14 @@ def sirt_solve(
 # -- CGLS ---------------------------------------------------------------------
 
 
+@np.errstate(invalid="ignore", over="ignore")  # non-finite A or b: gamma or the residual says so
 def cgls(A, b, eps, max_iter=1000) -> SolveResult:
     """Conjugate-gradient least squares with discrepancy stopping.
 
     Iterates on min ||A x - b|| from x = 0 and stops at the first iterate
-    whose residual norm is at or below eps, which must be positive.
+    whose residual norm is at or below eps, which must be positive. A
+    gamma = ||A^T r||^2 or residual norm that is not finite raises
+    ``ConvergenceFailure``.
     """
     if eps <= 0:
         raise InfeasibleDiscrepancyError("discrepancy level must be positive")
@@ -176,9 +188,9 @@ def cgls(A, b, eps, max_iter=1000) -> SolveResult:
     r = np.array(b, dtype=float)  # b - A x at x = 0
     s = A.rmatvec(r)
     p = s.copy()
-    gamma = float(s @ s)
+    gamma = _finite("CGLS gamma", float(s @ s))
     trace = SolveTrace(columns=CGLS_COLUMNS)
-    res = float(np.linalg.norm(r))
+    res = _finite("CGLS residual norm", float(np.linalg.norm(r)))
     trace.append(0, None, res)
     converged = res <= eps
     n_iter = 0
@@ -192,14 +204,14 @@ def cgls(A, b, eps, max_iter=1000) -> SolveResult:
         step = gamma / delta
         x = x + step * p
         r = r - step * q
-        res = float(np.linalg.norm(r))
+        res = _finite("CGLS residual norm", float(np.linalg.norm(r)))
         n_iter = k
         trace.append(k, None, res)
         if res <= eps:
             converged = True
             break
         s = A.rmatvec(r)
-        gamma_new = float(s @ s)
+        gamma_new = _finite("CGLS gamma", float(s @ s))
         p = s + (gamma_new / gamma) * p
         gamma = gamma_new
     return SolveResult(

@@ -363,7 +363,7 @@ def test_gen_then_run_matches_generator_config(tmp_path):
     assert all(row["rel_error"] for row in read_runs(tmp_path / "b"))
 
 
-@pytest.mark.parametrize("case", ["noise", "epsilon"])
+@pytest.mark.parametrize("case", ["noise", "epsilon", "epsilon-nan"])
 def test_failed_build_is_one_error_and_no_output(tmp_path, caplog, case):
     # the first problem is built before any output directory is made
     if case == "noise":
@@ -373,9 +373,14 @@ def test_failed_build_is_one_error_and_no_output(tmp_path, caplog, case):
         save_problem(random_uniform_problem(30, 20, 0.10, seed=2), tmp_path / "prob")
         meta = tmp_path / "prob" / "meta.txt"
         lines = meta.read_text().splitlines(keepends=True)
-        meta.write_text("".join(ln for ln in lines if not ln.startswith("epsilon=")))
+        if case == "epsilon":
+            meta.write_text("".join(ln for ln in lines if not ln.startswith("epsilon=")))
+            message = f"{meta} has no 'epsilon' line"
+        else:
+            meta.write_text("".join("epsilon=nan\n" if ln.startswith("epsilon=") else ln
+                                    for ln in lines))
+            message = "noise level must be finite and >= 0, got nan"
         problem = f"type = directory\npath = {tmp_path / 'prob'}"
-        message = f"{meta} has no 'epsilon' line"
     cfg = (f"[experiment]\noutput = {tmp_path / 'out'}\n\n[problem]\n{problem}\n\n"
            "[solver gbit]\nmethod = gbit\n")
     assert main(["run", str(write_cfg(tmp_path, cfg))]) == 1
@@ -424,6 +429,9 @@ def test_discrepancy_curve_rejects_bad_grids():
         sample_discrepancy_curve(p, [1.0, 0.5])
     with pytest.raises(ValueError):
         sample_discrepancy_curve(p, [-1.0, 1.0])
+    for grid in ([np.nan, 1.0], [1.0, np.nan], [1.0, np.inf]):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sample_discrepancy_curve(p, grid)
 
 
 def test_precondition_smooth_problem(tmp_path):
@@ -606,6 +614,20 @@ MALFORMED = {
     # the method cgls-pc is now cgls on a problem with precondition = smooth
     "method-cgls-pc": (("method = gbit", "method = cgls-pc"),
                        ["[solver gbit]", "'cgls-pc'", "ntm, pntm, gbit, sirt, cgls"]),
+    # NaN and inf parse as floats; each option's domain rejects them
+    "alpha0-nan": (("method = gbit", "method = gbit\nalpha0 = nan"),
+                   ["[solver gbit]", "alpha0", "nan"]),
+    "tol-inf": (("rule = case2", "rule = case2\ntol = inf"),
+                ["[solver ntm-case2]", "tol", "inf"]),
+    "cgls-max_iter-zero": (("[solver gbit]",
+                            "[solver cgls]\nmethod = cgls\nmax_iter = 0\n\n[solver gbit]"),
+                           ["[solver cgls]", "'max_iter'", "0 is less than 1"]),
+    "sirt-max_iter-negative": (("[solver gbit]",
+                                "[solver sirt]\nmethod = sirt\nmax_iter = -1\n\n[solver gbit]"),
+                               ["[solver sirt]", "'max_iter'", "-1 is less than 1"]),
+    "alpha_min-nan": (("alpha_min = 0.01", "alpha_min = nan"), ["[curve]", "'alpha_min'", "nan"]),
+    "alpha_max-inf": (("alpha_min = 0.01", "alpha_min = 0.01\nalpha_max = inf"),
+                      ["[curve]", "'alpha_max'", "inf"]),
 }
 
 # main(argv) for every argv in one interpreter, each with its own stderr; the

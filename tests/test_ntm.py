@@ -8,20 +8,24 @@ from tikmor import (
     ConvergenceFailure,
     DegenerateRhsError,
     DenseOperator,
+    GbitConfig,
     InfeasibleDiscrepancyError,
     InverseProblem,
     NtmConfig,
+    PntmConfig,
     PriorconditionedOperator,
     RegularizationMatrix,
     SingularJacobianError,
     SparseOperator,
     StepRule,
     as_operator,
+    cgls,
     dinv_norm,
     gbit_solve,
     ntm_solve,
     pntm_solve,
     random_uniform_problem,
+    sirt_solve,
     step_interval,
     step_size,
 )
@@ -537,13 +541,18 @@ ZERO_ROW_OPERATORS = {
 }
 
 
+def cgls_solve(p):
+    return cgls(p.operator, p.b, p.discrepancy_target)
+
+
 @pytest.mark.parametrize("where", ["A", "b", *ZERO_ROW_OPERATORS])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("solve", [ntm_solve, pntm_solve, gbit_solve])
+@pytest.mark.parametrize("solve", [ntm_solve, pntm_solve, gbit_solve, sirt_solve, cgls_solve])
 def test_nonfinite_input_fails_typed(solve, bad, where):
     # caught on numbers the solvers already form (||b||, the Gram eigenvalues,
-    # the Golub-Kahan mu_1), not numpy's LinAlgError from eigh, a raw
-    # RuntimeWarning or a later symptom
+    # the Golub-Kahan mu_1, the sirt and cgls residual norms and cgls's
+    # gamma = ||A^T r||^2), not numpy's LinAlgError from eigh, a raw
+    # RuntimeWarning, a NaN iterate after the whole budget or a later symptom
     p = random_uniform_problem(30, 20, 0.10, seed=5)
     A, b = p.operator.to_dense().copy(), p.b.copy()
     op = as_operator
@@ -556,6 +565,29 @@ def test_nonfinite_input_fails_typed(solve, bad, where):
         op = ZERO_ROW_OPERATORS[where]
     with pytest.raises(ConvergenceFailure, match="not finite"):
         solve(InverseProblem(operator=op(A), b=b, noise_level=p.noise_level))
+
+
+# the keyword values perfbench/workloads.py builds each config with
+WORKLOAD_OPTIONS = {
+    NtmConfig: dict(alpha0=1.0, tol=1e-3, max_iter=500,
+                    step_rule=StepRule(variant="case1", omega=0.9)),
+    PntmConfig: dict(alpha0=1.0, tol=1e-3, outer_iter_max=100, inner_cap_large=10000,
+                     step_rule=StepRule(variant="case2", omega=0.9)),
+    GbitConfig: dict(alpha0=1.0, tol=1e-3, max_iter=100),
+}
+
+
+@pytest.mark.parametrize("config, key, bad", [
+    *((config, key, bad) for config in WORKLOAD_OPTIONS for key in ("alpha0", "tol")
+      for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0)),
+    (NtmConfig, "max_iter", 0), (PntmConfig, "outer_iter_max", 0),
+    (PntmConfig, "inner_cap_large", -1), (GbitConfig, "max_iter", 0),
+])
+def test_config_rejects_options_outside_their_domain(config, key, bad):
+    options = WORKLOAD_OPTIONS[config]
+    assert getattr(config(**options), key) == options[key]
+    with pytest.raises(ValueError, match=key):
+        config(**{**options, key: bad})
 
 
 @pytest.mark.parametrize("G", [

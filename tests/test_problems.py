@@ -125,6 +125,15 @@ def test_eta_scales_discrepancy_target():
     assert p.discrepancy_target == pytest.approx(0.15)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("field", ["noise_level", "eta"])
+def test_discrepancy_level_must_be_finite(field, bad):
+    # NaN passes a bare `< 0` or `< 1` test; a solver would spend its whole budget on it
+    levels = {"noise_level": 0.1, "eta": 1.0, field: bad}
+    with pytest.raises(ValueError, match=f"{field.replace('_', ' ')} must be finite"):
+        InverseProblem(operator=as_operator(np.eye(2)), b=np.ones(2), **levels)
+
+
 def test_problem_round_trip_dense(tmp_path):
     p = random_uniform_problem(12, 7, 0.10, seed=21)
     save_problem(p, tmp_path / "prob")
