@@ -67,6 +67,7 @@ import argparse
 import configparser
 import logging
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass
@@ -305,12 +306,17 @@ def _parse(name, section, keys):
     return fields
 
 
-def _build(name, make, fields):
-    """``make(**fields)``; a ValueError it raises is a ConfigError naming the section."""
+def _build(name, make, fields, keys=None):
+    """``make(**fields)``; a ValueError it raises is a ConfigError naming the
+    section, each field in its message renamed to its INI key by ``keys``
+    (INI key -> (field, parser))."""
     try:
         return make(**fields)
     except ValueError as exc:
-        raise ConfigError(f"invalid value in [{name}]: {exc}") from exc
+        message = str(exc)
+        for key, (field_name, _) in (keys or {}).items():
+            message = re.sub(rf"\b{field_name}\b", key, message)
+        raise ConfigError(f"invalid value in [{name}]: {message}") from exc
 
 
 def _solver_spec(name, section, default_label):
@@ -325,9 +331,9 @@ def _solver_spec(name, section, default_label):
     del kwargs["method"]
     rule = {f: kwargs.pop(f) for f in _RULE_FIELDS & kwargs.keys()}
     if rule:
-        kwargs["step_rule"] = _build(name, StepRule, rule)
+        kwargs["step_rule"] = _build(name, StepRule, rule, spec.keys)
     label = name[len("solver"):].strip() or default_label
-    return SolverSpec(label, method, _build(name, spec.config, kwargs))
+    return SolverSpec(label, method, _build(name, spec.config, kwargs, spec.keys))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -374,13 +380,13 @@ def sample_discrepancy_curve(problem: InverseProblem, alpha_grid):
 
     One ``eigh`` of A^T A prices each point in O(n): the Tikhonov solution
     has eigen-coordinates xh = (Q^T A^T b) / (lam + alpha), and its residual
-    comes from ``eigen_residual_sq`` without forming x. The sampled curve is
-    checked to be nondecreasing (up to roundoff), which is the shape the
-    discrepancy principle relies on.
+    comes from ``eigen_residual_sq`` on ``gram_spectrum``'s least-squares
+    residual, without forming x. The sampled curve is checked to be
+    nondecreasing (up to roundoff), the shape the discrepancy principle relies on.
     """
     grid = _alpha_grid(alpha_grid)
-    lam, _, gh, bb = gram_spectrum(problem.operator, problem.b)
-    residuals = np.sqrt([eigen_residual_sq(lam, gh, bb, gh / (lam + a)) for a in grid])
+    lam, _, gh, rr = gram_spectrum(problem.operator, problem.b)
+    residuals = np.sqrt([eigen_residual_sq(lam, gh, rr, gh / (lam + a)) for a in grid])
     slack = 1e-10 * max(1.0, residuals.max())
     if (np.diff(residuals) < -slack).any():
         raise TikmorError("sampled discrepancy curve is not nondecreasing")

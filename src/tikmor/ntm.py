@@ -16,8 +16,8 @@ G = A^T A is fixed during a solve and diagonalized once, G = Q diag(lam) Q^T
 (one ``eigh``, O(n^3)). The iterate is kept in eigen-coordinates
 xh = Q^T x, where F1 = Q ((lam + alpha) xh - Q^T A^T b), the direction
 follows from a scalar Schur complement and ||D^-1|| from a root of a
-monotone secular equation. F2 is quadratic in x: ||A x - b||^2 = ||b||^2 +
-xh . (lam xh - 2 Q^T A^T b), so a step is O(n) and touches neither Q nor A;
+monotone secular equation. F2 is priced in range coordinates by
+``eigen_residual_sq``, so a step is O(n) and touches neither Q nor A;
 the solve forms x = Q xh and A x - b once, at the end.
 """
 
@@ -56,20 +56,23 @@ def spectral_gram(G):
     return np.maximum(lam, 0.0), Q
 
 
-def eigen_residual_sq(lam, gh, bb, xh) -> float:
+def eigen_residual_sq(lam, gh, rr, xh) -> float:
     """||A Q xh - b||^2 in O(n) from A^T A = Q diag(lam) Q^T, gh = Q^T A^T b and
-    bb = ||b||^2, clamped at 0; its absolute roundoff is of order
-    eps_mach (bb + |xh . gh| + xh . lam xh)."""
-    return max(bb + float(xh @ (lam * xh - 2.0 * gh)), 0.0)
+    rr = min_z ||A z - b||^2, in range coordinates: rr + sum_{lam_i > 0}
+    (lam_i xh_i - gh_i)^2 / lam_i. Every term is a square, so nothing cancels
+    however small the residual is next to ||b||."""
+    pos = lam > 0
+    d = lam[pos] * xh[pos] - gh[pos]
+    return rr + float(d @ (d / lam[pos]))
 
 
 def gram_spectrum(A, b):
-    """(lam, Q, gh, bb): A^T A = Q diag(lam) Q^T by ``spectral_gram``,
-    gh = Q^T A^T b and bb = ||b||^2, which price any Tikhonov point in O(n).
-    A is an operator or a matrix (pntm's projected B)."""
-    A = as_operator(A)
+    """(lam, Q, gh, rr) of operator A: A^T A = Q diag(lam) Q^T by ``spectral_gram``,
+    gh = Q^T A^T b and rr = ||b||^2 - sum_{lam_i > 0} gh_i^2 / lam_i clamped at 0,
+    which price any Tikhonov point in O(n); rr's roundoff is eps_mach ||b||^2."""
     lam, Q = spectral_gram(A.gram())
-    return lam, Q, A.rmatvec(b) @ Q, float(b @ b)
+    gh = A.rmatvec(b) @ Q
+    return lam, Q, gh, max(float(b @ b) - eigen_residual_sq(lam, gh, 0.0, np.zeros_like(gh)), 0.0)
 
 
 def solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=SOLVE_RTOL):
@@ -305,20 +308,19 @@ class NewtonStep(NamedTuple):
                 self.dinv, self.theta, self.case_id, self.dir_norm)
 
 
-def newton_steps(lam, gh, bb, eps, alpha, rule, tol, cap):
+def newton_steps(lam, gh, rr, eps, alpha, rule, tol, cap):
     """Safeguarded Newton steps on the coupled system in the eigenbasis of its
-    Gram matrix G = Q diag(lam) Q^T, as returned by ``gram_spectrum``,
-    from the Tikhonov point xh = gh / (lam + alpha).
+    Gram matrix G = Q diag(lam) Q^T, from the Tikhonov point xh = gh / (lam + alpha).
 
-    ``gh`` = Q^T A^T b and ``bb`` = ||b||^2; F1 = Q ((lam + alpha) xh - gh)
-    and F2 = 0.5 ||A Q xh - b||^2 - 0.5 eps^2, the residual taken from
-    ``eigen_residual_sq``, so a step is O(n) and touches neither Q nor A.
-    Yields the start point, then one record per step, and stops once
-    ||F|| < tol or after ``cap`` steps.
+    ``gh`` = Q^T A^T b and ``rr`` = min_z ||A z - b||^2 (``gram_spectrum``'s for
+    ntm, LSQR's phi_k^2 for pntm); F1 = Q ((lam + alpha) xh - gh) and F2 =
+    0.5 ||A Q xh - b||^2 - 0.5 eps^2, the residual from ``eigen_residual_sq``,
+    so a step is O(n) and touches neither Q nor A. Yields the start point,
+    then one record per step, and stops once ||F|| < tol or after ``cap`` steps.
     """
 
     def F(xh, alpha):
-        r2 = eigen_residual_sq(lam, gh, bb, xh)
+        r2 = eigen_residual_sq(lam, gh, rr, xh)
         return (lam + alpha) * xh - gh, 0.5 * r2 - 0.5 * eps * eps, math.sqrt(r2)
 
     xh = gh / (lam + alpha)
@@ -361,7 +363,7 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
     eps = problem.discrepancy_target
     _check_discrepancy_feasible(b, eps)
 
-    lam, Q, gh, bb = gram_spectrum(A, b)
+    lam, Q, gh, rr = gram_spectrum(A, b)
     if not lam[0] + config.alpha0 > lam.size * _EPS * lam[-1]:
         raise ConvergenceFailure(
             "A^T A + alpha0 I is not numerically positive definite at "
@@ -370,7 +372,7 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
 
     trace = SolveTrace(columns=NTM_COLUMNS)
     steps = newton_steps(
-        lam, gh, bb, eps, config.alpha0, config.step_rule, config.tol, config.max_iter
+        lam, gh, rr, eps, config.alpha0, config.step_rule, config.tol, config.max_iter
     )
     for k, step in enumerate(steps):
         trace.append(k, *step.row)

@@ -10,8 +10,8 @@ Once it is, alpha is the root of the projected secular equation
 ``ntm.newton_steps`` start there, at the projected Tikhonov solution
 yh = (Q^T B^T c) / (lam + alpha) in eigen-coordinates. F vanishes there
 up to rounding, so they normally only certify ||F|| < tol. Both price
-||B Q yh - c|| from the eigenpairs and ||c|| = beta in O(k), with no
-product with Q or B. The outer loop stops only when the
+||B Q yh - c|| in O(k) by ``ntm.eigen_residual_sq`` on top of phi_k^2,
+with no product with Q or B, as gbit does. The outer loop stops only when the
 projected system is solved *and* alpha has stagnated, since the
 projected system can be solved accurately long before the subspace is
 rich enough for the full problem; it stops unconverged once the
@@ -35,8 +35,8 @@ from .ntm import (
     _check_discrepancy_feasible,
     check_options,
     eigen_residual_sq,
-    gram_spectrum,
     newton_steps,
+    spectral_gram,
 )
 from .problems import InverseProblem
 from .trace import PNTM_COLUMNS, SolveTrace
@@ -65,37 +65,36 @@ class KrylovResult:
     n_outer: int
     n_inner_total: int
     residual_norm: float
-    y: np.ndarray
-    factorization: BidiagFactorization
 
 
-def secular_root(lam, gh, cc, eps, alpha):
+def secular_root(lam, gh, rr, eps, alpha):
     """Root a > 0 of the projected discrepancy equation ||B y_a - c|| = eps,
-    y_a = Q (gh / (lam + a)), given phi_k < eps < ||c||:
+    y_a = Q (gh / (lam + a)), given rr = phi_k^2 < eps^2 < ||c||^2:
 
-        f(a) = cc - eps^2 - sum gh_i^2 (lam_i + 2a) / (lam_i + a)^2
+        f(a) = rr - eps^2 + sum_{lam_i > 0} gh_i^2 a^2 / (lam_i (lam_i + a)^2)
 
     (Golub & von Matt 1991), priced by ``eigen_residual_sq`` as the Newton
-    steps price F2, O(k) per evaluation. In t = 1/a, f is convex
-    and decreasing, so Newton in t falls monotonically onto the root from
-    any a above it and cannot leave (0, inf). The tangent at t = 0 gives
-    such a point, a_up = 2 ||gh||^2 / (cc - eps^2). The search starts at
-    the carried alpha if that is smaller. The previous root lies below
-    this one, as the projected residual at fixed alpha does not grow with
-    k; from below the root, Newton lands above it, or a_up is taken.
-    Stops once f is down to the roundoff of the residual, or the iterates
-    stop decreasing.
+    steps price F2, O(k) per evaluation; no term cancels, even at phi_k = 0.
+    In t = 1/a, f is convex and decreasing, so Newton in t falls
+    monotonically onto the root from any a above it and cannot leave
+    (0, inf). The tangent at t = 0 gives such a point, a_up = 2 ||gh||^2 /
+    (||c||^2 - eps^2), ||c||^2 priced as the residual at y = 0. The search
+    starts at the carried alpha if that is smaller. The previous root lies
+    below this one, as the projected residual at fixed alpha does not grow
+    with k; from below the root, Newton lands above it, or a_up is taken.
+    Stops once f is down to the roundoff of eps^2, or the iterates stop
+    decreasing.
     """
-    a_up = 2.0 * float(gh @ gh) / (cc - eps * eps)
+    a_up = 2.0 * float(gh @ gh) / (eigen_residual_sq(lam, gh, rr, np.zeros_like(gh)) - eps * eps)
     a = min(alpha, a_up)
     for i in range(100):
         q = gh / (lam + a)
-        f = eigen_residual_sq(lam, gh, cc, q) - eps * eps
+        f = eigen_residual_sq(lam, gh, rr, q) - eps * eps
         slope = 2.0 * a * a * float(q @ (q / (lam + a)))  # -df/dt
         if f <= 0.0 and i == 0:  # the start lies below the root
             a = min(a * slope / (slope + f), a_up) if slope + f > 0.0 else a_up
             continue
-        if f <= 4.0 * _EPS * cc:  # at the root up to the residual's roundoff
+        if f <= 4.0 * _EPS * eps * eps:  # at the root up to the residual's roundoff
             break
         nxt = a * slope / (slope + f)
         if not 0.0 < nxt < a:
@@ -108,10 +107,10 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     """Golub-Kahan outer loop shared by pntm and gbit.
 
     Each iteration grows the factorization by one column, takes the
-    spectrum (lam, Q, gh, cc) of B and c from ``ntm.gram_spectrum``
-    (B^T B = Q diag(lam) Q^T, gh = Q^T B^T c, cc = ||c||^2) and calls
-    ``update(k, B, c, spectrum, phi, alpha_prev) -> (y, alpha, F_norm, inner_steps)``
-    with phi the LSQR residual min_z ||B z - c||;
+    spectrum (lam, Q, gh, rr) of B and c (B^T B = Q diag(lam) Q^T,
+    gh = Q^T B^T c, rr = phi^2, phi the LSQR residual min_z ||B z - c||:
+    what ``ntm.eigen_residual_sq`` prices a projected point from) and calls
+    ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F_norm, inner_steps)``;
     ``update`` appends its own trace rows. Stops once phi < eps (the
     projected discrepancy equation has a root), F_norm < tol and alpha
     moved by less than tol relative; stops unconverged once the
@@ -138,7 +137,9 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
             )
         B, c = f.B, f.c
         phi = f.lsqr_residual
-        y, alpha, Fnorm, inner = update(k, B, c, gram_spectrum(B, c), phi, alpha_prev)
+        lam, Q = spectral_gram(B.T @ B)
+        spectrum = (lam, Q, (B.T @ c) @ Q, phi * phi)
+        y, alpha, Fnorm, inner = update(k, spectrum, phi, alpha_prev)
         total_inner += inner
         if (
             phi < eps
@@ -160,8 +161,6 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
         n_outer=n_outer,
         n_inner_total=total_inner,
         residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
-        y=y,
-        factorization=f,
     )
 
 
@@ -177,13 +176,13 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     eps = problem.discrepancy_target
     trace = SolveTrace(columns=PNTM_COLUMNS)
 
-    def update(k, B, c, spectrum, phi, alpha):
-        lam, Q, gh, cc = spectrum
+    def update(k, spectrum, phi, alpha):
+        lam, Q, gh, rr = spectrum
         cap = 0  # no root yet: no Newton step, alpha is kept
         if phi < eps:
-            alpha = secular_root(lam, gh, cc, eps, alpha)
+            alpha = secular_root(lam, gh, rr, eps, alpha)
             cap = config.inner_cap_large
-        steps = newton_steps(lam, gh, cc, eps, alpha, config.step_rule, config.tol, cap)
+        steps = newton_steps(lam, gh, rr, eps, alpha, config.step_rule, config.tol, cap)
         for l, step in enumerate(steps):
             trace.append(len(trace) + 1, *step.row, k, l, lam.size, phi)
         return Q @ step.xh, step.alpha, step.F_norm, l

@@ -107,12 +107,18 @@ def _add_noise(operator, x_exact, noise_fraction, rng, seed) -> InverseProblem:
     )
 
 
+def _check_noise_fraction(noise_fraction, zero_ok):
+    """A ValueError unless the fraction lies in (0, 1), or [0, 1) if
+    ``zero_ok``; NaN lies in neither."""
+    if not (0 <= noise_fraction < 1 and (zero_ok or noise_fraction > 0)):
+        raise ValueError(f"noise fraction must lie in {'[' if zero_ok else '('}0, 1)")
+
+
 def random_uniform_problem(m, n, noise_fraction, seed) -> InverseProblem:
     """Dense A and ground truth with i.i.d. U(-1, 1) entries."""
     if m < n:
         raise DimensionError(f"need m >= n, got m={m}, n={n}")
-    if not (0 < noise_fraction < 1):
-        raise ValueError("noise fraction must lie in (0, 1)")
+    _check_noise_fraction(noise_fraction, zero_ok=False)
     rng = np.random.default_rng(seed)
     A = uniform_operator(rng, m, n)
     x_exact = 2.0 * rng.random(n) - 1.0
@@ -120,7 +126,9 @@ def random_uniform_problem(m, n, noise_fraction, seed) -> InverseProblem:
 
 
 def sine_wave_problem(A, noise_fraction, seed) -> InverseProblem:
-    """Smooth sine ground truth x_i = sin(i h), h = 2 pi / (n + 1)."""
+    """Smooth sine ground truth x_i = sin(i h), h = 2 pi / (n + 1); a noise
+    fraction of 0 gives the exact right-hand side."""
+    _check_noise_fraction(noise_fraction, zero_ok=True)
     A = as_operator(A)
     n = A.cols
     h = 2.0 * np.pi / (n + 1)

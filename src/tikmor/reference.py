@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, ZeroSumError
 from .linop import as_operator
-from .ntm import check_options, stacked_norm
+from .ntm import check_options, eigen_residual_sq, stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
 from .trace import CGLS_COLUMNS, GBIT_COLUMNS, SIRT_COLUMNS, SolveResult, SolveTrace
@@ -57,24 +57,21 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     projected solution is computed in the eigenbasis of B^T B, and alpha
     moves by one secant step toward the discrepancy level between its
     residual and that of the unregularized solution (the LSQR iterate),
-    which the factorization's recurrence gives without solving for it.
-    Stops when the projected residual norm is small and alpha has
-    stagnated.
+    which the factorization's recurrence gives without solving for it;
+    ``ntm.eigen_residual_sq`` prices the first on top of the second, in
+    range coordinates, so nothing cancels. Stops when the projected
+    residual norm is small and alpha has stagnated.
     """
     if config is None:
         config = GbitConfig()
     eps = problem.discrepancy_target
     trace = SolveTrace(columns=GBIT_COLUMNS)
 
-    def update(k, B, c, spectrum, res_z, alpha_prev):
-        lam, Q, gh, _ = spectrum
-        y = Q @ (gh / (lam + alpha_prev))  # (B^T B + alpha_prev I) y = B^T c
-        res_y = float(np.linalg.norm(B @ y - c))
-        if res_y == res_z:
-            logger.warning(
-                "secant update degenerate at iteration %d (r(y) == r(z) == %.6g); "
-                "holding alpha", k, res_y,
-            )
+    def update(k, spectrum, res_z, alpha_prev):
+        lam, Q, gh, rr = spectrum
+        yh = gh / (lam + alpha_prev)  # (B^T B + alpha_prev I) Q yh = B^T c
+        y = Q @ yh
+        res_y = math.sqrt(eigen_residual_sq(lam, gh, rr, yh))
         alpha = secant_alpha_update(eps, res_z, res_y, alpha_prev)
 
         # y solves the normal equations at alpha_prev, so F1 collapses

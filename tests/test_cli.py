@@ -363,12 +363,18 @@ def test_gen_then_run_matches_generator_config(tmp_path):
     assert all(row["rel_error"] for row in read_runs(tmp_path / "b"))
 
 
-@pytest.mark.parametrize("case", ["noise", "epsilon", "epsilon-nan"])
+@pytest.mark.parametrize(
+    "case", ["noise", "sine-noise", "sine-noise-nan", "epsilon", "epsilon-nan"]
+)
 def test_failed_build_is_one_error_and_no_output(tmp_path, caplog, case):
     # the first problem is built before any output directory is made
     if case == "noise":
         problem = "type = randomUniform\nm = 30\nn = 20\nnoise = 1.5"
         message = "noise fraction must lie in (0, 1)"
+    elif case.startswith("sine-noise"):
+        noise = "nan" if case.endswith("nan") else "1.5"
+        problem = f"type = sineWave\nm = 30\nn = 20\nnoise = {noise}"
+        message = "noise fraction must lie in [0, 1)"
     else:
         save_problem(random_uniform_problem(30, 20, 0.10, seed=2), tmp_path / "prob")
         meta = tmp_path / "prob" / "meta.txt"
@@ -677,6 +683,26 @@ def test_malformed_config_is_one_config_error(malformed_runs, case):
         assert "Traceback" not in stderr
         assert stderr.startswith("ERROR:") and stderr.count("\n") == 1
     assert not list(directory.rglob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "line, key, field",
+    [
+        ("outer_max = 0", "outer_max", "outer_iter_max"),
+        ("inner_large = -1", "inner_large", "inner_cap_large"),
+        ("rule = case3", "rule", "variant"),
+    ],
+    ids=["outer_max", "inner_large", "rule"],
+)
+def test_solver_option_error_names_ini_key(tmp_path, caplog, line, key, field):
+    # PntmConfig and StepRule name their fields; the error names the key written
+    text = BASE_CFG.format(reps=1, out=tmp_path / "o").replace(
+        "[solver gbit]", f"[solver p]\nmethod = pntm\n{line}\n\n[solver gbit]"
+    )
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 1
+    [message] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message.startswith(f"invalid value in [solver p]: {key} must be "), message
+    assert field not in message
 
 
 def test_undecodable_config_is_config_error(tmp_path):

@@ -34,6 +34,16 @@ def small_factorization(rng, m=12, n=8, steps=4):
     return A, b, f
 
 
+def replayed_factorization(p, n_outer):
+    """The factorization a Krylov solve of p held after n_outer outer
+    iterations: the same expansions on the same problem give the same bits."""
+    f = BidiagFactorization(as_operator(p.operator), p.b, n_outer)
+    for _ in range(n_outer):
+        if f.can_expand():
+            f.expand()
+    return f
+
+
 def test_projected_system_matches_cramer_k1(rng):
     A, b, f = small_factorization(rng, steps=1)
     B, c = f.B, f.c
@@ -84,7 +94,7 @@ def test_identity_converges_through_breakdown():
     res = pntm_solve(p, PntmConfig(tol=1e-12))
     bnorm = np.linalg.norm(b)
     assert res.converged
-    assert res.factorization.breakdown
+    assert replayed_factorization(p, res.n_outer).breakdown
     assert res.n_outer >= 2
     assert res.alpha == pytest.approx(eps / (bnorm - eps), rel=1e-6)
     assert np.allclose(res.x, b * (1 - eps / bnorm), rtol=1e-6)
@@ -100,7 +110,7 @@ def test_krylov_loop_stops_once_no_root_can_appear(solve):
     eps = 0.5 * np.linalg.norm(b - A @ np.linalg.lstsq(A, b, rcond=None)[0])
     p = InverseProblem(operator=as_operator(A), b=b, noise_level=eps)
     res = solve(p)
-    f = res.factorization
+    f = replayed_factorization(p, res.n_outer)
     assert f.breakdown and f.k == 3
     assert not res.converged
     assert res.n_outer <= f.k + 1
@@ -110,8 +120,9 @@ def test_projection_consistency_along_run():
     p = random_uniform_problem(80, 50, 0.10, seed=9)
     res = pntm_solve(p)
     A = p.operator
-    # final iterate: projected residual equals lifted residual
-    proj = projected_residual_norm(res.factorization, res.y)
+    # final iterate x = V y: projected residual equals lifted residual
+    f = replayed_factorization(p, res.n_outer)
+    proj = projected_residual_norm(f, f.V.T @ res.x)
     lifted = np.linalg.norm(A.matvec(res.x) - p.b)
     assert abs(proj - lifted) <= 1e-9 * max(1.0, lifted)
 
@@ -176,10 +187,30 @@ def test_secular_root_solves_the_projected_discrepancy(rng, w, alpha):
     lam, Q = spectral_gram(B.T @ B)
     phi, cnorm = f.lsqr_residual, float(np.linalg.norm(c))
     eps = phi + w * (cnorm - phi)
-    a = secular_root(lam, (B.T @ c) @ Q, cnorm * cnorm, eps, alpha)
+    a = secular_root(lam, (B.T @ c) @ Q, phi * phi, eps, alpha)
     y = np.linalg.solve(B.T @ B + a * np.eye(f.k), B.T @ c)
     assert a > 0
     assert np.linalg.norm(B @ y - c) == pytest.approx(eps, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_secular_root_on_square_b(seed):
+    # graded columns, fully factored: B is square and phi_k = 0, and eps is
+    # 1e-8 ||c||; a residual priced as ||c||^2 minus the fit part lost eps^2
+    # to roundoff and walked alpha far below the root
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((12, 12)) * np.logspace(0, -8, 12)
+    f = BidiagFactorization(A, rng.standard_normal(12), 12)
+    while f.can_expand():
+        f.expand()
+    B, c = f.B, f.c
+    assert B.shape == (12, 12) and f.lsqr_residual == 0.0
+    lam, Q = spectral_gram(B.T @ B)
+    eps = 1e-8 * float(np.linalg.norm(c))
+    a = secular_root(lam, (B.T @ c) @ Q, 0.0, eps, 1.0)
+    U, s, _ = np.linalg.svd(B)
+    res = float(np.linalg.norm(a / (s * s + a) * (U.T @ c)))  # ||B y_a - c||
+    assert res == pytest.approx(eps, rel=1e-6)
 
 
 def test_trace_proj_res_is_the_lsqr_residual():
