@@ -67,7 +67,6 @@ import argparse
 import configparser
 import logging
 import math
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -308,14 +307,16 @@ def _parse(name, section, keys):
 
 def _build(name, make, fields, keys=None):
     """``make(**fields)``; a ValueError it raises is a ConfigError naming the
-    section, each field in its message renamed to its INI key by ``keys``
-    (INI key -> (field, parser))."""
+    section, the field its message starts with renamed to its INI key by
+    ``keys`` (INI key -> (field, parser))."""
     try:
         return make(**fields)
     except ValueError as exc:
         message = str(exc)
         for key, (field_name, _) in (keys or {}).items():
-            message = re.sub(rf"\b{field_name}\b", key, message)
+            if message.startswith(f"{field_name} "):
+                message = key + message[len(field_name):]
+                break
         raise ConfigError(f"invalid value in [{name}]: {message}") from exc
 
 

@@ -59,20 +59,25 @@ def spectral_gram(G):
 def eigen_residual_sq(lam, gh, rr, xh) -> float:
     """||A Q xh - b||^2 in O(n) from A^T A = Q diag(lam) Q^T, gh = Q^T A^T b and
     rr = min_z ||A z - b||^2, in range coordinates: rr + sum_{lam_i > 0}
-    (lam_i xh_i - gh_i)^2 / lam_i. Every term is a square, so nothing cancels
-    however small the residual is next to ||b||."""
+    (lam_i xh_i - gh_i)^2 / lam_i, clamped at 0. Every term of the sum is a
+    square, so on an accurate rr (pntm's and gbit's phi_k^2) nothing cancels
+    however small the residual is next to ||b||; on ``gram_spectrum``'s rr,
+    which carries the roundoff of ||b||^2, its absolute roundoff is of order
+    eps_mach ||b||^2, as the closed form ||b||^2 + xh . (lam xh - 2 gh) has."""
     pos = lam > 0
     d = lam[pos] * xh[pos] - gh[pos]
-    return rr + float(d @ (d / lam[pos]))
+    return max(rr + float(d @ (d / lam[pos])), 0.0)
 
 
 def gram_spectrum(A, b):
     """(lam, Q, gh, rr) of operator A: A^T A = Q diag(lam) Q^T by ``spectral_gram``,
-    gh = Q^T A^T b and rr = ||b||^2 - sum_{lam_i > 0} gh_i^2 / lam_i clamped at 0,
-    which price any Tikhonov point in O(n); rr's roundoff is eps_mach ||b||^2."""
+    gh = Q^T A^T b and rr = ||b||^2 - sum_{lam_i > 0} gh_i^2 / lam_i, which price
+    any Tikhonov point in O(n). rr is not clamped: its roundoff, of order
+    eps_mach ||b||^2 and below 0 where min_z ||A z - b|| is, cancels against
+    the same terms in ``eigen_residual_sq``'s sum."""
     lam, Q = spectral_gram(A.gram())
     gh = A.rmatvec(b) @ Q
-    return lam, Q, gh, max(float(b @ b) - eigen_residual_sq(lam, gh, 0.0, np.zeros_like(gh)), 0.0)
+    return lam, Q, gh, float(b @ b) - eigen_residual_sq(lam, gh, 0.0, np.zeros_like(gh))
 
 
 def solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=SOLVE_RTOL):

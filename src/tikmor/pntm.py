@@ -2,21 +2,22 @@
 Golub-Kahan subspace, and the Krylov outer loop it shares with GBiT.
 
 Each outer iteration expands the bidiagonalization by one column and
-diagonalizes B^T B = Q diag(lam) Q^T. The projected discrepancy equation
-has a root only while the LSQR residual phi_k = min_z ||B z - c|| is
-below eps; until then alpha is carried unchanged and no step is taken.
-Once it is, alpha is the root of the projected secular equation
-(``secular_root``), and the safeguarded Newton steps of
-``ntm.newton_steps`` start there, at the projected Tikhonov solution
-yh = (Q^T B^T c) / (lam + alpha) in eigen-coordinates. F vanishes there
-up to rounding, so they normally only certify ||F|| < tol. Both price
-||B Q yh - c|| in O(k) by ``ntm.eigen_residual_sq`` on top of phi_k^2,
-with no product with Q or B, as gbit does. The outer loop stops only when the
-projected system is solved *and* alpha has stagnated, since the
-projected system can be solved accurately long before the subspace is
-rich enough for the full problem; it stops unconverged once the
-factorization is final (a breakdown, or k = min(m, n)) with phi_k still
-at or above eps, since no root can appear after that.
+takes B^T B = Q diag(lam) Q^T from the SVD of B (``projected_spectrum``).
+The projected discrepancy equation has a root only while the LSQR
+residual phi_k = min_z ||B z - c|| is below eps; until then alpha is
+carried unchanged and no step is taken. Once it is, alpha is the root of
+the projected secular equation (``secular_root``), and the safeguarded
+Newton steps of ``ntm.newton_steps`` start there, at the projected
+Tikhonov solution yh = (Q^T B^T c) / (lam + alpha) in eigen-coordinates.
+F vanishes there up to rounding, so they normally only certify
+||F|| < tol. Both price ||B Q yh - c|| in O(k) by ``ntm.eigen_residual_sq``
+on top of phi_k^2, with no product with Q or B, as gbit does. The outer
+loop stops only when the projected system is solved *and* alpha has
+stagnated, since the projected system can be solved accurately long
+before the subspace is rich enough for the full problem; it stops
+unconverged once the factorization is final (a breakdown, or
+k = min(m, n)) with phi_k still at or above eps, since no root can
+appear after that.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .ntm import (
     check_options,
     eigen_residual_sq,
     newton_steps,
-    spectral_gram,
 )
 from .problems import InverseProblem
 from .trace import PNTM_COLUMNS, SolveTrace
@@ -103,13 +103,26 @@ def secular_root(lam, gh, rr, eps, alpha):
     return a
 
 
+def projected_spectrum(B, c, phi):
+    """(lam, Q, gh, rr) of the projected problem min ||B y - c||, lam ascending
+    as ``ntm.spectral_gram`` gives them: B = W diag(s) Q^T, lam = s^2,
+    gh = Q^T B^T c = s (W^T c) and rr = phi^2. From the SVD of B, not
+    ``eigh(B^T B)``: a small s_i then carries roundoff eps_mach s_max, not
+    eps_mach s_max^2 / s_i, and gh_i^2 / lam_i = (W^T c)_i^2 holds to
+    roundoff however ill-conditioned B is, so ``ntm.eigen_residual_sq``
+    keeps pricing ||B Q yh - c|| to roundoff on top of phi^2."""
+    W, s, Qt = np.linalg.svd(B, full_matrices=False)
+    s = s[::-1]
+    return s * s, Qt[::-1].T, s * (c @ W[:, ::-1]), phi * phi
+
+
 def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     """Golub-Kahan outer loop shared by pntm and gbit.
 
     Each iteration grows the factorization by one column, takes the
-    spectrum (lam, Q, gh, rr) of B and c (B^T B = Q diag(lam) Q^T,
-    gh = Q^T B^T c, rr = phi^2, phi the LSQR residual min_z ||B z - c||:
-    what ``ntm.eigen_residual_sq`` prices a projected point from) and calls
+    spectrum (lam, Q, gh, rr) of B and c from ``projected_spectrum``
+    (rr = phi^2, phi the LSQR residual min_z ||B z - c||: what
+    ``ntm.eigen_residual_sq`` prices a projected point from) and calls
     ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F_norm, inner_steps)``;
     ``update`` appends its own trace rows. Stops once phi < eps (the
     projected discrepancy equation has a root), F_norm < tol and alpha
@@ -135,11 +148,8 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
             raise DegenerateRhsError(
                 "A^T b is numerically zero: no Krylov direction exists"
             )
-        B, c = f.B, f.c
         phi = f.lsqr_residual
-        lam, Q = spectral_gram(B.T @ B)
-        spectrum = (lam, Q, (B.T @ c) @ Q, phi * phi)
-        y, alpha, Fnorm, inner = update(k, spectrum, phi, alpha_prev)
+        y, alpha, Fnorm, inner = update(k, projected_spectrum(f.B, f.c, phi), phi, alpha_prev)
         total_inner += inner
         if (
             phi < eps

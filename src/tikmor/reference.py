@@ -42,8 +42,9 @@ def secant_alpha_update(eps, res_unreg, res_reg, alpha_prev):
     """One secant step of alpha toward the discrepancy level.
 
     ``res_unreg`` and ``res_reg`` are the projected residual norms of the
-    unregularized and regularized solutions. A degenerate denominator
-    (equal residuals) holds alpha for one iteration.
+    unregularized and regularized solutions; only their differences from
+    ``res_unreg`` enter, so they may be passed shifted by it. A degenerate
+    denominator (equal residuals) holds alpha for one iteration.
     """
     if res_reg == res_unreg:
         return alpha_prev
@@ -71,8 +72,17 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
         lam, Q, gh, rr = spectrum
         yh = gh / (lam + alpha_prev)  # (B^T B + alpha_prev I) Q yh = B^T c
         y = Q @ yh
-        res_y = math.sqrt(eigen_residual_sq(lam, gh, rr, yh))
-        alpha = secant_alpha_update(eps, res_z, res_y, alpha_prev)
+        gap = eigen_residual_sq(lam, gh, 0.0, yh)  # res_y^2 - res_z^2
+        res_y = math.sqrt(rr + gap)
+        # the secant sees residuals only relative to res_z: hand it res_y - res_z
+        # as priced, which a tiny alpha_prev does not round away to 0
+        rise = gap / (res_y + res_z) if gap else 0.0
+        if rise == 0.0:
+            logger.warning(
+                "secant update degenerate at iteration %d (alpha = %.3g leaves "
+                "the residual at r(z) = %.6g); holding alpha", k, alpha_prev, res_z,
+            )
+        alpha = secant_alpha_update(eps - res_z, 0.0, rise, alpha_prev)
 
         # y solves the normal equations at alpha_prev, so F1 collapses
         F1 = (alpha - alpha_prev) * y

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tikmor import (
     BidiagFactorization,
@@ -13,9 +15,10 @@ from tikmor import (
     pntm_solve,
     priorconditioned_problem,
     random_uniform_problem,
+    sine_wave_problem,
 )
-from tikmor.ntm import spectral_gram
-from tikmor.pntm import secular_root
+from tikmor.ntm import eigen_residual_sq
+from tikmor.pntm import projected_spectrum, secular_root
 from oracles import (
     normal_equation_solve,
     projected_eval_F,
@@ -184,10 +187,10 @@ def test_secular_root_solves_the_projected_discrepancy(rng, w, alpha):
     # eps anywhere in (phi_k, ||c||), the search started below or above the root
     A, b, f = small_factorization(rng, m=30, n=20, steps=6)
     B, c = f.B, f.c
-    lam, Q = spectral_gram(B.T @ B)
     phi, cnorm = f.lsqr_residual, float(np.linalg.norm(c))
+    lam, _, gh, rr = projected_spectrum(B, c, phi)
     eps = phi + w * (cnorm - phi)
-    a = secular_root(lam, (B.T @ c) @ Q, phi * phi, eps, alpha)
+    a = secular_root(lam, gh, rr, eps, alpha)
     y = np.linalg.solve(B.T @ B + a * np.eye(f.k), B.T @ c)
     assert a > 0
     assert np.linalg.norm(B @ y - c) == pytest.approx(eps, rel=1e-12)
@@ -205,12 +208,79 @@ def test_secular_root_on_square_b(seed):
         f.expand()
     B, c = f.B, f.c
     assert B.shape == (12, 12) and f.lsqr_residual == 0.0
-    lam, Q = spectral_gram(B.T @ B)
+    lam, _, gh, rr = projected_spectrum(B, c, 0.0)
     eps = 1e-8 * float(np.linalg.norm(c))
-    a = secular_root(lam, (B.T @ c) @ Q, 0.0, eps, 1.0)
+    a = secular_root(lam, gh, rr, eps, 1.0)
     U, s, _ = np.linalg.svd(B)
     res = float(np.linalg.norm(a / (s * s + a) * (U.T @ c)))  # ||B y_a - c||
     assert res == pytest.approx(eps, rel=1e-6)
+
+
+def _residual_roundoff(r2, cnorm, Bnorm, ynorm):
+    """64 eps_mach (r^2 + (||c|| + ||B|| ||y||) ||r||): relative to r^2, plus
+    the roundoff of forming B y - c itself, which no pricing beats near the
+    least-squares solution of a nearly square B."""
+    return 64 * np.finfo(float).eps * (r2 + (cnorm + Bnorm * ynorm) * np.sqrt(r2))
+
+
+@given(
+    st.integers(1, 12),
+    st.integers(0, 8),
+    st.floats(-3.0, 3.0),
+    st.floats(-3.0, 3.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_projected_pricing_matches_operator_residual(n, extra, log_scale, log_x, near_ls, seed):
+    # pntm's and gbit's pricing: the spectrum krylov_loop builds, on an
+    # exact least-squares rr as phi_k^2 is; points around 0 or around the
+    # least-squares solution. Near it, on a square B with cond 1e3 to 5e3,
+    # the price sits about 1e6 eps_mach r^2 off an extended-precision
+    # residual: the SVD's backward error times ||B|| ||y||, the bound's
+    # roundoff term
+    rng = np.random.default_rng(seed)
+    c = 10.0**log_scale
+    B = c * rng.standard_normal((n + extra, n))
+    b = c * rng.standard_normal(n + extra)
+    y_ls = np.linalg.lstsq(B, b, rcond=None)[0]
+    rr = float(np.linalg.norm(B @ y_ls - b) ** 2)
+    lam, Q, gh, phi2 = projected_spectrum(B, b, np.sqrt(rr))
+    yh = 10.0**log_x * rng.standard_normal(n) + (y_ls @ Q if near_ls else 0.0)
+    y = Q @ yh
+    r2 = float(np.linalg.norm(B @ y - b) ** 2)
+    got = eigen_residual_sq(lam, gh, phi2, yh)
+    bound = _residual_roundoff(r2, np.linalg.norm(b), np.sqrt(lam[-1]), np.linalg.norm(y))
+    assert abs(got - r2) <= bound
+
+
+@pytest.mark.parametrize("noise", [1e-5, 1e-7])
+def test_projected_pricing_on_graded_columns(noise):
+    # column scales down to 1e-8 and a sine right-hand side: at every k with
+    # phi_k < eps (B's cond up to about 2e8), the price of the Tikhonov
+    # points around the secular root, and the root's own residual, match
+    # ||B y - c||; a spectrum from eigh(B^T B) misses by 9e6-3e8 times this
+    # bound, as its small lam_i carry eps_mach lam_max of roundoff
+    for seed in range(3):
+        A = np.random.default_rng(seed).standard_normal((60, 40)) * np.logspace(0, -8, 40)
+        p = sine_wave_problem(A, noise, seed)
+        eps = p.discrepancy_target
+        f = BidiagFactorization(p.operator, p.b, 40)
+        while f.can_expand():
+            f.expand()
+            if f.lsqr_residual >= eps:
+                continue
+            B, c = f.B, f.c
+            lam, Q, gh, rr = projected_spectrum(B, c, f.lsqr_residual)
+            root = secular_root(lam, gh, rr, eps, 1.0)
+            for a in (root, 0.1 * root, 10.0 * root):
+                yh = gh / (lam + a)
+                y = Q @ yh
+                r2 = float(np.linalg.norm(B @ y - c) ** 2)
+                bound = _residual_roundoff(r2, np.linalg.norm(c), np.sqrt(lam[-1]), np.linalg.norm(y))
+                assert abs(eigen_residual_sq(lam, gh, rr, yh) - r2) <= bound, (seed, f.k, a)
+                if a == root:
+                    assert abs(r2 - eps * eps) <= bound, (seed, f.k)
 
 
 def test_trace_proj_res_is_the_lsqr_residual():
