@@ -126,8 +126,9 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F_norm, inner_steps)``;
     ``update`` appends its own trace rows. Stops once phi < eps (the
     projected discrepancy equation has a root), F_norm < tol and alpha
-    moved by less than tol relative; stops unconverged once the
-    factorization is final and phi >= eps, as no root can appear.
+    moved by less than tol alpha_prev (an alpha that underflowed to 0 never
+    has); stops unconverged once the factorization is final and
+    phi >= eps, as no root can appear.
     """
     A = as_operator(problem.operator)
     b = problem.b
@@ -151,11 +152,7 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
         phi = f.lsqr_residual
         y, alpha, Fnorm, inner = update(k, projected_spectrum(f.B, f.c, phi), phi, alpha_prev)
         total_inner += inner
-        if (
-            phi < eps
-            and Fnorm < tol
-            and abs(alpha - alpha_prev) / max(alpha_prev, 1e-300) < tol
-        ):
+        if phi < eps and Fnorm < tol and abs(alpha - alpha_prev) < tol * alpha_prev:
             converged = True
             break
         if phi >= eps and not f.can_expand():

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, ZeroSumError
 from .linop import as_operator
-from .ntm import check_options, eigen_residual_sq, stacked_norm
+from .ntm import _EPS, check_options, eigen_residual_sq, stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
 from .trace import CGLS_COLUMNS, GBIT_COLUMNS, SIRT_COLUMNS, SolveResult, SolveTrace
@@ -38,19 +38,6 @@ class GbitConfig:
         check_options(self, max_iter=1)
 
 
-def secant_alpha_update(eps, res_unreg, res_reg, alpha_prev):
-    """One secant step of alpha toward the discrepancy level.
-
-    ``res_unreg`` and ``res_reg`` are the projected residual norms of the
-    unregularized and regularized solutions; only their differences from
-    ``res_unreg`` enter, so they may be passed shifted by it. A degenerate
-    denominator (equal residuals) holds alpha for one iteration.
-    """
-    if res_reg == res_unreg:
-        return alpha_prev
-    return abs((eps - res_unreg) / (res_reg - res_unreg)) * alpha_prev
-
-
 def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> KrylovResult:
     """Alternate projected Tikhonov solves with secant updates of alpha.
 
@@ -60,8 +47,12 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     residual and that of the unregularized solution (the LSQR iterate),
     which the factorization's recurrence gives without solving for it;
     ``ntm.eigen_residual_sq`` prices the first on top of the second, in
-    range coordinates, so nothing cancels. Stops when the projected
-    residual norm is small and alpha has stagnated.
+    range coordinates, so nothing cancels. The step starts from
+    max(alpha, 4 eps_mach lam_min), lam_min the smallest positive projected
+    eigenvalue, where the gap is positive (B^T B is unreduced tridiagonal:
+    no gh_i vanishes); one that underflows anyway raises
+    ``ConvergenceFailure``. Stops when the projected residual norm is small
+    and alpha has stagnated.
     """
     if config is None:
         config = GbitConfig()
@@ -70,19 +61,19 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
 
     def update(k, spectrum, res_z, alpha_prev):
         lam, Q, gh, rr = spectrum
+        alpha_prev = max(alpha_prev, 4.0 * _EPS * np.min(lam, where=lam > 0, initial=np.inf))
         yh = gh / (lam + alpha_prev)  # (B^T B + alpha_prev I) Q yh = B^T c
         y = Q @ yh
         gap = eigen_residual_sq(lam, gh, 0.0, yh)  # res_y^2 - res_z^2
-        res_y = math.sqrt(rr + gap)
-        # the secant sees residuals only relative to res_z: hand it res_y - res_z
-        # as priced, which a tiny alpha_prev does not round away to 0
-        rise = gap / (res_y + res_z) if gap else 0.0
-        if rise == 0.0:
-            logger.warning(
-                "secant update degenerate at iteration %d (alpha = %.3g leaves "
-                "the residual at r(z) = %.6g); holding alpha", k, alpha_prev, res_z,
+        if gap == 0.0:
+            raise ConvergenceFailure(
+                f"secant update degenerate at iteration {k}: the residual at "
+                f"alpha = {alpha_prev:.3g} does not rise above r(z) = {res_z:.6g}"
             )
-        alpha = secant_alpha_update(eps - res_z, 0.0, rise, alpha_prev)
+        res_y = math.sqrt(rr + gap)
+        # the secant sees residuals only relative to res_z: res_y - res_z as
+        # priced, which a tiny alpha_prev does not round away to 0
+        alpha = abs((eps - res_z) / (gap / (res_y + res_z))) * alpha_prev
 
         # y solves the normal equations at alpha_prev, so F1 collapses
         F1 = (alpha - alpha_prev) * y

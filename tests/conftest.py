@@ -2,8 +2,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+# property tests draw the same examples on every machine and run, and no
+# local example database replays an earlier run's failures
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -21,20 +21,11 @@ from tikmor import (
     sirt_operators,
     sirt_solve,
 )
-from tikmor.reference import secant_alpha_update
 
 from conftest import counting_operator
 
 
 # -- GBiT ----------------------------------------------------------------------
-
-
-def test_secant_update_example():
-    assert secant_alpha_update(1.0, 0.5, 1.5, 2.0) == pytest.approx(1.0)
-
-
-def test_secant_update_degenerate_holds_alpha():
-    assert secant_alpha_update(1.0, 0.7, 0.7, 2.0) == 2.0
 
 
 def test_gbit_z_is_projected_least_squares(rng):
