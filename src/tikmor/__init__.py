@@ -36,7 +36,6 @@ from .ntm import (
     StepRule,
     dinv_norm,
     ntm_solve,
-    step_interval,
     step_size,
 )
 from .pntm import (
@@ -109,6 +108,5 @@ __all__ = [
     "sirt_operators",
     "sirt_solve",
     "ssim",
-    "step_interval",
     "step_size",
 ]

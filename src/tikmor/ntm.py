@@ -8,9 +8,12 @@ The nonlinear system in (x, alpha) is
 
 Newton directions come from the row-rescaled Jacobian (last row divided
 by the current alpha), which at F1-consistent points reduces to the
-bordered matrix D(x, alpha) whose inverse is provably bounded. The step
-size is capped so the Jacobian stays regular along the way; the "case1"
-rule additionally forces the search-direction norms to decrease.
+bordered matrix D(x, alpha) whose inverse is provably bounded. Two
+functions make the step safeguard: ``dinv_norm`` prices ||D^-1|| exactly,
+and ``step_size`` takes the interval that keeps alpha positive from the
+sign of dalpha and caps gamma at 1 / (||D^-1|| (|dalpha| + theta ||dx||)),
+so the Jacobian stays regular along the way; the "case1" rule adds a term
+that forces the search-direction norms to decrease.
 
 G = A^T A is fixed during a solve and diagonalized once, G = Q diag(lam) Q^T
 (one ``eigh``, O(n^3)). The iterate is kept in eigen-coordinates
@@ -24,6 +27,7 @@ the solve forms x = Q xh and A x - b once, at the end.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -80,7 +84,7 @@ def gram_spectrum(A, b):
     return lam, Q, gh, float(b @ b) - eigen_residual_sq(lam, gh, 0.0, np.zeros_like(gh))
 
 
-def solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=SOLVE_RTOL):
+def solve_rescaled_system(lam, xh, alpha, F1h, F2):
     """Newton direction (dxh, dalpha) from the rescaled Jacobian, in the
     eigenbasis of G = Q diag(lam) Q^T: xh = Q^T x, F1h = Q^T F1, dxh = Q^T dx.
 
@@ -88,7 +92,7 @@ def solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=SOLVE_RTOL):
     wh = (F1h - alpha xh)/alpha = Q^T A^T(Ax-b)/alpha, and dalpha follows
     from the Schur complement wh^T diag(lam + alpha)^-1 xh, all O(n). The
     normwise backward error ||J d - rhs|| / (||rhs|| + ||J||_F ||d||) is
-    checked; one refinement pass backs it up.
+    checked against ``SOLVE_RTOL``; one refinement pass backs it up.
     """
     F1_norm = float(np.linalg.norm(F1h))
     if not math.hypot(np.linalg.norm(xh), F1_norm, F2) / RESCALE_LIMIT < alpha:
@@ -119,127 +123,87 @@ def solve_rescaled_system(lam, xh, alpha, F1h, F2, rtol=SOLVE_RTOL):
 
     dxh, dalpha = solve(-F1h, -F2)
     top, bottom, err = residual(dxh, dalpha)
-    if not err <= rtol:  # NaN fails too
+    if not err <= SOLVE_RTOL:  # NaN fails too
         exh, ealpha = solve(top, bottom)
         dxh, dalpha = dxh - exh, dalpha - ealpha
         err = residual(dxh, dalpha)[2]
-        if not err <= rtol:
+        if not err <= SOLVE_RTOL:
             raise SingularJacobianError(
                 f"Newton system solve stalled at backward error {err:.3e}"
             )
     return dxh, dalpha
 
 
-def arrowhead_min_abs_eig(d, z) -> float:
-    """Smallest |eigenvalue| of [[diag(d), z], [z^T, 0]], d ascending and positive.
+def dinv_norm(lam, xh, alpha) -> float:
+    """Spectral norm of D(x, alpha)^{-1}, D = [[G + alpha I, x], [-x^T, 0]],
+    from G = Q diag(lam) Q^T and xh = Q^T x; infinite at x = 0 (D singular).
 
-    The eigenvalues are the d_i with z_i = 0 and the roots of
-    mu = sum z_i^2 / (mu - d_i): -t0 < 0, and the rest at or above d_1.
-    t - sum z_i^2 / (d_i + t) is increasing and concave, so Newton climbs
-    to t0 from the one-term bound (sqrt(d_i^2 + 4 z_i^2) - d_i) / 2 <= t0
-    (stopped early, it only overestimates ||D^-1||). Unless t0 <= d_1,
-    bisection finds the least positive one in [d_1, d_2] (d_1 + |z_1| if n = 1).
+    D has the singular values of the arrowhead [[diag(d), xh], [xh^T, 0]],
+    d = lam + alpha ascending and positive, so the norm is 1 / min|mu| over
+    its eigenvalues: the d_i with xh_i = 0 and the roots of
+    mu = sum xh_i^2 / (mu - d_i), one -t0 < 0 and the rest at or above d_1.
+    t - sum xh_i^2 / (d_i + t) is increasing and concave, so Newton climbs
+    to t0 from the one-term bound (sqrt(d_i^2 + 4 xh_i^2) - d_i) / 2 <= t0
+    (stopped early, it only overestimates the norm). Unless t0 <= d_1,
+    bisection finds the least positive root in [d_1, d_2] (d_1 + |xh_1| if
+    n = 1). O(n) per iteration.
     """
-    z2 = z * z
-    if not z2.any():
-        return 0.0  # x = 0: the last row vanishes
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    d, z2 = lam + alpha, xh * xh
     hi = d[1] if d.size > 1 else d[0] + float(np.sqrt(z2[0]))
-    t = float((2.0 * z2 / (np.sqrt(d * d + 4.0 * z2) + d)).max())
+    t = float((2.0 * z2 / (np.sqrt(d * d + 4.0 * z2) + d)).max())  # 0 at x = 0
     for _ in range(50):
-        if t >= hi:  # t0 >= hi: the positive eigenvalue decides
+        if t >= hi:  # t0 >= hi: the positive root decides
             break
         q = z2 / (d + t)
         step = float((q.sum() - t) / (1.0 + (q / (d + t)).sum()))
         t += step
         if step <= _EPS * t:
             break
-    if t <= d[0]:
-        return t
-    lo = d[0]
-    while hi - lo > _EPS * hi:  # mu - sum z_i^2 / (mu - d_i) increases here
-        mid = 0.5 * (lo + hi)
-        if mid < float((z2 / (mid - d)).sum()):
-            lo = mid
-        else:
-            hi = mid
-    return min(t, hi)
+    if t > d[0]:
+        lo = d[0]
+        while hi - lo > _EPS * hi:  # mu - sum xh_i^2 / (mu - d_i) increases here
+            mid = 0.5 * (lo + hi)
+            if mid < float((z2 / (mid - d)).sum()):
+                lo = mid
+            else:
+                hi = mid
+        t = min(t, hi)
+    return np.inf if t == 0.0 else 1.0 / t
 
 
-def dinv_norm(lam, xh, alpha) -> float:
-    """Spectral norm of D(x, alpha)^{-1}, D = [[G + alpha I, x], [-x^T, 0]],
-    from G = Q diag(lam) Q^T and xh = Q^T x.
+def step_size(rule, lam, dxh, alpha, dalpha, dinv):
+    """(gamma, theta, case_id) of one safeguarded Newton update from alpha
+    along (dxh, dalpha), dxh in the eigenbasis of G = Q diag(lam) Q^T.
 
-    Exact: 1 / min|mu| over the eigenvalues of the arrowhead
-    [[diag(lam + alpha), xh], [xh^T, 0]], which has D's singular values;
-    infinite at x = 0, where D is singular.
+    The sign of dalpha picks the interval: case 1 (dalpha >= 0) and case 2
+    (alpha + dalpha > 0) admit the full step, case 3 clips one that would
+    land at negative alpha to ``rule.omega`` of the distance to 0. gamma is
+    the least of its end and 1 / (dinv (|dalpha| + theta ||dx||)), with
+    ||(dalpha, G dx / 2)|| added to the sum under case1; a zero direction
+    gets the end.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    mu = arrowhead_min_abs_eig(lam + alpha, xh)
-    return np.inf if mu == 0.0 else 1.0 / mu
-
-
-class StepInterval(NamedTuple):
-    gamma_max: float
-    theta: float
-    case_id: int
-
-
-def step_interval(alpha_prev, dalpha, omega) -> StepInterval:
-    """Admissible step range and the zeta bound, by sign of the alpha update.
-
-    The three cases keep alpha positive: an unscaled step that would land
-    at negative alpha is clipped to the fraction omega of the distance to
-    zero. dalpha = 0 is folded into the first case as its limit.
-    """
-    if alpha_prev <= 0:
-        raise ValueError("alpha must be positive")
-    if not (0.0 < omega < 1.0):
-        raise ValueError("omega must lie strictly inside (0, 1)")
-    if dalpha >= 0:
-        return StepInterval(1.0, np.sqrt(2.0), 1)
-    if alpha_prev + dalpha > 0:
-        ratio = alpha_prev / (alpha_prev + dalpha)
-        return StepInterval(1.0, float(np.sqrt(1.0 + ratio * ratio)), 2)
-    # within 4 ulps of 1, omega would let the roundoff of alpha + gamma dalpha reach 0
-    gamma_max = -min(omega, 1.0 - 4.0 * _EPS) * alpha_prev / dalpha
-    theta = float(np.sqrt(1.0 + 1.0 / (1.0 - omega) ** 2))
-    return StepInterval(gamma_max, theta, 3)
-
-
-def step_size(
-    rule_variant,
-    dx,
-    dalpha,
-    gamma_max,
-    theta,
-    dinv,
-    gram_dx=None,
-) -> float:
-    """Safeguarded step length for one Newton update.
-
-    case1 caps both the Jacobian perturbation and the direction-norm
-    growth; case2 only the former, giving substantially larger steps.
-    case1 needs ``gram_dx`` = A^T A dx.
-    """
     if dinv <= 0:
         raise ValueError("dinv must be positive")
-    dx = np.asarray(dx, dtype=float)
-    ndx = float(np.linalg.norm(dx))
-    base = abs(dalpha) + theta * ndx
-    if rule_variant == "case1":
-        if gram_dx is None:
-            raise ValueError("case1 needs gram_dx = A^T A dx")
-        m_norm = np.sqrt(dalpha * dalpha + 0.25 * float(gram_dx @ gram_dx))
-        denom = (m_norm + base) * dinv
-    elif rule_variant == "case2":
-        denom = base * dinv
+    if dalpha >= 0:
+        gamma_max, theta, case_id = 1.0, np.sqrt(2.0), 1
+    elif alpha + dalpha > 0:
+        ratio = alpha / (alpha + dalpha)
+        gamma_max, theta, case_id = 1.0, float(np.sqrt(1.0 + ratio * ratio)), 2
     else:
-        raise ValueError(f"unknown step rule {rule_variant!r}")
-    if denom == 0.0:
-        # zero direction: caller is at the root and should have stopped
-        return gamma_max
-    return float(min(gamma_max, 1.0 / denom))
+        # within 4 ulps of 1, omega would let the roundoff of alpha + gamma dalpha reach 0
+        gamma_max = -min(rule.omega, 1.0 - 4.0 * _EPS) * alpha / dalpha
+        theta, case_id = float(np.sqrt(1.0 + 1.0 / (1.0 - rule.omega) ** 2)), 3
+    base = abs(dalpha) + theta * float(np.linalg.norm(dxh))
+    if rule.variant == "case1":
+        gdx = lam * dxh  # Q^T G dx
+        base = np.sqrt(dalpha * dalpha + 0.25 * float(gdx @ gdx)) + base
+    denom = float(base * dinv)  # a float's 1 / denom overflows to inf without a warning
+    gamma = gamma_max if denom == 0.0 else float(min(gamma_max, 1.0 / denom))
+    return gamma, theta, case_id
 
 
 @dataclass
@@ -258,14 +222,18 @@ class StepRule:
 
 def check_options(config, **least):
     """A ValueError unless the config's ``alpha0`` and ``tol`` are positive and
-    finite and each field named in ``least`` is at least its value; NaN fails."""
+    finite and each budget named in ``least`` is an integer of at least its
+    value; NaN fails."""
     for name in ("alpha0", "tol"):
         value = getattr(config, name)
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     for name, low in least.items():
-        if not getattr(config, name) >= low:
-            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+        value = getattr(config, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not value >= low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass
@@ -337,10 +305,7 @@ def newton_steps(lam, gh, rr, eps, alpha, rule, tol, cap):
             return
         dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2)
         dinv = dinv_norm(lam, xh, alpha)
-        gamma_max, theta, case_id = step_interval(alpha, dalpha, rule.omega)
-        gamma = step_size(
-            rule.variant, dxh, dalpha, gamma_max, theta, dinv, gram_dx=lam * dxh
-        )
+        gamma, theta, case_id = step_size(rule, lam, dxh, alpha, dalpha, dinv)
         xh = xh + gamma * dxh
         alpha = alpha + gamma * dalpha
         if alpha <= 0:  # only underflow gets past the interval rule

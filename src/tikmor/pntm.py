@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .bidiag import BidiagFactorization
-from .errors import DegenerateRhsError
+from .errors import ConvergenceFailure, DegenerateRhsError
 from .linop import as_operator
 from .ntm import (
     _EPS,
@@ -83,7 +83,8 @@ def secular_root(lam, gh, rr, eps, alpha):
     below this one, as the projected residual at fixed alpha does not grow
     with k; from below the root, Newton lands above it, or a_up is taken.
     Stops once f is down to the roundoff of eps^2, or the iterates stop
-    decreasing.
+    decreasing. A root that is not positive (||gh||^2 underflows to 0, so
+    a_up does) raises ``ConvergenceFailure``.
     """
     a_up = 2.0 * float(gh @ gh) / (eigen_residual_sq(lam, gh, rr, np.zeros_like(gh)) - eps * eps)
     a = min(alpha, a_up)
@@ -100,6 +101,11 @@ def secular_root(lam, gh, rr, eps, alpha):
         if not 0.0 < nxt < a:
             break
         a = nxt
+    if not a > 0.0:
+        raise ConvergenceFailure(
+            f"projected secular root underflows to alpha = {float(a)!r}: "
+            f"||Q^T B^T c||^2 = {float(gh @ gh):.3g}"
+        )
     return a
 
 

@@ -504,13 +504,14 @@ def _regime_cells():
 def test_result_contract_in_edge_regimes(method, regime):
     # the contract of the sweep on rank-deficient A, eps near ||b||, alpha0
     # far from the Morozov alpha and extreme scales; every gbit alpha moves,
-    # so no two consecutive alphas of its trace are equal
+    # so no two consecutive alphas of its trace are equal, and no result
+    # carries an alpha that underflowed to 0
     noise, scale, alpha0, rank_deficient, _ = REGIMES[regime]
     solver, config = {
         "ntm": (ntm_solve, NtmConfig), "pntm": (pntm_solve, PntmConfig),
         "gbit": (gbit_solve, GbitConfig),
     }[method]
-    held = []
+    held, zero = [], []
 
     def solve(p):
         r = solver(p, config(alpha0=alpha0))
@@ -518,11 +519,14 @@ def test_result_contract_in_edge_regimes(method, regime):
         same = alphas[1:] == alphas[:-1]
         if method == "gbit" and same.any():
             held.append(r.trace.column("iter")[1:][same])
+        if r.alpha == 0.0:
+            zero.append(f"{p.operator.rows}x{p.operator.cols}")
         return r
 
     off = _off_band(solve, _sweep_problems(noise, scale, rank_deficient))
     assert not off, "; ".join(off)
     assert not held, f"gbit held alpha at iterations {held}"
+    assert not zero, f"alpha 0 on the {zero} problems"
 
 
 def test_gbit_fails_typed_where_the_secant_gap_underflows():

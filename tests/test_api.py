@@ -20,6 +20,7 @@ REMOVED = (
     "SirtResult",
     "CglsResult",
     "init_bidiag",
+    "step_interval",
 )
 
 
@@ -88,3 +89,14 @@ def test_dense_path_does_not_load_scipy_sparse():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_readme_library_sketch_runs(capsys):
+    # README's "Library sketch" block as written: a public name or result
+    # field it uses that is renamed or removed fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(sketch, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [len(line.split()) for line in lines] == [3, 3]

@@ -26,12 +26,11 @@ from tikmor import (
     pntm_solve,
     random_uniform_problem,
     sirt_solve,
-    step_interval,
     step_size,
 )
+from tikmor import ntm
 from tikmor.ntm import (
     SOLVE_RTOL,
-    arrowhead_min_abs_eig,
     eigen_residual_sq,
     gram_spectrum,
     solve_rescaled_system,
@@ -257,12 +256,12 @@ def test_spectral_direction_matches_dense_lu(rng):
         J, rhs = rescaled_jacobian(G, x, alpha, F1, F2)
         d = lu_solve(lu_factor(J), rhs)
         assert np.linalg.norm(np.append(dx, dalpha) - d) <= SOLVE_RTOL * np.linalg.norm(d)
-        # lam * dxh is the G dx that step_size's case1 rule receives
+        # Q (lam * dxh) is the G dx that step_size's case1 rule forms
         gdx = Q @ (lam * dxh)
         assert np.linalg.norm(gdx - G @ dx) <= SOLVE_RTOL * np.linalg.norm(G @ dx)
 
 
-def test_direction_typed_failures(rng):
+def test_direction_typed_failures(rng, monkeypatch):
     A = rng.standard_normal((6, 4))
     b = rng.standard_normal(6)
     x = rng.standard_normal(4)
@@ -278,10 +277,11 @@ def test_direction_typed_failures(rng):
     F1, F2 = eval_F(A, b, 0.1, np.zeros(4), 1.0)
     with pytest.raises(SingularJacobianError, match="singular"):
         solve_rescaled_system(lam, np.zeros(4), 1.0, F1 @ Q, F2)
-    # no backward error passes rtol = 0, so the refinement pass runs and then gives up
+    # no backward error passes SOLVE_RTOL = 0, so the refinement pass runs and then gives up
+    monkeypatch.setattr(ntm, "SOLVE_RTOL", 0.0)
     F1, F2 = eval_F(A, b, 0.1, x, 1.0)
     with pytest.raises(SingularJacobianError, match="stalled"):
-        solve_rescaled_system(lam, x @ Q, 1.0, F1 @ Q, F2, rtol=0.0)
+        solve_rescaled_system(lam, x @ Q, 1.0, F1 @ Q, F2)
 
 
 @pytest.mark.parametrize(
@@ -309,7 +309,7 @@ def test_dinv_positive_root_branch_is_exercised(rng):
     mu = np.linalg.eigvalsh(np.block([[np.diag(d), z[:, None]], [z[None, :], 0.0]]))
     # the negative eigenvalue is further from 0 than d_1, so it does not decide
     assert -mu[0] > d[0]
-    assert arrowhead_min_abs_eig(d, z) == pytest.approx(mu[mu > 0].min(), rel=1e-12)
+    assert dinv_norm(lam, z, 1e-2) == pytest.approx(1.0 / mu[mu > 0].min(), rel=1e-12)
 
 
 def test_dinv_exact_zero_x_is_infinite(rng):
@@ -376,28 +376,36 @@ def test_dinv_property_both_branches(m, n, log_alpha, positive_root, seed):
     assert abs(got - expected) <= max(1e-12, 8 * np.finfo(float).eps * cond) * expected
 
 
-# -- step interval and step size ----------------------------------------------------
+# -- step size ----------------------------------------------------------------------
+
+
+def interval(alpha, dalpha, omega=0.9):
+    """(gamma, theta, case_id) of ``step_size`` along dx = 0 at a ||D^-1|| so
+    small that only the interval's end gamma_max bounds gamma."""
+    return step_size(StepRule("case2", omega), np.ones(3), np.zeros(3), alpha, dalpha, 1e-300)
 
 
 def test_interval_positive_dalpha():
-    gmax, theta, case = step_interval(1.0, 2.0, 0.9)
+    gmax, theta, case = interval(1.0, 2.0)
     assert (gmax, theta, case) == (1.0, pytest.approx(np.sqrt(2.0)), 1)
 
 
 def test_interval_zero_dalpha_limits_to_case1():
-    gmax, theta, case = step_interval(1.0, 0.0, 0.9)
-    assert (gmax, theta, case) == (1.0, pytest.approx(np.sqrt(2.0)), 1)
+    # a zero direction: the bound has nothing to divide, gamma is gamma_max
+    for variant in ("case1", "case2"):
+        got = step_size(StepRule(variant), np.ones(3), np.zeros(3), 1.0, 0.0, 2.0)
+        assert got == (1.0, pytest.approx(np.sqrt(2.0)), 1)
 
 
 def test_interval_mild_negative():
-    gmax, theta, case = step_interval(2.0, -1.0, 0.9)
+    gmax, theta, case = interval(2.0, -1.0)
     assert gmax == 1.0
     assert theta == pytest.approx(np.sqrt(5.0))
     assert case == 2
 
 
 def test_interval_overshooting_negative():
-    gmax, theta, case = step_interval(1.0, -2.0, 0.9)
+    gmax, theta, case = interval(1.0, -2.0)
     assert gmax == pytest.approx(0.45)
     assert theta == pytest.approx(np.sqrt(101.0))
     assert case == 3
@@ -407,32 +415,56 @@ def test_interval_overshooting_negative():
     st.floats(min_value=1e-6, max_value=1e6),
     st.floats(min_value=-1e6, max_value=1e6),
     st.floats(min_value=1e-3, max_value=1.0, exclude_max=True),
+    st.sampled_from(["case1", "case2"]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(min_value=-300.0, max_value=12.0),
 )
 @settings(max_examples=200, deadline=None)
 # omega one ulp below 1: unclamped, alpha + gamma_max dalpha rounded to 0 here
-@example(alpha=189381.38029026575, dalpha=-757307.90234375, omega=0.9999999999999999)
-def test_interval_keeps_alpha_positive(alpha, dalpha, omega):
-    gmax, theta, _ = step_interval(alpha, dalpha, omega)
-    assert 0.0 < gmax <= 1.0
+@example(alpha=189381.38029026575, dalpha=-757307.90234375, omega=0.9999999999999999,
+         variant="case2", dx=0.0, log_dinv=-300.0)
+# a subnormal dalpha along dx = 0: 1 / (dinv |dalpha|) overflows to inf, with no warning
+@example(alpha=1.0, dalpha=2.2250738585e-313, omega=0.5, variant="case1", dx=0.0, log_dinv=0.0)
+def test_interval_keeps_alpha_positive(alpha, dalpha, omega, variant, dx, log_dinv):
+    lam = np.array([0.0, 0.5, 2.0])
+    gamma, theta, _ = step_size(
+        StepRule(variant, omega), lam, np.full(3, dx), alpha, dalpha, 10.0**log_dinv
+    )
+    assert 0.0 < gamma <= 1.0
     assert theta >= np.sqrt(2.0) - 1e-12
-    assert alpha + gmax * dalpha > 0.0
+    assert alpha + gamma * dalpha > 0.0
 
 
 def test_step_size_case2_example():
-    gamma = step_size("case2", np.zeros(3), 1.0, 1.0, np.sqrt(2.0), 2.0)
+    gamma, _, _ = step_size(StepRule("case2"), np.ones(3), np.zeros(3), 1.0, 1.0, 2.0)
     assert gamma == pytest.approx(0.5)
 
 
 def test_step_size_case1_example(rng):
+    # case1 forms G dx = Q (lam * dxh) itself; checked against A^T A dx
     A = rng.standard_normal((4, 3))
-    dx = np.zeros(3)
-    gamma = step_size("case1", dx, 1.0, 1.0, np.sqrt(2.0), 2.0, gram_dx=A.T @ (A @ dx))
+    lam, Q = spectral_gram(A.T @ A)
+    rule = StepRule("case1")
+    gamma, _, _ = step_size(rule, lam, np.zeros(3), 1.0, 1.0, 2.0)
     assert gamma == pytest.approx(0.25)
+    dx = 0.1 * rng.standard_normal(3)
+    gdx = A.T @ (A @ dx)
+    bound = np.sqrt(1.0 + 0.25 * gdx @ gdx) + 1.0 + np.sqrt(2.0) * np.linalg.norm(dx)
+    gamma, _, _ = step_size(rule, lam, dx @ Q, 1.0, 1.0, 2.0)
+    assert gamma == pytest.approx(1.0 / (2.0 * bound), rel=1e-12)
 
 
 def test_step_size_stays_positive():
-    gamma = step_size("case2", np.ones(2), 1.0, 1.0, np.sqrt(2.0), 1e12)
+    gamma, _, _ = step_size(StepRule("case2"), np.ones(2), np.ones(2), 1.0, 1.0, 1e12)
     assert 0.0 < gamma < 1e-10
+
+
+def test_step_layer_rejects_nonpositive_arguments():
+    for alpha, dinv, match in ((0.0, 1.0, "alpha"), (1.0, 0.0, "dinv")):
+        with pytest.raises(ValueError, match=match):
+            step_size(StepRule(), np.ones(2), np.ones(2), alpha, 1.0, dinv)
+    with pytest.raises(ValueError, match="alpha"):
+        dinv_norm(np.ones(2), np.ones(2), 0.0)
 
 
 # -- full solver ----------------------------------------------------------------
@@ -605,6 +637,9 @@ WORKLOAD_OPTIONS = {
       for bad in (np.nan, np.inf, -np.inf, 0.0, -1.0)),
     (NtmConfig, "max_iter", 0), (PntmConfig, "outer_iter_max", 0),
     (PntmConfig, "inner_cap_large", -1), (GbitConfig, "max_iter", 0),
+    # a budget that is not an integer would reach range() as a TypeError
+    (NtmConfig, "max_iter", 2.5), (PntmConfig, "outer_iter_max", np.inf),
+    (PntmConfig, "inner_cap_large", 0.5), (GbitConfig, "max_iter", 3.0),
 ])
 def test_config_rejects_options_outside_their_domain(config, key, bad):
     options = WORKLOAD_OPTIONS[config]
