@@ -74,6 +74,7 @@ class BidiagFactorization:
         self._cos = 1.0  # cosine of the last Givens rotation
         self._anorm = 0.0  # ||B_k||_F
         self.breakdown = False
+        self._next = None  # ``_next_direction`` of the current k
 
     def _accept(self, name, value):
         """Whether a new mu or nu is a direction rather than a breakdown;
@@ -122,11 +123,8 @@ class BidiagFactorization:
             raise BidiagBreakdown(f"factorization already full at k = {self.k}")
 
         k = self.k
-        r = self.A.rmatvec(self._U[k])
-        if k > 0:
-            r = r - self._B[k, k - 1] * self._V[k - 1]
-        r = _cgs2(r, self._V[:k])
-        mu = float(np.linalg.norm(r))
+        r, mu = self._next_direction()
+        self._next = None
         if not self._accept("mu", mu):
             self.breakdown = True
             return False
@@ -149,6 +147,41 @@ class BidiagFactorization:
         self._U[k + 1] = p / nu
         self._B[k + 1, k] = nu
         return True
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def _next_direction(self):
+        """(r, mu): the next column of V before its normalization, and mu_{k+1}
+        = ||r||, the first half of the next expansion. Computed once per k,
+        whether ``normal_tail`` or ``expand`` asks first."""
+        if self._next is None:
+            k = self.k
+            r = self.A.rmatvec(self._U[k])
+            if k > 0:
+                r = r - self._B[k, k - 1] * self._V[k - 1]
+            r = _cgs2(r, self._V[:k])
+            self._next = r, float(np.linalg.norm(r))
+        return self._next
+
+    @property
+    def atb_norm(self) -> float:
+        """||A^T b|| = mu_1 beta."""
+        return float(self._B[0, 0]) * self.beta
+
+    def normal_tail(self, y) -> float:
+        """mu_{k+1} nu_{k+1} y_k, the part of the full-space normal residual
+        that the projection does not see: as A^T U_{k+1} = V_k B^T + mu_{k+1}
+        v_{k+1} e_{k+1}^T, for x = V y
+
+            ||A^T (A x - b) + alpha x||^2 = ||B^T (B y - c) + alpha y||^2
+                                            + normal_tail(y)^2
+
+        (Paige & Saunders 1982). 0 once the factorization is final: after a
+        breakdown, or once V spans the whole domain."""
+        if self.breakdown or self.k == self.A.cols:
+            return 0.0
+        mu = self._next_direction()[1]
+        # nu_{k+1} y_k = (B y - c)_{k+1} first: it is of the residual's size
+        return mu * (float(self._B[self.k, self.k - 1]) * float(y[-1]))
 
     def can_expand(self) -> bool:
         return not self.breakdown and self.k < self._cap

@@ -12,9 +12,11 @@ Tikhonov solution yh = (Q^T B^T c) / (lam + alpha) in eigen-coordinates.
 F vanishes there up to rounding, so they normally only certify
 ||F|| < tol. Both price ||B Q yh - c|| in O(k) by ``ntm.eigen_residual_sq``
 on top of phi_k^2, with no product with Q or B, as gbit does. The outer
-loop stops only when the projected system is solved *and* alpha has
+loop stops on one scale-invariant test of the full-space point x = V y
+(see ``krylov_loop``): residual within tol eps of eps, normal-equation
+residual within tol ||A^T b|| by the Golub-Kahan identity, and alpha
 stagnated, since the projected system can be solved accurately long
-before the subspace is rich enough for the full problem; it stops
+before the subspace is rich enough for the full problem. It stops
 unconverged once the factorization is final (a breakdown, or
 k = min(m, n)) with phi_k still at or above eps, since no root can
 appear after that.
@@ -22,6 +24,7 @@ appear after that.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -129,11 +132,22 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     spectrum (lam, Q, gh, rr) of B and c from ``projected_spectrum``
     (rr = phi^2, phi the LSQR residual min_z ||B z - c||: what
     ``ntm.eigen_residual_sq`` prices a projected point from) and calls
-    ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F_norm, inner_steps)``;
-    ``update`` appends its own trace rows. Stops once phi < eps (the
-    projected discrepancy equation has a root), F_norm < tol and alpha
-    moved by less than tol alpha_prev (an alpha that underflowed to 0 never
-    has); stops unconverged once the factorization is final and
+    ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F1_norm, res,
+    inner_steps)``, with F1_norm = ||B^T (B y - c) + alpha y|| and res =
+    ||B y - c||; ``update`` appends its own trace rows. The stop is scale
+    invariant and full-space. It needs all of:
+
+    - phi < eps: the projected discrepancy equation has a root;
+    - alpha moved by less than tol alpha_prev (an alpha that underflowed
+      to 0 never has): the subspace has stopped moving the root, which a
+      solved projected system alone does not show;
+    - |res - eps| <= tol eps, res = ||A x - b|| for x = V y;
+    - ||A^T (A x - b) + alpha x|| <= tol ||A^T b||, priced in O(1) from
+      F1_norm and ``BidiagFactorization.normal_tail``.
+
+    The last test costs the rmatvec half of the next expansion, which that
+    expansion reuses, so a solve makes at most one product more than its
+    2 per iteration. Stops unconverged once the factorization is final and
     phi >= eps, as no root can appear.
     """
     A = as_operator(problem.operator)
@@ -156,9 +170,14 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
                 "A^T b is numerically zero: no Krylov direction exists"
             )
         phi = f.lsqr_residual
-        y, alpha, Fnorm, inner = update(k, projected_spectrum(f.B, f.c, phi), phi, alpha_prev)
+        y, alpha, F1_norm, res, inner = update(k, projected_spectrum(f.B, f.c, phi), phi, alpha_prev)
         total_inner += inner
-        if phi < eps and Fnorm < tol and abs(alpha - alpha_prev) < tol * alpha_prev:
+        if (
+            phi < eps
+            and abs(alpha - alpha_prev) < tol * alpha_prev
+            and abs(res - eps) <= tol * eps
+            and math.hypot(F1_norm, f.normal_tail(y)) <= tol * f.atb_norm
+        ):
             converged = True
             break
         if phi >= eps and not f.can_expand():
@@ -198,7 +217,8 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
         steps = newton_steps(lam, gh, rr, eps, alpha, config.step_rule, config.tol, cap)
         for l, step in enumerate(steps):
             trace.append(len(trace) + 1, *step.row, k, l, lam.size, phi)
-        return Q @ step.xh, step.alpha, step.F_norm, l
+        F1_norm = float(np.linalg.norm((lam + step.alpha) * step.xh - gh))
+        return Q @ step.xh, step.alpha, F1_norm, step.res_norm, l
 
     return krylov_loop(
         problem, config.alpha0, config.tol, config.outer_iter_max, trace, update

@@ -51,8 +51,8 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     max(alpha, 4 eps_mach lam_min), lam_min the smallest positive projected
     eigenvalue, where the gap is positive (B^T B is unreduced tridiagonal:
     no gh_i vanishes); one that underflows anyway raises
-    ``ConvergenceFailure``. Stops when the projected residual norm is small
-    and alpha has stagnated.
+    ``ConvergenceFailure``. Stops on ``pntm.krylov_loop``'s test, as pntm
+    does.
     """
     if config is None:
         config = GbitConfig()
@@ -78,9 +78,8 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
         # y solves the normal equations at alpha_prev, so F1 collapses
         F1 = (alpha - alpha_prev) * y
         F2 = 0.5 * (res_y * res_y - eps * eps)
-        Fnorm = stacked_norm(F1, F2)
-        trace.append(k, alpha, res_y, Fnorm, lam.size, res_z)
-        return y, alpha, Fnorm, 0
+        trace.append(k, alpha, res_y, stacked_norm(F1, F2), lam.size, res_z)
+        return y, alpha, float(np.linalg.norm(F1)), res_y, 0
 
     return krylov_loop(
         problem, config.alpha0, config.tol, config.max_iter, trace, update

@@ -391,8 +391,8 @@ def _scaled_solve(method, p, c):
         pytest.param("ntm", 1e6, marks=SCALE_XFAIL),
         ("pntm", 1e3),
         pytest.param("pntm", 1e6, marks=SCALE_XFAIL),  # 100 outer / 4800 inner, unconverged
-        pytest.param("gbit", 1e3, marks=SCALE_XFAIL),  # converges, 34 outer against 16
-        pytest.param("gbit", 1e6, marks=SCALE_XFAIL),  # converges, 65 outer
+        ("gbit", 1e3),
+        ("gbit", 1e6),
     ],
 )
 def test_scaled_problem_solves_like_unscaled(method, c):
@@ -424,19 +424,29 @@ def _contract_cells():
         yield pytest.param(method, noise, scale, marks=marks)
 
 
-def _off_band(solve, problems):
+def _off_band(solve, problems, normal=False):
     """The labels of ``problems`` (label -> problem) whose result is flagged
     converged off the discrepancy level, |res - eps| > 2 tol eps on the
-    operator's residual; a typed error or an unconverged flag is no breach."""
+    operator's residual, or with ``normal`` also off the normal equations,
+    F1rel = ||A^T (A x - b) + alpha x|| / ||A^T b|| > tol with the
+    operator; a typed error or an unconverged flag is no breach."""
     off = []
     for label, p in problems.items():
         try:
             r = solve(p)
         except TikmorError:
             continue
+        if not r.converged:
+            continue
         eps = p.discrepancy_target
-        if r.converged and not abs(r.residual_norm - eps) <= 2 * TOL * eps:
+        if not abs(r.residual_norm - eps) <= 2 * TOL * eps:
             off.append(f"{label}: res/eps = {r.residual_norm / eps:.6g}")
+        if normal:
+            A = p.operator
+            F1 = A.rmatvec(A.matvec(r.x) - p.b) + r.alpha * r.x
+            F1rel = np.linalg.norm(F1) / np.linalg.norm(A.rmatvec(p.b))
+            if not F1rel <= TOL:
+                off.append(f"{label}: F1rel = {F1rel:.3g}")
     return off
 
 
@@ -461,10 +471,11 @@ def _sweep_problems(noise, scale=1.0, rank_deficient=False):
 
 @pytest.mark.parametrize("method, noise, scale", _contract_cells())
 def test_result_contract_sweep(method, noise, scale):
-    # every result with default options is on the discrepancy level,
-    # flagged unconverged, or a typed error; A, b and eps scaled by ``scale``
+    # every result with default options is on the discrepancy level (pntm
+    # and gbit: and on the normal equations), flagged unconverged, or a
+    # typed error; A, b and eps scaled by ``scale``
     solve = {"ntm": ntm_solve, "pntm": pntm_solve, "gbit": gbit_solve}[method]
-    off = _off_band(solve, _sweep_problems(noise, scale))
+    off = _off_band(solve, _sweep_problems(noise, scale), normal=method != "ntm")
     assert not off, "; ".join(off)
 
 
@@ -523,7 +534,7 @@ def test_result_contract_in_edge_regimes(method, regime):
             zero.append(f"{p.operator.rows}x{p.operator.cols}")
         return r
 
-    off = _off_band(solve, _sweep_problems(noise, scale, rank_deficient))
+    off = _off_band(solve, _sweep_problems(noise, scale, rank_deficient), normal=method != "ntm")
     assert not off, "; ".join(off)
     assert not held, f"gbit held alpha at iterations {held}"
     assert not zero, f"alpha 0 on the {zero} problems"

@@ -162,6 +162,57 @@ def test_mu_breakdown_keeps_lsqr_residual(rng):
     assert f.lsqr_residual == before
 
 
+def _normal_residuals(A, b, f, y, alpha):
+    """(priced, dense): ||A^T (A V y - b) + alpha V y|| from the projected
+    normal residual and ``normal_tail``, and from the operator."""
+    B, c = f.B, f.c
+    proj = np.linalg.norm(B.T @ (B @ y - c) + alpha * y)
+    x = f.lift(y)
+    return np.hypot(proj, f.normal_tail(y)), np.linalg.norm(A.T @ (A @ x - b) + alpha * x)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("seed", range(3))
+def test_normal_tail_prices_the_full_space_normal_residual(seed, scale):
+    # at every k, at a random point and at the projected Tikhonov point,
+    # where the projected part vanishes and the tail is all there is; asking
+    # for the tail leaves the factorization as it grows without it, bit for bit
+    rng = np.random.default_rng(seed)
+    A = scale * rng.standard_normal((40, 25))
+    b = scale * rng.standard_normal(40)
+    f, g = BidiagFactorization(A, b, 12), BidiagFactorization(A, b, 12)
+    atb = np.linalg.norm(A.T @ b)
+    assert f.expand() and g.expand()
+    assert f.atb_norm == pytest.approx(atb, rel=1e-13)
+    for k in range(1, 13):
+        alpha = scale**2 * rng.uniform(0.1, 10.0)
+        B, c = f.B, f.c
+        tikhonov = np.linalg.solve(B.T @ B + alpha * np.eye(k), B.T @ c)
+        for y in (rng.standard_normal(k), tikhonov):
+            priced, dense = _normal_residuals(A, b, f, y, alpha)
+            assert abs(priced - dense) <= 1e-12 * (dense + atb)
+        if k < 12:
+            assert f.expand() and g.expand()
+    assert np.array_equal(f.B, g.B) and np.array_equal(f.V, g.V) and np.array_equal(f.U, g.U)
+
+
+@pytest.mark.parametrize("case", ["nu-breakdown", "mu-breakdown", "full"])
+def test_normal_tail_is_zero_once_the_factorization_is_final(case, rng):
+    # no direction follows, so the projection sees the whole normal residual
+    if case == "nu-breakdown":  # A^T b lies in a 3-dimensional invariant subspace
+        A, b = np.diag(np.arange(1.0, 7.0)), np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    elif case == "mu-breakdown":  # rank one
+        A, b = np.outer(rng.standard_normal(6), rng.standard_normal(4)), rng.standard_normal(6)
+    else:  # V spans the whole domain
+        A, b = rng.standard_normal((12, 8)), rng.standard_normal(12)
+    f = expand_fully(BidiagFactorization(A, b, 8))
+    assert f.breakdown != (case == "full")
+    y = rng.standard_normal(f.k)
+    assert f.normal_tail(y) == 0.0
+    priced, dense = _normal_residuals(A, b, f, y, 0.5)
+    assert priced == pytest.approx(dense, rel=1e-12)
+
+
 def test_projected_residual_zero_coordinates():
     f = BidiagFactorization(np.eye(4), np.array([1.0, 2.0, 2.0, 0.0]), 1)
     f.expand()

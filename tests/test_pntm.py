@@ -12,6 +12,7 @@ from tikmor import (
     StepRule,
     as_operator,
     gbit_solve,
+    load_matrix_market,
     pntm_solve,
     priorconditioned_problem,
     random_uniform_problem,
@@ -19,6 +20,7 @@ from tikmor import (
 )
 from tikmor.ntm import eigen_residual_sq
 from tikmor.pntm import projected_spectrum, secular_root
+from conftest import FIXTURES, counting_operator
 from oracles import (
     normal_equation_solve,
     projected_eval_F,
@@ -322,7 +324,7 @@ def test_reported_residual_is_the_operators(noise):
     assert res.trace.column("res_norm")[-1] == pytest.approx(recomputed, rel=1e-8)
 
 
-@pytest.mark.parametrize("seed, pntm_inner, gbit_outer", [(2000, 0, 28), (2001, 0, 28)])
+@pytest.mark.parametrize("seed, pntm_inner, gbit_outer", [(2000, 0, 16), (2001, 0, 16)])
 def test_krylov_iteration_counts_pinned(seed, pntm_inner, gbit_outer):
     # the first problems of configs/random_large.cfg
     p = random_uniform_problem(2100, 1500, 0.10, seed=seed)
@@ -332,6 +334,35 @@ def test_krylov_iteration_counts_pinned(seed, pntm_inner, gbit_outer):
     ref = gbit_solve(p)
     assert ref.converged
     assert ref.n_outer == gbit_outer
+
+
+@pytest.mark.parametrize("solve", [pntm_solve, gbit_solve])
+def test_krylov_solve_makes_one_product_more_than_two_per_iteration(solve):
+    # each expansion makes one matvec and one rmatvec; the stop's full-space
+    # test takes the rmatvec half of the next expansion, which that
+    # expansion reuses, and the reported residual one matvec: 2k + 2 in
+    # all, where the projected stop made 2k + 1
+    p = random_uniform_problem(2100, 1500, 0.10, seed=2000)
+    op, calls = counting_operator(p.operator.to_dense())
+    res = solve(InverseProblem(operator=op, b=p.b, noise_level=p.noise_level))
+    assert res.converged
+    k = res.n_outer
+    assert calls == {"gram": 0, "matvec": k + 1, "rmatvec": k + 1}
+
+
+def test_alpha_stagnation_clause_keeps_the_subspace_growing():
+    # configs/sparse_fixture.cfg's seed-1 problem: the residual and the
+    # full-space normal residual already meet tol at k = 7, with alpha
+    # 25.27; only the alpha clause carries pntm on to k = 11 and 27.22,
+    # where the subspace has stopped moving the root
+    op = load_matrix_market(FIXTURES / "survey219.mtx")
+    p, _ = priorconditioned_problem(sine_wave_problem(op, 0.10, seed=1),
+                                    RegularizationMatrix(op.cols))
+    res = pntm_solve(p, PntmConfig(inner_cap_large=1000))
+    assert res.converged
+    assert res.n_outer == 11
+    assert res.alpha == pytest.approx(27.2188, rel=1e-4)
+    assert gbit_solve(p).n_outer == 12
 
 
 def test_infeasible_discrepancy_rejected():
