@@ -8,7 +8,7 @@ Reference methods (GBiT, SIRT, priorconditioned CGLS) and an experiment
 CLI round out the package.
 """
 
-from .bidiag import BidiagBreakdown, BidiagFactorization
+from .bidiag import BidiagFactorization
 from .errors import (
     ConvergenceFailure,
     DegenerateRhsError,
@@ -65,7 +65,6 @@ from .trace import SolveResult, SolveTrace
 __version__ = "0.1.0"
 
 __all__ = [
-    "BidiagBreakdown",
     "BidiagFactorization",
     "ConvergenceFailure",
     "DegenerateRhsError",

@@ -8,10 +8,12 @@ twice (CGS2: "twice is enough", Giraud, Langou & Rozloznik 2005), two
 matrix-vector products with the stored basis per pass. Exact invariant
 subspaces surface as breakdown, judged against the factorization's own
 scale, LSQR's running estimate ||B_k||_F of ||A||_F (``anorm``, Paige &
-Saunders 1982); the factorization then stays usable at its final
-dimension. A non-finite entry of A surfaces as a non-finite mu or nu. Each
-expansion also carries LSQR's Givens rotation of B one column further, so
-the least-squares residual min_z ||B z - c|| costs O(1) per step.
+Saunders 1982). After a breakdown, or at k = min(m, n, k_max), the
+factorization is final: ``expand`` returns False and changes nothing, and
+it stays usable at its final dimension. A^T b = 0 raises
+``DegenerateRhsError``; a non-finite entry of A surfaces as a non-finite mu
+or nu. Each expansion also carries LSQR's Givens rotation of B one column
+further, so the least-squares residual min_z ||B z - c|| costs O(1) per step.
 """
 
 from __future__ import annotations
@@ -20,12 +22,8 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DegenerateRhsError, TikmorError
+from .errors import ConvergenceFailure, DegenerateRhsError, check_count
 from .linop import as_operator
-
-
-class BidiagBreakdown(TikmorError):
-    """Krylov subspace became invariant; the factorization is final."""
 
 
 def _cgs2(vec, rows):
@@ -56,6 +54,7 @@ class BidiagFactorization:
     """
 
     def __init__(self, A, b, k_max):
+        check_count("k_max", k_max, 1)
         self.A = as_operator(A)
         b = np.asarray(b, dtype=float)
         beta = np.linalg.norm(b)
@@ -113,19 +112,19 @@ class BidiagFactorization:
     def expand(self) -> bool:
         """Grow the factorization by one column of V.
 
-        Returns True on a clean expansion. Returns False when the new
-        direction falls below the breakdown tolerance; the factorization
-        is then final (and ``breakdown`` is set).
+        Returns True on a clean expansion and False once the factorization
+        is final: the new direction fell below the breakdown tolerance
+        (``breakdown`` is set), or it was final already and stays unchanged.
+        mu_1 = ||A^T b|| = 0 raises ``DegenerateRhsError``.
         """
-        if self.breakdown:
-            raise BidiagBreakdown("factorization already broke down")
-        if self.k >= self._cap:
-            raise BidiagBreakdown(f"factorization already full at k = {self.k}")
-
+        if not self.can_expand():
+            return False
         k = self.k
         r, mu = self._next_direction()
         self._next = None
         if not self._accept("mu", mu):
+            if k == 0:
+                raise DegenerateRhsError("A^T b is numerically zero: no Krylov direction exists")
             self.breakdown = True
             return False
         self._nv += 1

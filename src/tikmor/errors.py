@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check that raises them."""
+
+import numbers
 
 
 class TikmorError(Exception):
@@ -50,3 +52,13 @@ class ZeroSumError(TikmorError):
         super().__init__(f"zero {kind} sum at index {index}")
         self.kind = kind
         self.index = index
+
+
+def check_count(name, value, low, error=ValueError):
+    """``value`` if it is an integer (numpy's too) of at least ``low``; else
+    ``error`` naming ``name``. A float such as 2.0 or NaN fails."""
+    if not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if not value >= low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value

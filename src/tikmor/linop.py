@@ -20,11 +20,7 @@ import sys
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    MatrixMarketError,
-    UnsupportedFormatError,
-)
+from .errors import DimensionError, MatrixMarketError, UnsupportedFormatError, check_count
 
 
 class LinearOperator:
@@ -87,14 +83,13 @@ class SparseOperator(LinearOperator):
         import scipy.sparse as sp
         A = sp.csr_matrix(matrix).astype(float)
         self._A = A
-        self._At = A.T.tocsr()
         self.rows, self.cols = A.shape
 
     def matvec(self, v):
         return self._A @ self._check_in(v, self.cols, "matvec")
 
     def rmatvec(self, w):
-        return self._At @ self._check_in(w, self.rows, "rmatvec")
+        return self._A.T @ self._check_in(w, self.rows, "rmatvec")
 
     def to_dense(self):
         return self._A.toarray()
@@ -113,9 +108,7 @@ class RegularizationMatrix:
     """
 
     def __init__(self, dim):
-        if dim < 1:
-            raise DimensionError("regularization matrix needs dim >= 1")
-        self.dim = int(dim)
+        self.dim = int(check_count("dim", dim, 1, DimensionError))
 
     def solve(self, w):
         """z with L z = w (back substitution, O(n))."""

@@ -27,13 +27,17 @@ the solve forms x = Q xh and A x - b once, at the end.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, SingularJacobianError
+from .errors import (
+    ConvergenceFailure,
+    InfeasibleDiscrepancyError,
+    SingularJacobianError,
+    check_count,
+)
 from .linop import as_operator
 from .problems import InverseProblem
 from .trace import NTM_COLUMNS, SolveResult, SolveTrace
@@ -229,11 +233,7 @@ def check_options(config, **least):
         if not (value > 0 and math.isfinite(value)):
             raise ValueError(f"{name} must be positive and finite, got {value}")
     for name, low in least.items():
-        value = getattr(config, name)
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if not value >= low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+        check_count(name, getattr(config, name), low)
 
 
 @dataclass

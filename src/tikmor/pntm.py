@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .bidiag import BidiagFactorization
-from .errors import ConvergenceFailure, DegenerateRhsError
+from .errors import ConvergenceFailure
 from .linop import as_operator
 from .ntm import (
     _EPS,
@@ -128,7 +128,8 @@ def projected_spectrum(B, c, phi):
 def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     """Golub-Kahan outer loop shared by pntm and gbit.
 
-    Each iteration grows the factorization by one column, takes the
+    Each iteration calls ``BidiagFactorization.expand`` (one more column,
+    none once final; ``DegenerateRhsError`` if A^T b = 0), takes the
     spectrum (lam, Q, gh, rr) of B and c from ``projected_spectrum``
     (rr = phi^2, phi the LSQR residual min_z ||B z - c||: what
     ``ntm.eigen_residual_sq`` prices a projected point from) and calls
@@ -157,18 +158,10 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
 
     f = BidiagFactorization(A, b, max_iter)
     alpha_prev = alpha = alpha0
-    y = np.zeros(0)
     converged = False
     total_inner = 0
-    n_outer = 0
-    for k in range(1, max_iter + 1):
-        n_outer = k
-        if f.can_expand():
-            f.expand()
-        if f.k == 0:
-            raise DegenerateRhsError(
-                "A^T b is numerically zero: no Krylov direction exists"
-            )
+    for k in range(1, max_iter + 1):  # max_iter >= 1, as the factorization checked
+        f.expand()
         phi = f.lsqr_residual
         y, alpha, F1_norm, res, inner = update(k, projected_spectrum(f.B, f.c, phi), phi, alpha_prev)
         total_inner += inner
@@ -190,7 +183,7 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
         alpha=float(alpha),
         trace=trace,
         converged=converged,
-        n_outer=n_outer,
+        n_outer=k,
         n_inner_total=total_inner,
         residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
     )

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, TikmorError
+from .errors import DimensionError, TikmorError, check_count
 from .linop import (
     DenseOperator,
     LinearOperator,
@@ -116,6 +116,8 @@ def _check_noise_fraction(noise_fraction, zero_ok):
 
 def random_uniform_problem(m, n, noise_fraction, seed) -> InverseProblem:
     """Dense A and ground truth with i.i.d. U(-1, 1) entries."""
+    for name, size in (("m", m), ("n", n)):
+        check_count(name, size, 1, DimensionError)
     if m < n:
         raise DimensionError(f"need m >= n, got m={m}, n={n}")
     _check_noise_fraction(noise_fraction, zero_ok=False)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, ZeroSumError
+from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, ZeroSumError, check_count
 from .linop import as_operator
 from .ntm import _EPS, check_options, eigen_residual_sq, stacked_norm
 from .pntm import KrylovResult, krylov_loop
@@ -140,6 +140,7 @@ def sirt_solve(
     """Stationary iteration x <- x + C A^T R (b - A x) from x = 0; converged
     means the residual reached the discrepancy level and stopped the run.
     A residual norm that is not finite raises ``ConvergenceFailure``."""
+    check_count("max_iter", max_iter, 1)
     A = as_operator(problem.operator)
     b = problem.b
     eps = problem.discrepancy_target
@@ -174,12 +175,13 @@ def cgls(A, b, eps, max_iter=1000) -> SolveResult:
     """Conjugate-gradient least squares with discrepancy stopping.
 
     Iterates on min ||A x - b|| from x = 0 and stops at the first iterate
-    whose residual norm is at or below eps, which must be positive. A
-    gamma = ||A^T r||^2 or residual norm that is not finite raises
+    whose residual norm is at or below eps, which must be positive and
+    finite. A gamma = ||A^T r||^2 or residual norm that is not finite raises
     ``ConvergenceFailure``.
     """
-    if eps <= 0:
-        raise InfeasibleDiscrepancyError("discrepancy level must be positive")
+    if not (eps > 0 and math.isfinite(eps)):  # NaN fails
+        raise InfeasibleDiscrepancyError(f"discrepancy level must be positive and finite, got {eps}")
+    check_count("max_iter", max_iter, 1)
     A = as_operator(A)
     x = np.zeros(A.cols)
     r = np.array(b, dtype=float)  # b - A x at x = 0

@@ -1,12 +1,26 @@
-"""The package's public names: everything exported resolves, and the
-Newton-kernel wrappers that only tests used are not exported."""
+"""The package's public names: everything exported resolves, the
+Newton-kernel wrappers that only tests used are not exported, and every
+library entry point rejects a size, budget or discrepancy level outside
+its domain with a typed error before any work."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import tikmor
+from tikmor import (
+    BidiagFactorization,
+    DimensionError,
+    InfeasibleDiscrepancyError,
+    RegularizationMatrix,
+    cgls,
+    random_uniform_problem,
+    sirt_solve,
+)
 
 REMOVED = (
     "eval_F",
@@ -21,6 +35,7 @@ REMOVED = (
     "CglsResult",
     "init_bidiag",
     "step_interval",
+    "BidiagBreakdown",
 )
 
 
@@ -100,3 +115,52 @@ def test_readme_library_sketch_runs(capsys):
     exec(compile(sketch, "README.md", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert [len(line.split()) for line in lines] == [3, 3]
+
+
+SMALL = random_uniform_problem(8, 5, 0.1, 0)
+A, B = SMALL.operator, SMALL.b
+
+BAD_INPUTS = {
+    "cgls-eps-nan": (lambda: cgls(A, B, float("nan")), InfeasibleDiscrepancyError,
+                     "positive and finite, got nan"),
+    "cgls-eps-inf": (lambda: cgls(A, B, float("inf")), InfeasibleDiscrepancyError,
+                     "positive and finite, got inf"),
+    "cgls-max_iter-2.5": (lambda: cgls(A, B, 0.1, max_iter=2.5), ValueError,
+                          "max_iter must be an integer, got 2.5"),
+    "cgls-max_iter-0": (lambda: cgls(A, B, 0.1, max_iter=0), ValueError,
+                        "max_iter must be >= 1, got 0"),
+    "cgls-max_iter--3": (lambda: cgls(A, B, 0.1, max_iter=-3), ValueError,
+                         "max_iter must be >= 1, got -3"),
+    "sirt-max_iter-2.5": (lambda: sirt_solve(SMALL, max_iter=2.5), ValueError,
+                          "max_iter must be an integer, got 2.5"),
+    "sirt-max_iter-0": (lambda: sirt_solve(SMALL, max_iter=0), ValueError,
+                        "max_iter must be >= 1, got 0"),
+    "sirt-max_iter--3": (lambda: sirt_solve(SMALL, max_iter=-3), ValueError,
+                         "max_iter must be >= 1, got -3"),
+    "bidiag-k_max-2.5": (lambda: BidiagFactorization(A, B, 2.5), ValueError,
+                         "k_max must be an integer, got 2.5"),
+    "bidiag-k_max-0": (lambda: BidiagFactorization(A, B, 0), ValueError,
+                       "k_max must be >= 1, got 0"),
+    "regularization-dim-2.5": (lambda: RegularizationMatrix(2.5), DimensionError,
+                               "dim must be an integer, got 2.5"),
+    "random-n-30.5": (lambda: random_uniform_problem(40, 30.5, 0.1, 1), DimensionError,
+                      "n must be an integer, got 30.5"),
+    "random-m-0": (lambda: random_uniform_problem(0, 0, 0.1, 1), DimensionError,
+                   "m must be >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_entry_points_reject_inputs_outside_their_domain(case):
+    call, error, match = BAD_INPUTS[case]
+    with pytest.raises(error, match=match):
+        call()
+
+
+def test_numpy_integers_are_sizes_and_budgets():
+    p = random_uniform_problem(np.int64(8), np.int32(5), 0.1, 0)
+    assert np.array_equal(p.operator.to_dense(), A.to_dense())
+    assert RegularizationMatrix(np.int64(3)).dim == 3
+    assert cgls(A, B, 0.1, max_iter=np.int64(2)).n_iter <= 2
+    assert sirt_solve(SMALL, max_iter=np.int64(2)).n_iter <= 2
+    assert BidiagFactorization(A, B, np.int64(2)).expand()

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from tikmor import (
-    BidiagBreakdown,
     BidiagFactorization,
     DegenerateRhsError,
     DenseOperator,
     InverseProblem,
-    TikmorError,
     as_operator,
     gbit_solve,
     pntm_solve,
@@ -61,6 +59,14 @@ def test_first_expansion_diagonal_example():
     assert np.allclose(np.abs(f.V[:, 0]), np.array([2.0, 1.0]) / np.sqrt(5.0))
 
 
+def assert_final(f):
+    # expand() on a final factorization returns False and changes nothing
+    k, B, phi = f.k, f.B, f.lsqr_residual
+    assert not f.can_expand()
+    assert not f.expand()
+    assert f.k == k and np.array_equal(f.B, B) and f.lsqr_residual == phi
+
+
 def test_identity_breakdown():
     # A v_1 = u_1 exactly, so the nu step collapses
     f = BidiagFactorization(np.eye(3), np.array([1.0, 0.0, 0.0]), 3)
@@ -69,9 +75,7 @@ def test_identity_breakdown():
     assert f.k == 1
     assert f.B.shape == (1, 1)
     assert f.lsqr_residual == 0.0  # square B: B z = c is solvable
-    with pytest.raises(BidiagBreakdown) as info:
-        f.expand()
-    assert isinstance(info.value, TikmorError)
+    assert_final(f)
 
 
 def test_expands_up_to_its_budget(rng):
@@ -81,9 +85,17 @@ def test_expands_up_to_its_budget(rng):
         assert f.can_expand()
         assert f.expand()
     assert f.k == 3 and f.U.shape == (30, 4) and f.B.shape == (4, 3)
-    assert not f.can_expand()
-    with pytest.raises(BidiagBreakdown, match="full"):
+    assert_final(f)
+    assert not f.breakdown
+
+
+def test_rhs_orthogonal_to_range_has_no_first_direction():
+    # A^T b = 0 with b != 0: the first expansion finds mu_1 = 0
+    A = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    f = BidiagFactorization(A, np.array([0.0, 0.0, 1.0]), 2)
+    with pytest.raises(DegenerateRhsError, match="A\\^T b is numerically zero"):
         f.expand()
+    assert f.k == 0
 
 
 # sigma = 1e10, 1 and 1e-5, and b has no component along the 1e10 direction:
@@ -118,8 +130,7 @@ def test_full_expansion_factorization(rng):
     expand_fully(f)
     assert f.k == 20
     factorization_checks(A, f)
-    with pytest.raises(TikmorError, match="full"):
-        f.expand()
+    assert_final(f)
 
 
 def test_factorization_after_breakdown(rng):
