@@ -45,11 +45,10 @@ from .pntm import (
 )
 from .problems import (
     InverseProblem,
-    RelativeStats,
     load_problem,
     priorconditioned_problem,
     random_uniform_problem,
-    relative_stats,
+    relative_error,
     save_problem,
     sine_wave_problem,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "PntmConfig",
     "PriorconditionedOperator",
     "RegularizationMatrix",
-    "RelativeStats",
     "SingularJacobianError",
     "SolveResult",
     "SolveTrace",
@@ -100,7 +98,7 @@ __all__ = [
     "pntm_solve",
     "priorconditioned_problem",
     "random_uniform_problem",
-    "relative_stats",
+    "relative_error",
     "save_matrix_market",
     "save_problem",
     "sine_wave_problem",

@@ -25,8 +25,7 @@ A config is a flat INI file: one ``[problem]`` section, the ``[solver
     [curve]                     ; used by the `curve` subcommand
     alpha_min = 1e-2
     alpha_max = 1e4
-    points = 25
-    spacing = log               ; log | linear
+    points = 25                 ; alphas spaced evenly in log
 
 ``[problem]`` also takes ``precondition`` (none | smooth): ``smooth`` hands
 every solver the standard-form problem A inv(L) z = b of the smoothing
@@ -38,7 +37,7 @@ config classes and of ``sirt_solve`` and ``cgls``):
 * ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2), ``omega``
 * pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_large``, ``rule``, ``omega``
 * gbit: ``alpha0``, ``tol``, ``max_iter``
-* sirt: ``max_iter``, ``stop_at_discrepancy`` (true | false)
+* sirt: ``max_iter``
 * cgls: ``max_iter``
 
 ``alpha0`` and ``tol`` are positive and finite (NaN and inf are neither),
@@ -55,10 +54,13 @@ are a ``ConfigError``, raised before any work.
 
 Subcommands: ``run`` executes every solver on every seeded repetition and
 writes per-run trace CSVs, runs.csv (``method, rep, seed, iters, alpha,
-converged, res_norm, rel_error, error``), summary.csv and a manifest; ``curve``
-samples the discrepancy curve on an alpha grid and ``gen`` writes a
-generated problem to a directory, neither reading a solver section. Exit
-codes: 0 success, 1 config error (one logged line), 2 partial solver failures.
+converged, res_norm, rel_error, error``; ``problems.relative_error`` gives
+``rel_error``), summary.csv and a manifest; ``curve`` samples the
+discrepancy curve on an alpha grid and ``gen`` writes a generated problem
+to a directory, neither reading a solver section. Exit codes: 0 success,
+1 config or input error (one logged line: e.g. a directory problem's value
+that does not parse or vector of the wrong length, or a Matrix Market size
+line that the file cannot hold), 2 partial solver failures.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ from .problems import (
     load_problem,
     priorconditioned_problem,
     random_uniform_problem,
-    relative_stats,
+    relative_error,
     save_problem,
     sine_wave_problem,
     uniform_operator,
@@ -103,13 +105,6 @@ logger = logging.getLogger(__name__)
 
 class ConfigError(TikmorError):
     """Experiment configuration is invalid."""
-
-
-def _parse_flag(raw) -> bool:
-    value = raw.strip().lower()
-    if value not in configparser.ConfigParser.BOOLEAN_STATES:
-        raise ValueError(f"not a boolean: {raw!r}")
-    return configparser.ConfigParser.BOOLEAN_STATES[value]
 
 
 def _choice(*choices):
@@ -200,10 +195,8 @@ METHODS = {
     "gbit": Method(GbitConfig, {
         **_START_KEYS, "max_iter": ("max_iter", int),
     }, gbit_solve, "n_outer"),
-    "sirt": Method(dict, {
-        "max_iter": ("max_iter", _at_least(1)),
-        "stop_at_discrepancy": ("stop_at_discrepancy", _parse_flag),
-    }, lambda p, opts: sirt_solve(p, **opts)),
+    "sirt": Method(dict, {"max_iter": ("max_iter", _at_least(1))},
+                   lambda p, opts: sirt_solve(p, **opts)),
     "cgls": Method(dict, {"max_iter": ("max_iter", _at_least(1))},
                    lambda p, opts: cgls(p.operator, p.b, p.discrepancy_target, **opts)),
 }
@@ -264,10 +257,9 @@ def _alpha_grid(alphas):
     return grid
 
 
-def _curve_grid(alpha_min=1e-2, alpha_max=1e2, points=20, spacing="log"):
-    """The [curve] section's grid: ``points`` alphas from alpha_min to alpha_max."""
-    space = np.linspace if spacing == "linear" else np.geomspace
-    return _alpha_grid(space(alpha_min, alpha_max, points))
+def _curve_grid(alpha_min=1e-2, alpha_max=1e2, points=20):
+    """The [curve] section's grid: ``points`` alphas, log-spaced from alpha_min to alpha_max."""
+    return _alpha_grid(np.geomspace(alpha_min, alpha_max, points))
 
 
 _problem_kind = _choice("randomuniform", "sinewave", "directory")
@@ -284,7 +276,7 @@ SECTIONS = {  # the sections besides [solver <label>]: INI key -> (field, parser
     },
     "curve": {
         "alpha_min": ("alpha_min", _positive), "alpha_max": ("alpha_max", _positive),
-        "points": ("points", int), "spacing": ("spacing", _choice("log", "linear")),
+        "points": ("points", int),
     },
 }
 
@@ -441,7 +433,7 @@ def run_experiment(config: ExperimentConfig) -> int:
             iters = getattr(r, method.count)
             runs.append(_Run(
                 spec.label, rep, seed, iters, r.alpha, bool(r.converged), r.residual_norm,
-                relative_stats(original, to_x(r.x)).rel_error,
+                relative_error(original, to_x(r.x)),
             ))
     write_csv(out / "runs.csv", _Run._fields, runs)
 

@@ -16,6 +16,7 @@ sparse use, so a dense run never loads it.
 
 from __future__ import annotations
 
+import os
 import sys
 
 import numpy as np
@@ -178,7 +179,8 @@ def load_matrix_market(path) -> LinearOperator:
     Coordinate files become sparse operators, array files dense ones.
     Symmetric and skew-symmetric storage is expanded. Complex and
     pattern fields are rejected. The file is read in one pass, straight
-    into the value arrays.
+    into the value arrays, which are allocated only for a size line that the
+    file's bytes can hold (each entry takes at least 2).
     """
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
@@ -224,13 +226,20 @@ def load_matrix_market(path) -> LinearOperator:
         )
         if layout == "coordinate":
             expected, what = dims[2], "entries"
-            rows = np.empty(expected, dtype=np.int64)
-            cols = np.empty(expected, dtype=np.int64)
         elif symmetry == "general":
             expected, what = m * n, "values"
         else:
             expected = m * (m + 1) // 2 if symmetry == "symmetric" else m * (m - 1) // 2
             what = "values"
+        size = os.fstat(fh.fileno()).st_size
+        if 2 * expected > size:
+            raise MatrixMarketError(
+                f"size line declares {expected} {what}, more than a file of {size} bytes holds",
+                line=size_lineno,
+            )
+        if layout == "coordinate":
+            rows = np.empty(expected, dtype=np.int64)
+            cols = np.empty(expected, dtype=np.int64)
         vals = np.empty(expected, dtype=float)
         found = 0
         for found, (lineno, ln) in enumerate(entries, start=1):

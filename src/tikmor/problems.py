@@ -50,16 +50,19 @@ class InverseProblem:
     eta: float = 1.0  # discrepancy-principle tolerance factor, >= 1
     ground_truth: Optional[np.ndarray] = None
     b_exact: Optional[np.ndarray] = None
-    noise: Optional[np.ndarray] = None
     sigma: Optional[float] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
-        if self.b.shape != (self.operator.rows,):
-            raise DimensionError(
-                f"rhs length {self.b.shape} does not match operator rows {self.operator.rows}"
-            )
+        op = self.operator
+        for name, v, dim, size in (("rhs", self.b, "rows", op.rows),
+                                   ("ground truth", self.ground_truth, "cols", op.cols),
+                                   ("exact rhs", self.b_exact, "rows", op.rows)):
+            if v is not None and np.shape(v) != (size,):
+                raise DimensionError(
+                    f"{name} length {np.shape(v)} does not match operator {dim} {size}"
+                )
         if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):  # NaN fails
             raise ValueError(f"noise level must be finite and >= 0, got {self.noise_level}")
         if not (self.eta >= 1 and math.isfinite(self.eta)):
@@ -68,15 +71,6 @@ class InverseProblem:
     @property
     def discrepancy_target(self) -> float:
         return self.eta * self.noise_level
-
-
-@dataclass
-class RelativeStats:
-    """Reconstruction quality relative to the data and ground truth."""
-
-    rel_discrepancy: float
-    rel_residual: float
-    rel_error: Optional[float] = None  # None without a nonzero ground truth
 
 
 def uniform_operator(rng: np.random.Generator, m: int, n: int) -> DenseOperator:
@@ -101,7 +95,6 @@ def _add_noise(operator, x_exact, noise_fraction, rng, seed) -> InverseProblem:
         noise_level=sigma * np.sqrt(m),  # == noise_fraction * ||b_exact|| exactly
         ground_truth=x_exact,
         b_exact=b_exact,
-        noise=e,
         sigma=sigma,
         seed=seed,
     )
@@ -121,7 +114,7 @@ def random_uniform_problem(m, n, noise_fraction, seed) -> InverseProblem:
     if m < n:
         raise DimensionError(f"need m >= n, got m={m}, n={n}")
     _check_noise_fraction(noise_fraction, zero_ok=False)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     A = uniform_operator(rng, m, n)
     x_exact = 2.0 * rng.random(n) - 1.0
     return _add_noise(A, x_exact, noise_fraction, rng, seed)
@@ -131,6 +124,7 @@ def sine_wave_problem(A, noise_fraction, seed) -> InverseProblem:
     """Smooth sine ground truth x_i = sin(i h), h = 2 pi / (n + 1); a noise
     fraction of 0 gives the exact right-hand side."""
     _check_noise_fraction(noise_fraction, zero_ok=True)
+    check_count("seed", seed, 0)
     A = as_operator(A)
     n = A.cols
     h = 2.0 * np.pi / (n + 1)
@@ -138,17 +132,13 @@ def sine_wave_problem(A, noise_fraction, seed) -> InverseProblem:
     return _add_noise(A, x_exact, noise_fraction, np.random.default_rng(seed), seed)
 
 
-def relative_stats(problem: InverseProblem, x) -> RelativeStats:
-    x = np.asarray(x, dtype=float)
-    bnorm = np.linalg.norm(problem.b)
-    rel_disc = problem.noise_level / bnorm
-    rel_res = np.linalg.norm(problem.operator.matvec(x) - problem.b) / bnorm
-    rel_err = None
-    if problem.ground_truth is not None:
-        tnorm = np.linalg.norm(problem.ground_truth)
-        if tnorm > 0:
-            rel_err = float(np.linalg.norm(x - problem.ground_truth) / tnorm)
-    return RelativeStats(float(rel_disc), float(rel_res), rel_err)
+def relative_error(problem: InverseProblem, x) -> Optional[float]:
+    """||x - truth|| / ||truth||; None without a nonzero ground truth."""
+    truth = problem.ground_truth
+    tnorm = 0.0 if truth is None else np.linalg.norm(truth)
+    if not tnorm > 0:
+        return None
+    return float(np.linalg.norm(np.asarray(x, dtype=float) - truth) / tnorm)
 
 
 def priorconditioned_problem(problem: InverseProblem, reg):
@@ -177,9 +167,18 @@ def _write_vector(path, v):
             fh.write(f"{float(val)!r}\n")
 
 
+def _parse(parse, path, lineno, raw):
+    """``parse(raw)``; a TikmorError naming the file and line if it fails."""
+    try:
+        return parse(raw)
+    except ValueError:
+        raise TikmorError(f"{path} line {lineno}: cannot parse {raw.strip()!r}") from None
+
+
 def _read_vector(path):
     with open(path, "r", encoding="ascii") as fh:
-        return np.array([float(ln) for ln in fh if ln.strip()], dtype=float)
+        values = [_parse(float, path, i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    return np.array(values, dtype=float)
 
 
 def save_problem(problem: InverseProblem, directory):
@@ -210,26 +209,33 @@ def save_problem(problem: InverseProblem, directory):
 
 
 def load_problem(directory) -> InverseProblem:
+    """The problem ``save_problem`` wrote; a value that does not parse is a
+    TikmorError naming its file and line."""
     d = Path(directory)
     op = load_matrix_market(d / "matrix.mtx")
     b = _read_vector(d / "b.txt")
-    meta = {}
-    with open(d / "meta.txt", "r", encoding="ascii") as fh:
-        for ln in fh:
+    meta_path = d / "meta.txt"
+    meta = {}  # key -> (line number, value)
+    with open(meta_path, "r", encoding="ascii") as fh:
+        for lineno, ln in enumerate(fh, start=1):
             if "=" in ln:
                 key, val = ln.strip().split("=", 1)
-                meta[key] = val
+                meta[key] = (lineno, val)
     if "epsilon" not in meta:
-        raise TikmorError(f"{d / 'meta.txt'} has no 'epsilon' line")
+        raise TikmorError(f"{meta_path} has no 'epsilon' line")
+
+    def value(key, parse, default=None):
+        return _parse(parse, meta_path, *meta[key]) if key in meta else default
+
     ground_truth = _read_vector(d / "x_true.txt") if (d / "x_true.txt").exists() else None
     b_exact = _read_vector(d / "b_exact.txt") if (d / "b_exact.txt").exists() else None
     return InverseProblem(
         operator=op,
         b=b,
-        noise_level=float(meta["epsilon"]),
-        eta=float(meta.get("eta", 1.0)),
+        noise_level=value("epsilon", float),
+        eta=value("eta", float, 1.0),
         ground_truth=ground_truth,
         b_exact=b_exact,
-        sigma=float(meta["sigma"]) if "sigma" in meta else None,
-        seed=int(meta["seed"]) if "seed" in meta else None,
+        sigma=value("sigma", float),
+        seed=value("seed", int),
     )

@@ -95,7 +95,6 @@ class SirtOperators:
 
     row_scale: np.ndarray  # diagonal of R
     col_scale: np.ndarray  # diagonal of C
-    used_absolute_sums: bool
 
 
 def sirt_operators(A) -> SirtOperators:
@@ -119,11 +118,7 @@ def sirt_operators(A) -> SirtOperators:
         bad = np.flatnonzero(sums == 0.0)
         if bad.size:
             raise ZeroSumError(kind, int(bad[0]))
-    return SirtOperators(
-        row_scale=1.0 / row_sums,
-        col_scale=1.0 / col_sums,
-        used_absolute_sums=has_negative,
-    )
+    return SirtOperators(row_scale=1.0 / row_sums, col_scale=1.0 / col_sums)
 
 
 def _finite(name, value):
@@ -134,11 +129,9 @@ def _finite(name, value):
 
 
 @np.errstate(invalid="ignore", over="ignore")  # non-finite A or b: the residual says so
-def sirt_solve(
-    problem: InverseProblem, max_iter=1000, stop_at_discrepancy=True
-) -> SolveResult:
-    """Stationary iteration x <- x + C A^T R (b - A x) from x = 0; converged
-    means the residual reached the discrepancy level and stopped the run.
+def sirt_solve(problem: InverseProblem, max_iter=1000) -> SolveResult:
+    """Stationary iteration x <- x + C A^T R (b - A x) from x = 0 until the
+    residual reaches the discrepancy level (converged) or ``max_iter`` ends it.
     A residual norm that is not finite raises ``ConvergenceFailure``."""
     check_count("max_iter", max_iter, 1)
     A = as_operator(problem.operator)
@@ -158,7 +151,7 @@ def sirt_solve(
         res = _finite("SIRT residual norm", float(np.linalg.norm(r)))
         n_iter = k
         trace.append(k, None, res)
-        if stop_at_discrepancy and res <= eps:
+        if res <= eps:
             reached = True
             break
     return SolveResult(

@@ -1,7 +1,7 @@
 """The package's public names: everything exported resolves, the
 Newton-kernel wrappers that only tests used are not exported, and every
-library entry point rejects a size, budget or discrepancy level outside
-its domain with a typed error before any work."""
+library entry point rejects a size, budget, seed, discrepancy level or
+file outside its domain with a typed error before any work."""
 
 import os
 import subprocess
@@ -16,9 +16,17 @@ from tikmor import (
     BidiagFactorization,
     DimensionError,
     InfeasibleDiscrepancyError,
+    InverseProblem,
+    MatrixMarketError,
     RegularizationMatrix,
+    TikmorError,
+    as_operator,
     cgls,
+    load_matrix_market,
+    load_problem,
     random_uniform_problem,
+    save_problem,
+    sine_wave_problem,
     sirt_solve,
 )
 
@@ -36,6 +44,8 @@ REMOVED = (
     "init_bidiag",
     "step_interval",
     "BidiagBreakdown",
+    "RelativeStats",
+    "relative_stats",
 )
 
 
@@ -164,3 +174,72 @@ def test_numpy_integers_are_sizes_and_budgets():
     assert cgls(A, B, 0.1, max_iter=np.int64(2)).n_iter <= 2
     assert sirt_solve(SMALL, max_iter=np.int64(2)).n_iter <= 2
     assert BidiagFactorization(A, B, np.int64(2)).expand()
+
+
+def _given(call):
+    """A case that needs no files."""
+    return lambda tmp_path: call
+
+
+def _mtx(header, size_line):
+    """A Matrix Market file of just its banner and size line."""
+
+    def make(tmp_path):
+        path = tmp_path / "a.mtx"
+        path.write_text(f"%%MatrixMarket matrix {header}\n{size_line}\n")
+        return lambda: load_matrix_market(path)
+
+    return make
+
+
+def _saved(name, text):
+    """SMALL saved to a directory whose file ``name`` then holds ``text``."""
+
+    def make(tmp_path):
+        save_problem(SMALL, tmp_path)
+        (tmp_path / name).write_text(text)
+        return lambda: load_problem(tmp_path)
+
+    return make
+
+
+EYE2 = as_operator(np.eye(2))
+
+BAD_SEEDS_AND_FILES = {
+    "random-seed--1": (_given(lambda: random_uniform_problem(8, 5, 0.1, -1)), ValueError,
+                       "seed must be >= 0, got -1"),
+    "random-seed-2.5": (_given(lambda: random_uniform_problem(8, 5, 0.1, 2.5)), ValueError,
+                        "seed must be an integer, got 2.5"),
+    "sine-seed--1": (_given(lambda: sine_wave_problem(np.eye(3), 0.1, -1)), ValueError,
+                     "seed must be >= 0, got -1"),
+    "sine-seed-2.5": (_given(lambda: sine_wave_problem(np.eye(3), 0.1, 2.5)), ValueError,
+                      "seed must be an integer, got 2.5"),
+    # declared sizes the file cannot hold: rejected before any allocation
+    "mtx-array-general": (_mtx("array real general", "100000000 100000000"),
+                          MatrixMarketError, "line 2: size line declares 10000000000000000 values"),
+    "mtx-coordinate": (_mtx("coordinate real general", "3 3 10000000000000000"),
+                       MatrixMarketError, "line 2: size line declares 10000000000000000 entries"),
+    "mtx-array-symmetric": (_mtx("array real symmetric", "300000000 300000000"), MatrixMarketError,
+                            "line 2: size line declares 45000000150000000 values"),
+    "truth-length": (_given(lambda: InverseProblem(EYE2, [1, 1], 0.1, ground_truth=[1, 1, 1])),
+                     DimensionError, r"ground truth length \(3,\) does not match operator cols 2"),
+    "b_exact-length": (_given(lambda: InverseProblem(EYE2, np.ones(2), 0.1, b_exact=np.ones(1))),
+                       DimensionError, r"exact rhs length \(1,\) does not match operator rows 2"),
+    "dir-x_true-one-entry": (_saved("x_true.txt", "0.5\n"), DimensionError,
+                             r"ground truth length \(1,\) does not match operator cols 5"),
+    "dir-b-abc": (_saved("b.txt", "1.0\nabc\n"), TikmorError, r"b\.txt line 2: cannot parse 'abc'"),
+    "dir-eta-abc": (_saved("meta.txt", "epsilon=0.5\neta=abc\n"), TikmorError,
+                    r"meta\.txt line 2: cannot parse 'abc'"),
+    "dir-seed-1.5": (_saved("meta.txt", "epsilon=0.5\nseed=1.5\n"), TikmorError,
+                     r"meta\.txt line 2: cannot parse '1\.5'"),
+    "dir-sigma-x": (_saved("meta.txt", "sigma=x\nepsilon=0.5\n"), TikmorError,
+                    r"meta\.txt line 1: cannot parse 'x'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SEEDS_AND_FILES)
+def test_bad_seeds_and_problem_files_fail_typed(tmp_path, case):
+    make, error, match = BAD_SEEDS_AND_FILES[case]
+    call = make(tmp_path)
+    with pytest.raises(error, match=match):
+        call()

@@ -240,7 +240,7 @@ def test_run_deterministic_summary_bytes(tmp_path):
 
 def test_partial_failure_exit_code(tmp_path):
     # noiseless problem: eps = 0 is infeasible for the Newton solvers,
-    # but sirt (stop_at_discrepancy disabled) still succeeds
+    # but sirt still succeeds, running to its budget
     cfg = """
 [experiment]
 repetitions = 1
@@ -259,7 +259,6 @@ method = ntm
 [solver sirt]
 method = sirt
 max_iter = 5
-stop_at_discrepancy = false
 """
     out = tmp_path / "out"
     path = write_cfg(tmp_path, cfg.format(out=out))
@@ -274,7 +273,7 @@ stop_at_discrepancy = false
 @pytest.mark.parametrize("precondition", ["none", "smooth"])
 def test_cgls_pc_without_noise_recorded_per_run(tmp_path, precondition):
     # eps = 0: cgls has no discrepancy to stop at, on the plain problem or on
-    # the smoothed one (CGLS-PC); sirt's run stays
+    # the smoothed one (CGLS-PC); sirt's run stays, running to its budget
     cfg = f"""
 [experiment]
 output = {tmp_path / "out"}
@@ -289,7 +288,6 @@ precondition = {precondition}
 [solver sirt]
 method = sirt
 max_iter = 5
-stop_at_discrepancy = false
 
 [solver cgls]
 method = cgls
@@ -319,14 +317,14 @@ def test_sine_wave_noise_independent_of_matrix():
     p = ProblemSpec("sinewave", m=m, n=n, noise=0.1).build(seed)[0]
     A = p.operator.to_dense()
     replayed = p.sigma * gaussian(Replay((A.ravel()[:m] + 1.0) / 2.0), m)
-    assert not np.allclose(p.noise, replayed, rtol=1e-12, atol=0.0)
-    assert np.array_equal(p.noise, p.sigma * gaussian(np.random.default_rng(seed), m))
+    assert not np.allclose(p.b, p.b_exact + replayed, rtol=1e-12, atol=0.0)
+    assert np.array_equal(p.b, p.b_exact + p.sigma * gaussian(np.random.default_rng(seed), m))
     assert p.seed == seed
 
 
 def test_curve_subcommand(tmp_path):
     cfg = BASE_CFG.format(reps=1, out=tmp_path / "o") + (
-        "\n[curve]\nalpha_min = 0.01\nalpha_max = 10\npoints = 8\nspacing = log\n"
+        "\n[curve]\nalpha_min = 0.01\nalpha_max = 10\npoints = 8\n"
     )
     path = write_cfg(tmp_path, cfg)
     assert main(["curve", str(path)]) == 0
@@ -568,7 +566,7 @@ def test_curve_applies_operator_once():
 @pytest.mark.parametrize(
     "edit",
     [
-        ("[solver ntm-case2]", "[curve]\npoints = 5\nspacing = linaer\n\n[solver ntm-case2]"),
+        ("[solver ntm-case2]", "[curve]\npoints = 5\nspacing = log\n\n[solver ntm-case2]"),
         ("type = randomUniform\nm = 40\nn = 25", "type = sineWave"),
         ("type = randomUniform", "type = matrixmarket"),
         ("type = randomUniform", f"type = matrixmarket\npath = {ROOT / 'tests/fixtures/survey219.mtx'}"),

@@ -1,4 +1,5 @@
-"""The fixtures script, and the curve subcommand run in its own interpreter.
+"""The fixtures and output-digest scripts, and the curve subcommand run in
+its own interpreter.
 
 ``run`` starts an interpreter with numpy RuntimeWarnings as errors, so a
 command that computes a statistic from too few samples fails here.
@@ -41,3 +42,19 @@ def test_curve_subcommand_on_shipped_config(tmp_path):
     lines = (tmp_path / "out" / "dcurve" / "curve.csv").read_text().splitlines()
     assert lines[0] == "alpha,res_norm"
     assert len(lines) == 41
+
+
+def test_output_digests_repeat_and_cover_every_csv():
+    # the listing is a byte-identity check between checkouts: a rerun of one
+    # checkout prints the same text, naming each CSV that run and curve write
+    configs = ["configs/sparse_fixture.cfg", "configs/dcurve.cfg"]
+    first, second = (run(["scripts/output_digests.py", *configs]).stdout for _ in range(2))
+    assert first == second
+    listing = dict(reversed(line.split("  ", 1)) for line in first.splitlines())
+    assert all(len(digest) == 64 for digest in listing.values())
+    names = set(listing)
+    for stem in ("sparse_fixture", "dcurve"):
+        assert {f"{stem}/runs.csv", f"{stem}/summary.csv"} <= names
+        assert any(name.startswith(f"{stem}/traces/") for name in names)
+    assert "dcurve/curve.csv" in names
+    assert "sparse_fixture/curve.csv" not in names
