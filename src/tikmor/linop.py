@@ -180,8 +180,17 @@ def load_matrix_market(path) -> LinearOperator:
     Symmetric and skew-symmetric storage is expanded. Complex and
     pattern fields are rejected. The file is read in one pass, straight
     into the value arrays, which are allocated only for a size line that the
-    file's bytes can hold (each entry takes at least 2).
+    file's bytes can hold (each entry takes at least 2). A malformed file
+    raises a ``MatrixMarketError`` that reads ``<path> line <n>: <what>``.
     """
+    try:
+        return _read_matrix_market(path)
+    except MatrixMarketError as err:  # each carries its line: "line <n>: <what>"
+        err.args = (f"{path} {err}",)
+        raise
+
+
+def _read_matrix_market(path) -> LinearOperator:
     with open(path, "r", encoding="ascii") as fh:
         first = fh.readline()
         if not first:

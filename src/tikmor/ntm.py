@@ -32,13 +32,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    InfeasibleDiscrepancyError,
-    SingularJacobianError,
-    check_count,
-)
-from .linop import as_operator
+from .errors import ConvergenceFailure, SingularJacobianError, check_count
 from .problems import InverseProblem
 from .trace import NTM_COLUMNS, SolveResult, SolveTrace
 
@@ -247,19 +241,6 @@ class NtmConfig:
         check_options(self, max_iter=1)
 
 
-def _check_discrepancy_feasible(b, eps):
-    bnorm = float(np.linalg.norm(b))
-    if not math.isfinite(bnorm + eps):
-        raise ConvergenceFailure(f"||b|| = {bnorm:.6g}, eps = {eps:.6g}: not finite")
-    if eps <= 0:
-        raise InfeasibleDiscrepancyError("discrepancy level must be positive")
-    if eps >= bnorm:
-        raise InfeasibleDiscrepancyError(
-            f"eps = {eps:.6g} >= ||b|| = {bnorm:.6g}: no positive alpha can "
-            "reach that residual"
-        )
-
-
 class NewtonStep(NamedTuple):
     """One point of a safeguarded Newton run, the iterate in eigen-coordinates
     xh = Q^T x; the step fields are None at the start."""
@@ -328,10 +309,7 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
     """
     if config is None:
         config = NtmConfig()
-    A = as_operator(problem.operator)
-    b = problem.b
-    eps = problem.discrepancy_target
-    _check_discrepancy_feasible(b, eps)
+    A, b, eps = problem.operator, problem.b, problem.morozov_level()
 
     lam, Q, gh, rr = gram_spectrum(A, b)
     if not lam[0] + config.alpha0 > lam.size * _EPS * lam[-1]:

@@ -32,15 +32,7 @@ import numpy as np
 
 from .bidiag import BidiagFactorization
 from .errors import ConvergenceFailure
-from .linop import as_operator
-from .ntm import (
-    _EPS,
-    StepRule,
-    _check_discrepancy_feasible,
-    check_options,
-    eigen_residual_sq,
-    newton_steps,
-)
+from .ntm import _EPS, StepRule, check_options, eigen_residual_sq, newton_steps
 from .problems import InverseProblem
 from .trace import PNTM_COLUMNS, SolveTrace
 
@@ -151,10 +143,7 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     2 per iteration. Stops unconverged once the factorization is final and
     phi >= eps, as no root can appear.
     """
-    A = as_operator(problem.operator)
-    b = problem.b
-    eps = problem.discrepancy_target
-    _check_discrepancy_feasible(b, eps)
+    A, b, eps = problem.operator, problem.b, problem.morozov_level()
 
     f = BidiagFactorization(A, b, max_iter)
     alpha_prev = alpha = alpha0

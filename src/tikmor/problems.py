@@ -15,7 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DimensionError, TikmorError, check_count
+from .errors import (
+    ConvergenceFailure, DimensionError, InfeasibleDiscrepancyError, TikmorError, check_count,
+)
 from .linop import (
     DenseOperator,
     LinearOperator,
@@ -42,7 +44,8 @@ def gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
 
 @dataclass
 class InverseProblem:
-    """A linear inverse problem A x = b with a known discrepancy level."""
+    """A linear inverse problem A x = b with a known discrepancy level. An
+    ndarray or scipy sparse ``operator`` is wrapped once, by ``as_operator``."""
 
     operator: LinearOperator
     b: np.ndarray
@@ -55,14 +58,10 @@ class InverseProblem:
 
     def __post_init__(self):
         self.b = np.asarray(self.b, dtype=float)
-        op = self.operator
-        for name, v, dim, size in (("rhs", self.b, "rows", op.rows),
-                                   ("ground truth", self.ground_truth, "cols", op.cols),
-                                   ("exact rhs", self.b_exact, "rows", op.rows)):
-            if v is not None and np.shape(v) != (size,):
-                raise DimensionError(
-                    f"{name} length {np.shape(v)} does not match operator {dim} {size}"
-                )
+        self.operator = as_operator(self.operator)
+        for what, v, dim in (("rhs", self.b, "rows"), ("ground truth", self.ground_truth, "cols"),
+                             ("exact rhs", self.b_exact, "rows")):
+            _check_length(self.operator, what, v, dim)
         if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):  # NaN fails
             raise ValueError(f"noise level must be finite and >= 0, got {self.noise_level}")
         if not (self.eta >= 1 and math.isfinite(self.eta)):
@@ -71,6 +70,31 @@ class InverseProblem:
     @property
     def discrepancy_target(self) -> float:
         return self.eta * self.noise_level
+
+    def morozov_level(self) -> float:
+        """eps = ``discrepancy_target`` where the coupled Tikhonov-Morozov
+        system has a root, 0 < eps < ||b||; else ``InfeasibleDiscrepancyError``,
+        or ``ConvergenceFailure`` if ||b|| or eps is not finite."""
+        bnorm, eps = float(np.linalg.norm(self.b)), self.discrepancy_target
+        if not math.isfinite(bnorm + eps):
+            raise ConvergenceFailure(f"||b|| = {bnorm:.6g}, eps = {eps:.6g}: not finite")
+        if eps <= 0:
+            raise InfeasibleDiscrepancyError("discrepancy level must be positive")
+        if eps >= bnorm:
+            raise InfeasibleDiscrepancyError(
+                f"eps = {eps:.6g} >= ||b|| = {bnorm:.6g}: no positive alpha can "
+                "reach that residual"
+            )
+        return eps
+
+
+def _check_length(op, what, v, dim, where=""):
+    """A DimensionError led by ``where`` unless ``v`` is None or a vector of op's ``dim``."""
+    size = getattr(op, dim)
+    if v is not None and np.shape(v) != (size,):
+        raise DimensionError(
+            f"{where}{what} length {np.shape(v)} does not match operator {dim} {size}"
+        )
 
 
 def uniform_operator(rng: np.random.Generator, m: int, n: int) -> DenseOperator:
@@ -149,7 +173,7 @@ def priorconditioned_problem(problem: InverseProblem, reg):
     from its solutions. This is the one place the transform is applied.
     """
     transformed = InverseProblem(
-        operator=PriorconditionedOperator(as_operator(problem.operator), reg),
+        operator=PriorconditionedOperator(problem.operator, reg),
         b=problem.b,
         noise_level=problem.noise_level,
         eta=problem.eta,
@@ -168,16 +192,17 @@ def _write_vector(path, v):
 
 
 def _parse(parse, path, lineno, raw):
-    """``parse(raw)``; a TikmorError naming the file and line if it fails."""
+    """``parse(raw)``; a TikmorError naming the file, the line and why if it fails."""
     try:
-        return parse(raw)
-    except ValueError:
-        raise TikmorError(f"{path} line {lineno}: cannot parse {raw.strip()!r}") from None
+        return parse(raw.strip())
+    except ValueError as err:
+        raise TikmorError(f"{path} line {lineno}: cannot parse {raw.strip()!r}: {err}") from None
 
 
-def _read_vector(path):
+def _read_vector(path, op, what, dim):
     with open(path, "r", encoding="ascii") as fh:
         values = [_parse(float, path, i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
+    _check_length(op, what, values, dim, f"{path}: ")
     return np.array(values, dtype=float)
 
 
@@ -186,10 +211,7 @@ def save_problem(problem: InverseProblem, directory):
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     op = problem.operator
-    if hasattr(op, "sparse"):
-        save_matrix_market(d / "matrix.mtx", op.sparse)
-    else:
-        save_matrix_market(d / "matrix.mtx", op.to_dense())
+    save_matrix_market(d / "matrix.mtx", op.sparse if hasattr(op, "sparse") else op.to_dense())
     _write_vector(d / "b.txt", problem.b)
     if problem.ground_truth is not None:
         _write_vector(d / "x_true.txt", problem.ground_truth)
@@ -209,11 +231,12 @@ def save_problem(problem: InverseProblem, directory):
 
 
 def load_problem(directory) -> InverseProblem:
-    """The problem ``save_problem`` wrote; a value that does not parse is a
-    TikmorError naming its file and line."""
+    """The problem ``save_problem`` wrote. A value that does not parse, or a
+    negative seed, is a TikmorError naming its file and line; a vector of the
+    wrong length is a DimensionError naming its file."""
     d = Path(directory)
     op = load_matrix_market(d / "matrix.mtx")
-    b = _read_vector(d / "b.txt")
+    b = _read_vector(d / "b.txt", op, "rhs", "rows")
     meta_path = d / "meta.txt"
     meta = {}  # key -> (line number, value)
     with open(meta_path, "r", encoding="ascii") as fh:
@@ -227,8 +250,9 @@ def load_problem(directory) -> InverseProblem:
     def value(key, parse, default=None):
         return _parse(parse, meta_path, *meta[key]) if key in meta else default
 
-    ground_truth = _read_vector(d / "x_true.txt") if (d / "x_true.txt").exists() else None
-    b_exact = _read_vector(d / "b_exact.txt") if (d / "b_exact.txt").exists() else None
+    truth, exact = d / "x_true.txt", d / "b_exact.txt"
+    ground_truth = _read_vector(truth, op, "ground truth", "cols") if truth.exists() else None
+    b_exact = _read_vector(exact, op, "exact rhs", "rows") if exact.exists() else None
     return InverseProblem(
         operator=op,
         b=b,
@@ -237,5 +261,5 @@ def load_problem(directory) -> InverseProblem:
         ground_truth=ground_truth,
         b_exact=b_exact,
         sigma=value("sigma", float),
-        seed=value("seed", int),
+        seed=value("seed", lambda raw: check_count("seed", int(raw), 0)),
     )

@@ -134,7 +134,7 @@ def sirt_solve(problem: InverseProblem, max_iter=1000) -> SolveResult:
     residual reaches the discrepancy level (converged) or ``max_iter`` ends it.
     A residual norm that is not finite raises ``ConvergenceFailure``."""
     check_count("max_iter", max_iter, 1)
-    A = as_operator(problem.operator)
+    A = problem.operator
     b = problem.b
     eps = problem.discrepancy_target
     ops = sirt_operators(A)

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import tikmor
 from tikmor import (
     BidiagFactorization,
+    ConvergenceFailure,
     DimensionError,
     InfeasibleDiscrepancyError,
     InverseProblem,
@@ -22,8 +24,11 @@ from tikmor import (
     TikmorError,
     as_operator,
     cgls,
+    gbit_solve,
     load_matrix_market,
     load_problem,
+    ntm_solve,
+    pntm_solve,
     random_uniform_problem,
     save_problem,
     sine_wave_problem,
@@ -234,6 +239,15 @@ BAD_SEEDS_AND_FILES = {
                      r"meta\.txt line 2: cannot parse '1\.5'"),
     "dir-sigma-x": (_saved("meta.txt", "sigma=x\nepsilon=0.5\n"), TikmorError,
                     r"meta\.txt line 1: cannot parse 'x'"),
+    # a loaded seed obeys the generators' rule, and each error names its file
+    "dir-seed--1": (_saved("meta.txt", "epsilon=0.5\nseed=-1\n"), TikmorError,
+                    r"meta\.txt line 2: .*seed must be >= 0, got -1"),
+    "dir-b-one-entry": (_saved("b.txt", "0.5\n"), DimensionError,
+                        r"b\.txt: rhs length \(1,\) does not match operator rows 8"),
+    "dir-b_exact-one-entry": (_saved("b_exact.txt", "0.5\n"), DimensionError,
+                              r"b_exact\.txt: exact rhs length \(1,\) does not match operator rows 8"),
+    "dir-mtx-size-line": (_saved("matrix.mtx", "%%MatrixMarket matrix array real general\n8 5 x\n"),
+                          MatrixMarketError, r"matrix\.mtx line 2: bad size line '8 5 x'"),
 }
 
 
@@ -243,3 +257,47 @@ def test_bad_seeds_and_problem_files_fail_typed(tmp_path, case):
     call = make(tmp_path)
     with pytest.raises(error, match=match):
         call()
+
+
+SOLVERS = {
+    "ntm": ntm_solve,
+    "pntm": pntm_solve,
+    "gbit": gbit_solve,
+    "sirt": sirt_solve,
+    "cgls": lambda p: cgls(p.operator, p.b, p.discrepancy_target),
+}
+COUNTS = ("n_iter", "n_outer", "n_inner_total")
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_solvers_take_a_matrix_as_given(method):
+    # InverseProblem wraps an ndarray or a CSR matrix itself, once: each solve
+    # is bitwise the solve of the operator the caller would have built
+    base = random_uniform_problem(12, 8, 0.1, 4)
+    solve = SOLVERS[method]
+    results = {}
+    for form, matrix in (("ndarray", base.operator.to_dense()),
+                         ("csr", sp.csr_matrix(base.operator.to_dense()))):
+        given = solve(InverseProblem(matrix, base.b, base.noise_level))
+        wrapped = solve(InverseProblem(as_operator(matrix), base.b, base.noise_level))
+        assert np.array_equal(given.x, wrapped.x)
+        assert given.alpha == wrapped.alpha
+        for count in COUNTS:
+            assert getattr(given, count, None) == getattr(wrapped, count, None)
+        assert given.converged
+        results[form] = given
+    # dense and sparse products round differently, but solve the same problem
+    assert np.allclose(results["ndarray"].x, results["csr"].x, rtol=1e-10, atol=0)
+    for count in COUNTS:
+        assert getattr(results["ndarray"], count, None) == getattr(results["csr"], count, None)
+
+
+def test_morozov_level_is_eps_where_the_coupled_system_has_a_root():
+    # ||b|| = 5: the discrepancy equation has a positive root for 0 < eps < 5
+    assert InverseProblem(np.eye(2), [3.0, 4.0], 2.0, eta=1.5).morozov_level() == 3.0
+    for eps, eta, match in ((0.0, 1.0, "must be positive"), (5.0, 1.0, "no positive alpha"),
+                            (4.0, 1.25, "no positive alpha")):
+        with pytest.raises(InfeasibleDiscrepancyError, match=match):
+            InverseProblem(np.eye(2), [3.0, 4.0], eps, eta=eta).morozov_level()
+    with pytest.raises(ConvergenceFailure, match="not finite"):
+        InverseProblem(np.eye(2), [np.inf, 4.0], 1.0).morozov_level()
