@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .errors import ConvergenceFailure, DegenerateRhsError, check_count
-from .linop import as_operator
+from .linop import as_operator, real_vector
 
 
 def _cgs2(vec, rows):
@@ -56,7 +56,7 @@ class BidiagFactorization:
     def __init__(self, A, b, k_max):
         check_count("k_max", k_max, 1)
         self.A = as_operator(A)
-        b = np.asarray(b, dtype=float)
+        b = real_vector(b, self.A.rows, "rhs", "operator rows")
         beta = np.linalg.norm(b)
         if beta == 0.0:
             raise DegenerateRhsError("cannot bidiagonalize with b = 0")
@@ -187,5 +187,4 @@ class BidiagFactorization:
 
     def lift(self, y):
         """Map projected coordinates to the full space: x = V y."""
-        y = np.asarray(y, dtype=float)
-        return y @ self._V[: self._nv]
+        return real_vector(y, self._nv, "y", "factorization columns") @ self._V[: self._nv]

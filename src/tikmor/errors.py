@@ -25,7 +25,7 @@ class MatrixMarketError(TikmorError):
 
 
 class UnsupportedFormatError(MatrixMarketError):
-    """Matrix Market field/format outside the supported real subset."""
+    """A Matrix Market field, or an array dtype, outside the supported real subset."""
 
 
 class ConvergenceFailure(TikmorError):
@@ -56,8 +56,8 @@ class ZeroSumError(TikmorError):
 
 def check_count(name, value, low, error=ValueError):
     """``value`` if it is an integer (numpy's too) of at least ``low``; else
-    ``error`` naming ``name``. A float such as 2.0 or NaN fails."""
-    if not isinstance(value, numbers.Integral):
+    ``error`` naming ``name``. A float such as 2.0 or NaN fails, as does a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} must be an integer, got {value!r}")
     if not value >= low:
         raise error(f"{name} must be >= {low}, got {value}")

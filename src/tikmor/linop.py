@@ -7,11 +7,11 @@ general-form Tikhonov problems to standard form. Tikhonov systems
 (G + alpha I) x = g are not solved here: the solvers solve them in the
 eigenbasis of the dense Gram matrix ``gram()``.
 
-Everything is float64; operators are immutable after construction. A
-``DenseOperator`` holds a read-only float64 array that owns its data as is
-(a generator hands A over) and copies anything else, so a caller may
-change its writable array later. ``scipy.sparse`` is imported on first
-sparse use, so a dense run never loads it.
+Everything is float64: ``real_vector`` takes each vector from outside and the
+operators each matrix, real entries as float64 and complex or non-numeric ones
+as an ``UnsupportedFormatError``. Operators are immutable: a ``DenseOperator``
+holds a read-only float64 array that owns its data as is (a generator hands A
+over) and copies anything else. ``scipy.sparse`` is imported on first sparse use.
 """
 
 from __future__ import annotations
@@ -48,13 +48,22 @@ class LinearOperator:
         A = self.to_dense()
         return A.T @ A
 
-    def _check_in(self, v, length, name):
-        v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or v.shape[0] != length:
-            raise DimensionError(
-                f"{name} expects a vector of length {length}, got shape {v.shape}"
-            )
-        return v
+
+def _real(a, what):
+    """``a`` (anything with a dtype); UnsupportedFormatError unless it is real."""
+    if a.dtype.kind not in "biuf":  # bool, signed, unsigned, float
+        raise UnsupportedFormatError(f"{what} has {a.dtype} entries: only real ones are supported")
+    return a
+
+
+def real_vector(v, size, what, against):
+    """``v`` as a float64 vector of ``size`` entries, ``v`` itself if it is one (as on
+    every product); complex or non-numeric: UnsupportedFormatError, other shapes: DimensionError."""
+    if not (isinstance(v, np.ndarray) and v.dtype == float and v.shape == (size,)):
+        v = np.asarray(_real(np.asarray(v), what), dtype=float)
+        if v.shape != (size,):
+            raise DimensionError(f"{what} length {v.shape} does not match {against} {size}")
+    return v
 
 
 class DenseOperator(LinearOperator):
@@ -62,7 +71,7 @@ class DenseOperator(LinearOperator):
         A = matrix  # a read-only float64 array that owns its data is taken as is
         if not (isinstance(A, np.ndarray) and A.dtype == float
                 and A.flags.owndata and not A.flags.writeable):
-            A = np.array(matrix, dtype=float)  # own copy: operators are immutable
+            A = np.array(_real(np.asarray(matrix), "matrix"), dtype=float)  # own copy
             A.setflags(write=False)
         if A.ndim != 2:
             raise DimensionError(f"dense operator needs a 2-d array, got ndim={A.ndim}")
@@ -70,10 +79,10 @@ class DenseOperator(LinearOperator):
         self.rows, self.cols = A.shape
 
     def matvec(self, v):
-        return self._A @ self._check_in(v, self.cols, "matvec")
+        return self._A @ real_vector(v, self.cols, "matvec input", "operator cols")
 
     def rmatvec(self, w):
-        return self._A.T @ self._check_in(w, self.rows, "rmatvec")
+        return self._A.T @ real_vector(w, self.rows, "rmatvec input", "operator rows")
 
     def to_dense(self):
         return self._A
@@ -82,15 +91,15 @@ class DenseOperator(LinearOperator):
 class SparseOperator(LinearOperator):
     def __init__(self, matrix):
         import scipy.sparse as sp
-        A = sp.csr_matrix(matrix).astype(float)
+        A = _real(sp.csr_matrix(matrix), "matrix").astype(float)
         self._A = A
         self.rows, self.cols = A.shape
 
     def matvec(self, v):
-        return self._A @ self._check_in(v, self.cols, "matvec")
+        return self._A @ real_vector(v, self.cols, "matvec input", "operator cols")
 
     def rmatvec(self, w):
-        return self._A.T @ self._check_in(w, self.rows, "rmatvec")
+        return self._A.T @ real_vector(w, self.rows, "rmatvec input", "operator rows")
 
     def to_dense(self):
         return self._A.toarray()
@@ -113,15 +122,13 @@ class RegularizationMatrix:
 
     def solve(self, w):
         """z with L z = w (back substitution, O(n))."""
-        w = np.asarray(w, dtype=float)
-        if w.shape != (self.dim,):
-            raise DimensionError(f"expected length {self.dim}, got {w.shape}")
+        w = real_vector(w, self.dim, "solve input", "regularizer dim")
         return -np.cumsum(w[::-1])[::-1]
 
     def solve_transpose(self, w):
         """z with L^T z = w along the last axis (forward substitution, O(n)
         per row): for a matrix W, the rows of W inv(L)."""
-        w = np.asarray(w, dtype=float)
+        w = np.asarray(_real(np.asarray(w), "solve_transpose input"), dtype=float)
         if w.shape[-1:] != (self.dim,):
             raise DimensionError(f"expected last axis of length {self.dim}, got {w.shape}")
         z = np.cumsum(w, axis=-1)
@@ -146,7 +153,7 @@ class PriorconditionedOperator(LinearOperator):
         self.rows, self.cols = base.rows, base.cols
 
     def matvec(self, z):
-        return self.base.matvec(self.reg.solve(self._check_in(z, self.cols, "matvec")))
+        return self.base.matvec(self.reg.solve(z))
 
     def rmatvec(self, w):
         return self.reg.solve_transpose(self.base.rmatvec(w))

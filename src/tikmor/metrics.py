@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
+from .linop import real_vector
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
@@ -27,11 +28,8 @@ class ImageView:
     height: int
 
     def __post_init__(self):
-        object.__setattr__(self, "data", np.asarray(self.data, dtype=float).ravel())
-        if self.width * self.height != self.data.size:
-            raise DimensionError(
-                f"width*height = {self.width * self.height} != data length {self.data.size}"
-            )
+        size = self.width * self.height
+        object.__setattr__(self, "data", real_vector(self.data, size, "image data", "width*height"))
 
 
 def ssim(x: ImageView, y: ImageView) -> float:

@@ -24,6 +24,7 @@ from .linop import (
     PriorconditionedOperator,
     as_operator,
     load_matrix_market,
+    real_vector,
     save_matrix_market,
 )
 
@@ -57,11 +58,13 @@ class InverseProblem:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        self.b = np.asarray(self.b, dtype=float)
-        self.operator = as_operator(self.operator)
-        for what, v, dim in (("rhs", self.b, "rows"), ("ground truth", self.ground_truth, "cols"),
-                             ("exact rhs", self.b_exact, "rows")):
-            _check_length(self.operator, what, v, dim)
+        op = self.operator = as_operator(self.operator)
+        self.b = real_vector(self.b, op.rows, "rhs", "operator rows")
+        if self.ground_truth is not None:
+            self.ground_truth = real_vector(
+                self.ground_truth, op.cols, "ground truth", "operator cols")
+        if self.b_exact is not None:
+            self.b_exact = real_vector(self.b_exact, op.rows, "exact rhs", "operator rows")
         if not (self.noise_level >= 0 and math.isfinite(self.noise_level)):  # NaN fails
             raise ValueError(f"noise level must be finite and >= 0, got {self.noise_level}")
         if not (self.eta >= 1 and math.isfinite(self.eta)):
@@ -86,15 +89,6 @@ class InverseProblem:
                 "reach that residual"
             )
         return eps
-
-
-def _check_length(op, what, v, dim, where=""):
-    """A DimensionError led by ``where`` unless ``v`` is None or a vector of op's ``dim``."""
-    size = getattr(op, dim)
-    if v is not None and np.shape(v) != (size,):
-        raise DimensionError(
-            f"{where}{what} length {np.shape(v)} does not match operator {dim} {size}"
-        )
 
 
 def uniform_operator(rng: np.random.Generator, m: int, n: int) -> DenseOperator:
@@ -162,7 +156,8 @@ def relative_error(problem: InverseProblem, x) -> Optional[float]:
     tnorm = 0.0 if truth is None else np.linalg.norm(truth)
     if not tnorm > 0:
         return None
-    return float(np.linalg.norm(np.asarray(x, dtype=float) - truth) / tnorm)
+    x = real_vector(x, problem.operator.cols, "x", "operator cols")
+    return float(np.linalg.norm(x - truth) / tnorm)
 
 
 def priorconditioned_problem(problem: InverseProblem, reg):
@@ -187,8 +182,7 @@ def priorconditioned_problem(problem: InverseProblem, reg):
 
 def _write_vector(path, v):
     with open(path, "w", encoding="ascii") as fh:
-        for val in np.asarray(v, dtype=float):
-            fh.write(f"{float(val)!r}\n")
+        fh.writelines(f"{float(val)!r}\n" for val in v)
 
 
 def _parse(parse, path, lineno, raw):
@@ -202,8 +196,7 @@ def _parse(parse, path, lineno, raw):
 def _read_vector(path, op, what, dim):
     with open(path, "r", encoding="ascii") as fh:
         values = [_parse(float, path, i, ln) for i, ln in enumerate(fh, start=1) if ln.strip()]
-    _check_length(op, what, values, dim, f"{path}: ")
-    return np.array(values, dtype=float)
+    return real_vector(values, getattr(op, dim), f"{path}: {what}", f"operator {dim}")
 
 
 def save_problem(problem: InverseProblem, directory):
@@ -231,9 +224,9 @@ def save_problem(problem: InverseProblem, directory):
 
 
 def load_problem(directory) -> InverseProblem:
-    """The problem ``save_problem`` wrote. A value that does not parse, or a
-    negative seed, is a TikmorError naming its file and line; a vector of the
-    wrong length is a DimensionError naming its file."""
+    """The problem ``save_problem`` wrote. A value that does not parse (a
+    negative seed too) or that ``InverseProblem`` rejects is a TikmorError, and
+    a vector of the wrong length a DimensionError, each naming its file."""
     d = Path(directory)
     op = load_matrix_market(d / "matrix.mtx")
     b = _read_vector(d / "b.txt", op, "rhs", "rows")
@@ -253,13 +246,16 @@ def load_problem(directory) -> InverseProblem:
     truth, exact = d / "x_true.txt", d / "b_exact.txt"
     ground_truth = _read_vector(truth, op, "ground truth", "cols") if truth.exists() else None
     b_exact = _read_vector(exact, op, "exact rhs", "rows") if exact.exists() else None
-    return InverseProblem(
-        operator=op,
-        b=b,
-        noise_level=value("epsilon", float),
-        eta=value("eta", float, 1.0),
-        ground_truth=ground_truth,
-        b_exact=b_exact,
-        sigma=value("sigma", float),
-        seed=value("seed", lambda raw: check_count("seed", int(raw), 0)),
-    )
+    try:
+        return InverseProblem(
+            operator=op,
+            b=b,
+            noise_level=value("epsilon", float),
+            eta=value("eta", float, 1.0),
+            ground_truth=ground_truth,
+            b_exact=b_exact,
+            sigma=value("sigma", float),
+            seed=value("seed", lambda raw: check_count("seed", int(raw), 0)),
+        )
+    except ValueError as err:  # eps or eta outside InverseProblem's domain
+        raise TikmorError(f"{meta_path}: {err}") from None

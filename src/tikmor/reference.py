@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, ZeroSumError, check_count
-from .linop import as_operator
+from .linop import as_operator, real_vector
 from .ntm import _EPS, check_options, eigen_residual_sq, stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
@@ -177,7 +177,7 @@ def cgls(A, b, eps, max_iter=1000) -> SolveResult:
     check_count("max_iter", max_iter, 1)
     A = as_operator(A)
     x = np.zeros(A.cols)
-    r = np.array(b, dtype=float)  # b - A x at x = 0
+    r = real_vector(b, A.rows, "rhs", "operator rows")  # b - A x at x = 0; never written into
     s = A.rmatvec(r)
     p = s.copy()
     gamma = _finite("CGLS gamma", float(s @ s))

@@ -6,6 +6,7 @@ file outside its domain with a typed error before any work."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,14 @@ from tikmor import (
     BidiagFactorization,
     ConvergenceFailure,
     DimensionError,
+    ImageView,
     InfeasibleDiscrepancyError,
     InverseProblem,
     MatrixMarketError,
+    NtmConfig,
     RegularizationMatrix,
     TikmorError,
+    UnsupportedFormatError,
     as_operator,
     cgls,
     gbit_solve,
@@ -30,6 +34,7 @@ from tikmor import (
     ntm_solve,
     pntm_solve,
     random_uniform_problem,
+    relative_error,
     save_problem,
     sine_wave_problem,
     sirt_solve,
@@ -134,6 +139,15 @@ def test_readme_library_sketch_runs(capsys):
 
 SMALL = random_uniform_problem(8, 5, 0.1, 0)
 A, B = SMALL.operator, SMALL.b
+EYE2 = as_operator(np.eye(2))
+
+
+def _expanded():
+    """SMALL's factorization after one expansion: V has one column."""
+    f = BidiagFactorization(A, B, 3)
+    f.expand()
+    return f
+
 
 BAD_INPUTS = {
     "cgls-eps-nan": (lambda: cgls(A, B, float("nan")), InfeasibleDiscrepancyError,
@@ -162,14 +176,48 @@ BAD_INPUTS = {
                       "n must be an integer, got 30.5"),
     "random-m-0": (lambda: random_uniform_problem(0, 0, 0.1, 1), DimensionError,
                    "m must be >= 1, got 0"),
+    # a bool is not a size or a budget
+    "random-m-True": (lambda: random_uniform_problem(True, 4, 0.1, 0), DimensionError,
+                      "m must be an integer, got True"),
+    "ntm-max_iter-True": (lambda: NtmConfig(max_iter=True), ValueError,
+                          "max_iter must be an integer, got True"),
+    # arrays from outside: real entries of the operator's length, or a typed error
+    "dense-complex": (lambda: as_operator(np.ones((3, 2), dtype=complex)),
+                      UnsupportedFormatError, "matrix has complex128 entries"),
+    "csr-complex": (lambda: as_operator(sp.csr_matrix(np.ones((3, 2), dtype=complex))),
+                    UnsupportedFormatError, "matrix has complex128 entries"),
+    "b-complex": (lambda: InverseProblem(A, B + 1j, 0.1), UnsupportedFormatError,
+                  "rhs has complex128 entries"),
+    "truth-complex": (lambda: InverseProblem(A, B, 0.1, ground_truth=np.ones(5) * 1j),
+                      UnsupportedFormatError, "ground truth has complex128 entries"),
+    "b-string-entry": (lambda: InverseProblem(EYE2, np.array([1.0, "a"], dtype=object), 0.1),
+                       UnsupportedFormatError, "rhs has object entries"),
+    "matvec-complex": (lambda: A.matvec(np.ones(5, dtype=complex)), UnsupportedFormatError,
+                       "matvec input has complex128 entries"),
+    "reg-solve-complex": (lambda: RegularizationMatrix(3).solve(np.ones(3, dtype=complex)),
+                          UnsupportedFormatError, "solve input has complex128 entries"),
+    "bidiag-b-5-entries": (lambda: BidiagFactorization(A, B[:5], 3), DimensionError,
+                           r"rhs length \(5,\) does not match operator rows 8"),
+    "bidiag-b-2d": (lambda: BidiagFactorization(A, B[:, None], 3), DimensionError,
+                    r"rhs length \(8, 1\) does not match operator rows 8"),
+    "lift-length": (lambda: _expanded().lift(np.ones(5)), DimensionError,
+                    r"y length \(5,\) does not match factorization columns 1"),
+    "relative_error-short-x": (lambda: relative_error(SMALL, np.ones(3)), DimensionError,
+                               r"x length \(3,\) does not match operator cols 5"),
+    "cgls-b-complex": (lambda: cgls(A, B + 1j, 0.1), UnsupportedFormatError,
+                       "rhs has complex128 entries"),
+    "image-complex": (lambda: ImageView(np.ones(4) * 1j, 2, 2), UnsupportedFormatError,
+                      "image data has complex128 entries"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
 def test_entry_points_reject_inputs_outside_their_domain(case):
     call, error, match = BAD_INPUTS[case]
-    with pytest.raises(error, match=match):
-        call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way to the error
+        with pytest.raises(error, match=match):
+            call()
 
 
 def test_numpy_integers_are_sizes_and_budgets():
@@ -207,8 +255,6 @@ def _saved(name, text):
 
     return make
 
-
-EYE2 = as_operator(np.eye(2))
 
 BAD_SEEDS_AND_FILES = {
     "random-seed--1": (_given(lambda: random_uniform_problem(8, 5, 0.1, -1)), ValueError,
@@ -248,6 +294,13 @@ BAD_SEEDS_AND_FILES = {
                               r"b_exact\.txt: exact rhs length \(1,\) does not match operator rows 8"),
     "dir-mtx-size-line": (_saved("matrix.mtx", "%%MatrixMarket matrix array real general\n8 5 x\n"),
                           MatrixMarketError, r"matrix\.mtx line 2: bad size line '8 5 x'"),
+    # values that parse but that InverseProblem rejects: its message, led by the file
+    "dir-eta-0.5": (_saved("meta.txt", "epsilon=0.5\neta=0.5\n"), TikmorError,
+                    r"meta\.txt: eta must be finite and >= 1, got 0\.5"),
+    "dir-epsilon--1": (_saved("meta.txt", "epsilon=-1\n"), TikmorError,
+                       r"meta\.txt: noise level must be finite and >= 0, got -1\.0"),
+    "dir-epsilon-nan": (_saved("meta.txt", "epsilon=nan\n"), TikmorError,
+                        r"meta\.txt: noise level must be finite and >= 0, got nan"),
 }
 
 

@@ -383,7 +383,7 @@ def test_failed_build_is_one_error_and_no_output(tmp_path, caplog, case):
         else:
             meta.write_text("".join("epsilon=nan\n" if ln.startswith("epsilon=") else ln
                                     for ln in lines))
-            message = "noise level must be finite and >= 0, got nan"
+            message = f"{meta}: noise level must be finite and >= 0, got nan"
         problem = f"type = directory\npath = {tmp_path / 'prob'}"
     cfg = (f"[experiment]\noutput = {tmp_path / 'out'}\n\n[problem]\n{problem}\n\n"
            "[solver gbit]\nmethod = gbit\n")

@@ -17,6 +17,7 @@ from tikmor import (
     random_uniform_problem,
     save_matrix_market,
 )
+from tikmor.linop import real_vector
 
 from oracles import inverse_dense, normal_equation_solve, regularization_dense
 
@@ -90,6 +91,18 @@ def test_dimension_checks(rng):
         op.matvec(np.ones(4))
     with pytest.raises(DimensionError):
         op.rmatvec(np.ones(3))
+
+
+def test_real_vector_returns_a_float64_vector_as_is():
+    # every matvec and rmatvec passes through it: no copy on the product path
+    v = np.ones(4)
+    assert real_vector(v, 4, "v", "operator cols") is v
+    view = np.ones(8)[::2]  # a strided float64 view is a vector too
+    assert real_vector(view, 4, "v", "operator cols") is view
+    # other real entries come back as a float64 copy
+    for given in ([0, 1, 2, 3], np.arange(4, dtype=np.int32), np.arange(4, dtype=np.float32)):
+        out = real_vector(given, 4, "v", "operator cols")
+        assert out.dtype == np.float64 and np.array_equal(out, [0.0, 1.0, 2.0, 3.0])
 
 
 def test_composite_matches_dense_product(rng):
