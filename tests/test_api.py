@@ -24,6 +24,7 @@ from tikmor import (
     MatrixMarketError,
     NtmConfig,
     RegularizationMatrix,
+    SparseOperator,
     TikmorError,
     UnsupportedFormatError,
     as_operator,
@@ -190,6 +191,13 @@ BAD_INPUTS = {
                   "rhs has complex128 entries"),
     "truth-complex": (lambda: InverseProblem(A, B, 0.1, ground_truth=np.ones(5) * 1j),
                       UnsupportedFormatError, "ground truth has complex128 entries"),
+    "sparse-from-object": (lambda: SparseOperator(np.array([[1.0, "a"]], dtype=object)),
+                           UnsupportedFormatError, "matrix has object entries"),
+    # a ragged nested list has no shape
+    "dense-ragged": (lambda: as_operator([[1.0, 2.0], [3.0]]), DimensionError,
+                     "matrix is not rectangular"),
+    "b-ragged": (lambda: InverseProblem(EYE2, [[1.0, 2.0], [3.0]], 0.1), DimensionError,
+                 "rhs is not rectangular"),
     "b-string-entry": (lambda: InverseProblem(EYE2, np.array([1.0, "a"], dtype=object), 0.1),
                        UnsupportedFormatError, "rhs has object entries"),
     "matvec-complex": (lambda: A.matvec(np.ones(5, dtype=complex)), UnsupportedFormatError,

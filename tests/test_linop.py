@@ -1,3 +1,11 @@
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -17,6 +25,7 @@ from tikmor import (
     random_uniform_problem,
     save_matrix_market,
 )
+from tikmor import linop
 from tikmor.linop import real_vector
 
 from oracles import inverse_dense, normal_equation_solve, regularization_dense
@@ -170,6 +179,135 @@ def test_priorconditioning_round_trip(rng):
     rec = reg.solve(z)
     assert np.linalg.norm(rec - x) <= 1e-12 * max(1.0, np.linalg.norm(x))
     assert np.allclose(op.matvec(z), base.matvec(x), rtol=0, atol=1e-12)
+
+
+# -- dense products split across the CPUs ---------------------------------------
+
+# just above the split threshold, neither side a multiple of 64: the last block
+# of a 70-row product has 6 rows, and a 65-row one would end in a one-row block
+SPLIT_SHAPES = [(70, 17143), (17143, 70), (65, 18462), (1100, 1091)]
+HERE = Path(__file__).resolve().parent
+
+
+def report_cpus(monkeypatch, count):
+    """The split sees ``count`` CPUs and starts with no helper threads."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(linop, "_helpers", None)
+
+
+def check_split_products_bitwise():
+    """Every split product of SPLIT_SHAPES, on 2 and 3 CPUs, directly and
+    through a PriorconditionedOperator, has the bits of the whole BLAS call."""
+    rng = np.random.default_rng(3)
+    for m, n in SPLIT_SHAPES:
+        assert linop.SPLIT_ENTRIES <= m * n < 1.01 * linop.SPLIT_ENTRIES
+        A = rng.standard_normal((m, n))
+        v, w = rng.standard_normal(n), rng.standard_normal(m)
+        op = DenseOperator(A)
+        pc = PriorconditionedOperator(op, RegularizationMatrix(n))
+        for cpus in (2, 3):
+            os.sched_getaffinity = lambda pid: set(range(cpus))
+            linop._helpers = None
+            pairs = {
+                "matvec": (op.matvec(v), A @ v),
+                "rmatvec": (op.rmatvec(w), A.T @ w),
+                "pc matvec": (pc.matvec(v), A @ pc.reg.solve(v)),
+                "pc rmatvec": (pc.rmatvec(w), pc.reg.solve_transpose(A.T @ w)),
+            }
+            assert linop._helpers is not None, "the products were not split"
+            for what, (split, whole) in pairs.items():
+                assert split.tobytes() == whole.tobytes(), f"{m}x{n} on {cpus} CPUs: {what}"
+
+
+def test_split_products_are_bitwise_the_whole_products():
+    # the bits are promised at one BLAS thread, so they are checked in an
+    # interpreter that has one
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+        "PYTHONPATH": os.pathsep.join([str(HERE.parent / "src"), str(HERE)]),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_linop; test_linop.check_split_products_bitwise()"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("product", ["matvec", "rmatvec"])
+def test_helper_block_runs_under_the_callers_error_state(monkeypatch, rng, product):
+    # on 2 CPUs the helper takes rows (columns) 64-69; only entry 66 overflows
+    report_cpus(monkeypatch, 2)
+    m, n = SPLIT_SHAPES[0] if product == "matvec" else SPLIT_SHAPES[1]
+    A = rng.standard_normal((m, n))
+    if product == "matvec":
+        A[66] = 1e300
+    else:
+        A[:, 66] = 1e300
+    apply = getattr(DenseOperator(A), product)
+    x = np.full(n if product == "matvec" else m, 1e10)
+    with np.errstate(over="ignore", invalid="ignore"):  # a RuntimeWarning fails the test
+        y = apply(x)
+    assert linop._helpers is not None  # split
+    assert np.flatnonzero(~np.isfinite(y)).tolist() == [66]
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        apply(x)
+
+
+def test_concurrent_callers_share_the_helpers(monkeypatch, rng):
+    # more calling threads than CPUs, switching threads often: each product
+    # still gets its own blocks back
+    report_cpus(monkeypatch, 2)
+    op = DenseOperator(rng.standard_normal(SPLIT_SHAPES[-1]))
+    xs = [rng.standard_normal(op.cols) for _ in range(6)]
+    expected = [op.matvec(x) for x in xs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(6) as callers:
+            futures = [callers.submit(op.matvec, x) for x in xs for _ in range(3)]
+            results = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, y in enumerate(results):
+        assert np.array_equal(y, expected[i // 3])
+
+
+def _apply_and_compare(op, v, expected):
+    sys.exit(0 if np.allclose(op.matvec(v), expected, rtol=1e-12, atol=0) else 3)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_fork_child_applies_a_large_operator(monkeypatch, rng):
+    report_cpus(monkeypatch, 2)
+    m, n = SPLIT_SHAPES[-1]
+    op = DenseOperator(rng.standard_normal((m, n)))
+    v = rng.standard_normal(n)
+    expected = op.matvec(v)
+    assert linop._helpers is not None  # the parent's helper thread is running
+    child = multiprocessing.get_context("fork").Process(
+        target=_apply_and_compare, args=(op, v, expected))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+@pytest.mark.parametrize("cpus, shape", [(1, SPLIT_SHAPES[-1]), (2, (700, 500))],
+                         ids=["one-cpu", "below-threshold"])
+def test_whole_products_start_no_helper(monkeypatch, rng, cpus, shape):
+    # one CPU, or table1's 700x500 under the threshold: one BLAS call, no thread
+    report_cpus(monkeypatch, cpus)
+    threads = threading.active_count()
+    A = rng.standard_normal(shape)
+    op = DenseOperator(A)
+    v, w = rng.standard_normal(shape[1]), rng.standard_normal(shape[0])
+    assert np.array_equal(op.matvec(v), A @ v)
+    assert np.array_equal(op.rmatvec(w), A.T @ w)
+    assert linop._helpers is None
+    assert threading.active_count() <= threads
 
 
 # -- Matrix Market ------------------------------------------------------------
@@ -333,6 +471,39 @@ def test_mm_round_trip_dense(tmp_path, rng):
     save_matrix_market(path, A)
     op = load_matrix_market(path)
     assert np.array_equal(op.to_dense(), A)
+
+
+@pytest.mark.parametrize("symmetry, values", [
+    ("general", range(1, 10)), ("symmetric", range(1, 7)), ("skew-symmetric", range(1, 4)),
+])
+def test_mm_dense_load_hands_its_array_over(tmp_path, monkeypatch, symmetry, values):
+    # the loader builds a read-only array that owns its data, and the
+    # operator keeps it: no copy of A beyond the one built
+    given = []
+    keep = DenseOperator.__init__
+
+    def spy(self, matrix):
+        given.append(matrix)
+        keep(self, matrix)
+
+    monkeypatch.setattr(DenseOperator, "__init__", spy)
+    path = tmp_path / "arr.mtx"
+    body = "".join(f"{v}\n" for v in values)
+    path.write_text(f"%%MatrixMarket matrix array real {symmetry}\n3 3\n{body}")
+    op = load_matrix_market(path)
+    assert op.to_dense() is given[0]
+    assert given[0].flags.owndata and not given[0].flags.writeable
+
+
+@pytest.mark.parametrize("matrix", [
+    np.ones((2, 2)) * (1 + 1j), sp.csr_matrix(np.ones((2, 2)) * 1j), np.array([[1.0, "a"]], dtype=object),
+], ids=["dense-complex", "sparse-complex", "object"])
+def test_mm_save_rejects_entries_that_are_not_real(tmp_path, matrix):
+    # numpy would write the real part with only a ComplexWarning
+    path = tmp_path / "c.mtx"
+    with pytest.raises(UnsupportedFormatError, match="matrix has (complex128|object) entries"):
+        save_matrix_market(path, matrix)
+    assert not path.exists()
 
 
 # -- normal equations ----------------------------------------------------------
