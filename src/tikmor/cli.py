@@ -35,14 +35,14 @@ Solver keys besides ``method``, by method (defaults are those of the
 config classes and of ``sirt_solve`` and ``cgls``):
 
 * ntm: ``alpha0``, ``tol``, ``max_iter``, ``rule`` (case1 | case2), ``omega``
-* pntm: ``alpha0``, ``tol``, ``outer_max``, ``inner_large``, ``rule``, ``omega``
+* pntm: ``alpha0``, ``tol``, ``outer_max``
 * gbit: ``alpha0``, ``tol``, ``max_iter``
 * sirt: ``max_iter``
 * cgls: ``max_iter``
 
 ``alpha0`` and ``tol`` are positive and finite (NaN and inf are neither),
-every iteration budget (``max_iter``, ``outer_max``) is at least 1,
-``inner_large`` is at least 0 and ``omega`` lies strictly inside (0, 1);
+every iteration budget (``max_iter``, ``outer_max``) is at least 1 and
+``omega`` lies strictly inside (0, 1);
 in ``[curve]``, ``alpha_min`` and ``alpha_max`` are positive and finite.
 Every method is called one way, ``METHODS[method].solve(problem, options)``.
 
@@ -190,7 +190,6 @@ METHODS = {
     }, ntm_solve),
     "pntm": Method(PntmConfig, {
         **_START_KEYS, "outer_max": ("outer_iter_max", int),
-        "inner_large": ("inner_cap_large", int), **_RULE_KEYS,
     }, pntm_solve, "n_outer"),
     "gbit": Method(GbitConfig, {
         **_START_KEYS, "max_iter": ("max_iter", int),

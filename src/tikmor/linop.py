@@ -15,10 +15,10 @@ that owns its data as is (a generator or the Matrix Market loader hands A over)
 and copies anything else. ``scipy.sparse`` is imported on first sparse use.
 
 A dense ``matvec`` or ``rmatvec`` over at least ``SPLIT_ENTRIES`` matrix entries
-runs as one BLAS call per CPU in ``os.sched_getaffinity(0)``, each on a block of
-rows of A (of A^T) aligned to 64 rows, on the calling thread and persistent
-helper threads. At one BLAS thread its bits are those of the whole call,
-whatever the CPU count; ``taskset -c 0`` runs every product whole.
+runs, where numpy's BLAS has one thread, as one BLAS call per CPU in
+``os.sched_getaffinity(0)``, each on a block of rows of A (of A^T) aligned to 64
+rows, on the calling thread and persistent helper threads, with the bits of the
+whole call whatever the CPU count; ``taskset -c 0`` runs every product whole.
 """
 
 from __future__ import annotations
@@ -90,6 +90,13 @@ def real_vector(v, size, what, against):
 SPLIT_ENTRIES = 1_200_000
 _ALIGN = 64  # block boundaries: a row keeps its alignment and its place in gemv's row groups
 
+# Split only where numpy's BLAS has one thread: the first of its thread variables
+# that is set reads 1, at import. A BLAS that threads products competes with the
+# split (2100x1500 pntm or gbit, 2 vCPU, 2 BLAS threads: 35-44 ms split, 29-32 whole).
+_threads = [os.environ.get(v, "").strip()
+            for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")]
+_SPLIT = next(filter(None, _threads), "") == "1"
+
 # One ThreadPoolExecutor for the process, whose CPUs every operator shares;
 # started on the first split product, not on import.
 _helpers = None
@@ -119,7 +126,7 @@ def _product(M, x):
     BLAS thread). The caller computes the first block and helper threads the
     others, under the caller's floating-point error state.
     """
-    if M.size < SPLIT_ENTRIES:
+    if not _SPLIT or M.size < SPLIT_ENTRIES:
         return M @ x
     rows = M.shape[0]
     chunks = -(-rows // _ALIGN)
@@ -373,11 +380,15 @@ def _read_matrix_market(path) -> LinearOperator:
     if layout == "array":  # A is built owned and read-only, so DenseOperator keeps it
         if symmetry == "general":
             A = vals.reshape((n, m)).T.copy()
-            A.setflags(write=False)
-            return DenseOperator(A)
-        # the stored lower triangle, column by column
-        cols, rows = np.triu_indices(n, 1 if symmetry == "skew-symmetric" else 0)
-
+        else:  # the stored lower triangle, column by column, and its mirror
+            sign, skew = (-1.0, 1) if symmetry == "skew-symmetric" else (1.0, 0)
+            A, end = np.zeros((m, n)), 0
+            for j in range(n):
+                start, end = end, end + n - j - skew
+                A[j + skew:, j] = vals[start:end]
+                A[j, j + skew:] = sign * vals[start:end]
+        A.setflags(write=False)
+        return DenseOperator(A)
     if symmetry != "general":
         off = rows != cols
         sign = -1.0 if symmetry == "skew-symmetric" else 1.0
@@ -386,11 +397,6 @@ def _read_matrix_market(path) -> LinearOperator:
             np.concatenate([cols, rows[off]]),
             np.concatenate([vals, sign * vals[off]]),
         )
-    if layout == "array":  # each position stored once: no duplicates to sum
-        A = np.zeros((m, n))
-        A[rows, cols] = vals
-        A.setflags(write=False)
-        return DenseOperator(A)
     import scipy.sparse as sp
     return SparseOperator(sp.coo_matrix((vals, (rows, cols)), shape=(m, n)).tocsr())
 

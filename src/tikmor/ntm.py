@@ -262,39 +262,37 @@ class NewtonStep(NamedTuple):
                 self.dinv, self.theta, self.case_id, self.dir_norm)
 
 
+def priced_point(lam, gh, rr, eps, xh, alpha, *step):
+    """(NewtonStep(xh, alpha, res, ||F||, *step), F1h, F2) of the coupled system at
+    (Q xh, alpha), G = Q diag(lam) Q^T, in O(n): F1h = Q^T F1 = (lam + alpha) xh - gh,
+    F2 = 0.5 res^2 - 0.5 eps^2 and res = ||A Q xh - b|| by ``eigen_residual_sq``."""
+    r2 = eigen_residual_sq(lam, gh, rr, xh)
+    F1h, F2 = (lam + alpha) * xh - gh, 0.5 * r2 - 0.5 * eps * eps
+    return NewtonStep(xh, alpha, math.sqrt(r2), stacked_norm(F1h, F2), *step), F1h, F2
+
+
 def newton_steps(lam, gh, rr, eps, alpha, rule, tol, cap):
-    """Safeguarded Newton steps on the coupled system in the eigenbasis of its
-    Gram matrix G = Q diag(lam) Q^T, from the Tikhonov point xh = gh / (lam + alpha).
-
-    ``gh`` = Q^T A^T b and ``rr`` = min_z ||A z - b||^2 (``gram_spectrum``'s for
-    ntm, LSQR's phi_k^2 for pntm); F1 = Q ((lam + alpha) xh - gh) and F2 =
-    0.5 ||A Q xh - b||^2 - 0.5 eps^2, the residual from ``eigen_residual_sq``,
-    so a step is O(n) and touches neither Q nor A. Yields the start point,
-    then one record per step, and stops once ||F|| < tol or after ``cap`` steps.
-    """
-
-    def F(xh, alpha):
-        r2 = eigen_residual_sq(lam, gh, rr, xh)
-        return (lam + alpha) * xh - gh, 0.5 * r2 - 0.5 * eps * eps, math.sqrt(r2)
-
-    xh = gh / (lam + alpha)
-    F1h, F2, res = F(xh, alpha)
-    Fnorm = stacked_norm(F1h, F2)
-    yield NewtonStep(xh, alpha, res, Fnorm)
+    """Safeguarded Newton steps on the coupled system in the eigenbasis of its Gram
+    matrix G = Q diag(lam) Q^T (``gram_spectrum``'s gh = Q^T A^T b and rr), from the
+    Tikhonov point xh = gh / (lam + alpha), each point by ``priced_point``. Yields
+    the start point, then one record per step, and stops once ||F|| < tol or
+    after ``cap`` steps."""
+    point, F1h, F2 = priced_point(lam, gh, rr, eps, gh / (lam + alpha), alpha)
+    yield point
     for _ in range(cap):
-        if Fnorm < tol:
+        if point.F_norm < tol:
             return
+        xh, alpha = point.xh, point.alpha
         dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2)
         dinv = dinv_norm(lam, xh, alpha)
         gamma, theta, case_id = step_size(rule, lam, dxh, alpha, dalpha, dinv)
-        xh = xh + gamma * dxh
         alpha = alpha + gamma * dalpha
         if alpha <= 0:  # only underflow gets past the interval rule
             raise SingularJacobianError("step safeguard failed to keep alpha positive")
-        F1h, F2, res = F(xh, alpha)
-        Fnorm = stacked_norm(F1h, F2)
         dir_norm = float(np.sqrt(dxh @ dxh + dalpha * dalpha))
-        yield NewtonStep(xh, alpha, res, Fnorm, gamma, dinv, theta, case_id, dir_norm)
+        point, F1h, F2 = priced_point(lam, gh, rr, eps, xh + gamma * dxh, alpha,
+                                      gamma, dinv, theta, case_id, dir_norm)
+        yield point
 
 
 def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> SolveResult:

@@ -5,18 +5,17 @@ Each outer iteration expands the bidiagonalization by one column and
 takes B^T B = Q diag(lam) Q^T from the SVD of B (``projected_spectrum``).
 The projected discrepancy equation has a root only while the LSQR
 residual phi_k = min_z ||B z - c|| is below eps; until then alpha is
-carried unchanged and no step is taken. Once it is, alpha is the root of
-the projected secular equation (``secular_root``), and the safeguarded
-Newton steps of ``ntm.newton_steps`` start there, at the projected
-Tikhonov solution yh = (Q^T B^T c) / (lam + alpha) in eigen-coordinates.
-F vanishes there up to rounding, so they normally only certify
-||F|| < tol. Both price ||B Q yh - c|| in O(k) by ``ntm.eigen_residual_sq``
-on top of phi_k^2, with no product with Q or B, as gbit does. The outer
-loop stops on one scale-invariant test of the full-space point x = V y
-(see ``krylov_loop``): residual within tol eps of eps, normal-equation
-residual within tol ||A^T b|| by the Golub-Kahan identity, and alpha
-stagnated, since the projected system can be solved accurately long
-before the subspace is rich enough for the full problem. It stops
+carried unchanged. Once it is, alpha is the root of the projected secular
+equation (``secular_root``), Newton in 1/alpha on what is left of the
+projected coupled system once y is eliminated, so F vanishes at the
+projected Tikhonov solution yh = (Q^T B^T c) / (lam + alpha) there up to
+rounding. ``ntm.priced_point`` prices yh in eigen-coordinates, ||B Q yh - c||
+in O(k) on top of phi_k^2, with no product with Q or B, as gbit does. The
+outer loop stops on one scale-invariant test of the full-space point
+x = V y (see ``krylov_loop``): residual within tol eps of eps,
+normal-equation residual within tol ||A^T b|| by the Golub-Kahan identity,
+and alpha stagnated, since the projected system can be solved accurately
+long before the subspace is rich enough for the full problem. It stops
 unconverged once the factorization is final (a breakdown, or
 k = min(m, n)) with phi_k still at or above eps, since no root can
 appear after that.
@@ -32,7 +31,7 @@ import numpy as np
 
 from .bidiag import BidiagFactorization
 from .errors import ConvergenceFailure
-from .ntm import _EPS, StepRule, check_options, eigen_residual_sq, newton_steps
+from .ntm import _EPS, StepRule, check_options, eigen_residual_sq, priced_point
 from .problems import InverseProblem
 from .trace import PNTM_COLUMNS, SolveTrace
 
@@ -42,6 +41,7 @@ class PntmConfig:
     alpha0: float = 1.0
     tol: float = 1e-3
     outer_iter_max: int = 100
+    # unread: they set the Newton steps pntm no longer takes; kept for callers that pass them
     inner_cap_large: int = 10000
     step_rule: StepRule = field(default_factory=StepRule)
 
@@ -51,15 +51,15 @@ class PntmConfig:
 
 @dataclass
 class KrylovResult:
-    """Outcome of a Golub-Kahan solve (pntm or gbit); gbit takes no inner steps."""
+    """Outcome of a Golub-Kahan solve (pntm or gbit)."""
 
     x: np.ndarray
     alpha: float
     trace: SolveTrace
     converged: bool
     n_outer: int
-    n_inner_total: int
     residual_norm: float
+    n_inner_total: int = 0  # neither takes an inner step; kept for readers of the field
 
 
 def secular_root(lam, gh, rr, eps, alpha):
@@ -125,8 +125,8 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     spectrum (lam, Q, gh, rr) of B and c from ``projected_spectrum``
     (rr = phi^2, phi the LSQR residual min_z ||B z - c||: what
     ``ntm.eigen_residual_sq`` prices a projected point from) and calls
-    ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F1_norm, res,
-    inner_steps)``, with F1_norm = ||B^T (B y - c) + alpha y|| and res =
+    ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F1_norm, res)``,
+    with F1_norm = ||B^T (B y - c) + alpha y|| and res =
     ||B y - c||; ``update`` appends its own trace rows. The stop is scale
     invariant and full-space. It needs all of:
 
@@ -148,12 +148,10 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     f = BidiagFactorization(A, b, max_iter)
     alpha_prev = alpha = alpha0
     converged = False
-    total_inner = 0
     for k in range(1, max_iter + 1):  # max_iter >= 1, as the factorization checked
         f.expand()
         phi = f.lsqr_residual
-        y, alpha, F1_norm, res, inner = update(k, projected_spectrum(f.B, f.c, phi), phi, alpha_prev)
-        total_inner += inner
+        y, alpha, F1_norm, res = update(k, projected_spectrum(f.B, f.c, phi), phi, alpha_prev)
         if (
             phi < eps
             and abs(alpha - alpha_prev) < tol * alpha_prev
@@ -173,7 +171,6 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
         trace=trace,
         converged=converged,
         n_outer=k,
-        n_inner_total=total_inner,
         residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
     )
 
@@ -181,9 +178,10 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
 def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> KrylovResult:
     """Projected Newton solve of the coupled system.
 
-    Returns the lifted iterate; exhaustion of the outer budget (observed
-    on hard ill-conditioned problems) is reported via the flag with the
-    trace intact.
+    Each outer iteration takes alpha from ``secular_root`` once phi_k < eps and
+    the projected Tikhonov point there, one trace row. Returns the lifted iterate;
+    exhaustion of the outer budget (observed on hard ill-conditioned problems)
+    is reported via the flag with the trace intact.
     """
     if config is None:
         config = PntmConfig()
@@ -192,15 +190,11 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
 
     def update(k, spectrum, phi, alpha):
         lam, Q, gh, rr = spectrum
-        cap = 0  # no root yet: no Newton step, alpha is kept
-        if phi < eps:
+        if phi < eps:  # else no root yet: alpha is kept
             alpha = secular_root(lam, gh, rr, eps, alpha)
-            cap = config.inner_cap_large
-        steps = newton_steps(lam, gh, rr, eps, alpha, config.step_rule, config.tol, cap)
-        for l, step in enumerate(steps):
-            trace.append(len(trace) + 1, *step.row, k, l, lam.size, phi)
-        F1_norm = float(np.linalg.norm((lam + step.alpha) * step.xh - gh))
-        return Q @ step.xh, step.alpha, F1_norm, step.res_norm, l
+        point, F1h, _ = priced_point(lam, gh, rr, eps, gh / (lam + alpha), alpha)
+        trace.append(len(trace) + 1, *point.row, k, 0, lam.size, phi)
+        return Q @ point.xh, alpha, float(np.linalg.norm(F1h)), point.res_norm
 
     return krylov_loop(
         problem, config.alpha0, config.tol, config.outer_iter_max, trace, update

@@ -79,7 +79,7 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
         F1 = (alpha - alpha_prev) * y
         F2 = 0.5 * (res_y * res_y - eps * eps)
         trace.append(k, alpha, res_y, stacked_norm(F1, F2), lam.size, res_z)
-        return y, alpha, float(np.linalg.norm(F1)), res_y, 0
+        return y, alpha, float(np.linalg.norm(F1)), res_y
 
     return krylov_loop(
         problem, config.alpha0, config.tol, config.max_iter, trace, update

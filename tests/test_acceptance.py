@@ -2,9 +2,10 @@
 
 The random-matrix batches are shared across criteria through module-scoped
 fixtures, so the expensive solves run once. The last tests pin the
-scale invariance that ntm, pntm and gbit do not have yet (ROADMAP item 2)
-and sweep the result contract over noise level and scale and over edge
-regimes: rank-deficient A, eps near ||b||, far alpha0 (ROADMAP item 11).
+scale invariance of pntm and gbit, which ntm does not have yet (ROADMAP
+items 2 and 12), and sweep the result contract over noise level and
+scale and over edge regimes: rank-deficient A, eps near ||b||, far
+alpha0 (ROADMAP item 11).
 """
 
 import itertools
@@ -388,7 +389,7 @@ def _scaled_solve(method, p, c):
         pytest.param("ntm", 1e3, marks=SCALE_XFAIL),  # 500 steps, alpha stays at alpha0
         pytest.param("ntm", 1e6, marks=SCALE_XFAIL),
         ("pntm", 1e3),
-        pytest.param("pntm", 1e6, marks=SCALE_XFAIL),  # 100 outer / 4800 inner, unconverged
+        ("pntm", 1e6),
         ("gbit", 1e3),
         ("gbit", 1e6),
     ],

@@ -166,6 +166,10 @@ def append_solver(tmp_path, body):
         "method = gbit\nmax_iters = 3",  # typo of max_iter
         "method = pntm\nmax_iter = 3",  # a key of ntm and gbit, not pntm
         "method = ntm\ndinv = lemma_bound",  # removed: ||D^-1|| is priced exactly
+        # removed from pntm with its Newton loop: alpha is the projected secular root
+        "method = pntm\ninner_large = 1000",
+        "method = pntm\nrule = case2",
+        "method = pntm\nomega = 0.9",
     ],
 )
 def test_unknown_solver_key_fails_before_work(tmp_path, body):
@@ -684,20 +688,19 @@ def test_malformed_config_is_one_config_error(malformed_runs, case):
 
 
 @pytest.mark.parametrize(
-    "line, message",
+    "method, line, message",
     [
-        ("outer_max = 0", "outer_max must be >= 1, got 0"),
-        ("inner_large = -1", "inner_large must be >= 0, got -1"),
-        ("rule = case3", "rule must be case1 or case2, got 'case3'"),
-        ("rule = variant", "rule must be case1 or case2, got 'variant'"),
+        ("pntm", "outer_max = 0", "outer_max must be >= 1, got 0"),
+        ("ntm", "rule = case3", "rule must be case1 or case2, got 'case3'"),
+        ("ntm", "rule = variant", "rule must be case1 or case2, got 'variant'"),
     ],
-    ids=["outer_max", "inner_large", "rule", "rule-value-is-a-field"],
+    ids=["outer_max", "rule", "rule-value-is-a-field"],
 )
-def test_solver_option_error_names_ini_key(tmp_path, caplog, line, message):
+def test_solver_option_error_names_ini_key(tmp_path, caplog, method, line, message):
     # PntmConfig and StepRule name their fields; the error names the key
     # written and echoes the value as written, even one that is a field's name
     text = BASE_CFG.format(reps=1, out=tmp_path / "o").replace(
-        "[solver gbit]", f"[solver p]\nmethod = pntm\n{line}\n\n[solver gbit]"
+        "[solver gbit]", f"[solver p]\nmethod = {method}\n{line}\n\n[solver gbit]"
     )
     assert main(["run", str(write_cfg(tmp_path, text))]) == 1
     [logged] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]

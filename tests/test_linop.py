@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -190,8 +191,10 @@ HERE = Path(__file__).resolve().parent
 
 
 def report_cpus(monkeypatch, count):
-    """The split sees ``count`` CPUs and starts with no helper threads."""
+    """The split sees ``count`` CPUs, is on whatever BLAS's thread count, and
+    starts with no helper threads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(linop, "_SPLIT", True)
     monkeypatch.setattr(linop, "_helpers", None)
 
 
@@ -219,19 +222,46 @@ def check_split_products_bitwise():
                 assert split.tobytes() == whole.tobytes(), f"{m}x{n} on {cpus} CPUs: {what}"
 
 
-def test_split_products_are_bitwise_the_whole_products():
-    # the bits are promised at one BLAS thread, so they are checked in an
-    # interpreter that has one
-    env = {
-        **os.environ,
-        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
-        "PYTHONPATH": os.pathsep.join([str(HERE.parent / "src"), str(HERE)]),
-    }
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_in_child(call, **threads):
+    """Run ``test_linop.<call>`` in a fresh interpreter whose BLAS thread
+    variables are ``threads`` and no others; assert that it succeeds."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env.update(threads, PYTHONPATH=os.pathsep.join([str(HERE.parent / "src"), str(HERE)]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import test_linop; test_linop.check_split_products_bitwise()"],
+        [sys.executable, "-c", f"import test_linop; test_linop.{call}"],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_split_products_are_bitwise_the_whole_products():
+    # the bits are promised at one BLAS thread, so they are checked in an
+    # interpreter that has one
+    run_in_child("check_split_products_bitwise()", **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+
+def check_split_follows_blas_threads(split):
+    """A large product on 2 CPUs starts a helper thread if and only if ``split``."""
+    os.sched_getaffinity = lambda pid: {0, 1}
+    m, n = SPLIT_SHAPES[-1]
+    DenseOperator(np.ones((m, n))).matvec(np.ones(n))
+    helpers = [t for t in threading.enumerate() if t.name.startswith("tikmor-product")]
+    assert (linop._SPLIT, bool(helpers)) == (split, split)
+
+
+@pytest.mark.parametrize("threads, split", [
+    (dict.fromkeys(BLAS_THREAD_VARS, "1"), True),
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, True),
+    ({"MKL_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+], ids=["all-one", "unset", "openblas-decides", "mkl-before-omp"])
+def test_split_only_where_blas_has_one_thread(threads, split):
+    # the first thread variable that is set decides, as in numpy's BLAS; a
+    # BLAS with threads of its own takes the product whole
+    run_in_child(f"check_split_follows_blas_threads({split})", **threads)
 
 
 @pytest.mark.parametrize("product", ["matvec", "rmatvec"])
@@ -493,6 +523,46 @@ def test_mm_dense_load_hands_its_array_over(tmp_path, monkeypatch, symmetry, val
     op = load_matrix_market(path)
     assert op.to_dense() is given[0]
     assert given[0].flags.owndata and not given[0].flags.writeable
+
+
+def write_lower_triangle(path, A, symmetry):
+    """A's lower triangle as an array file, column by column (skew: below the diagonal)."""
+    skew = symmetry == "skew-symmetric"
+    n = A.shape[0]
+    with open(path, "w") as fh:
+        fh.write(f"%%MatrixMarket matrix array real {symmetry}\n{n} {n}\n")
+        for j in range(n):
+            fh.writelines(f"{float(v)!r}\n" for v in A[j + skew:, j])
+
+
+def traced_load(path):
+    """(operator, peak bytes traced while loading it)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        op = load_matrix_market(path)
+        return op, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mm_symmetric_array_loads_in_place(tmp_path, rng):
+    # each stored column and its mirrored row go straight into A: no index
+    # arrays or mirrored copies, so a symmetric load needs no more memory
+    # than a general one of the same size
+    n = 120
+    lower = np.tril(rng.standard_normal((n, n)))
+    expected = {
+        "symmetric": lower + np.tril(lower, -1).T,
+        "skew-symmetric": np.tril(lower, -1) - np.tril(lower, -1).T,
+    }
+    save_matrix_market(tmp_path / "general.mtx", expected["symmetric"])
+    _, general_peak = traced_load(tmp_path / "general.mtx")
+    for symmetry, full in expected.items():
+        write_lower_triangle(tmp_path / f"{symmetry}.mtx", full, symmetry)
+        op, peak = traced_load(tmp_path / f"{symmetry}.mtx")
+        assert op.to_dense().tobytes() == full.tobytes(), symmetry
+        assert peak <= general_peak, (symmetry, peak / (8 * n * n))
 
 
 @pytest.mark.parametrize("matrix", [

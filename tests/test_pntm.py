@@ -18,8 +18,9 @@ from tikmor import (
     random_uniform_problem,
     sine_wave_problem,
 )
-from tikmor.ntm import eigen_residual_sq
-from tikmor.pntm import projected_spectrum, secular_root
+from tikmor.ntm import eigen_residual_sq, newton_steps
+from tikmor.pntm import krylov_loop, projected_spectrum, secular_root
+from tikmor.trace import PNTM_COLUMNS, SolveTrace
 from conftest import FIXTURES, counting_operator
 from oracles import (
     normal_equation_solve,
@@ -141,6 +142,20 @@ def test_trace_projection_consistency_on_inner_rows():
     assert len(res_norms) > 0
     assert np.isfinite(res_norms).all()
     assert np.isfinite(proj).all()
+
+
+def test_one_trace_row_per_outer_iteration():
+    # alpha is the projected secular root and no Newton step follows it, even
+    # at scale 1e6, where a certifying Newton loop took 50 steps an iteration
+    p = random_uniform_problem(120, 80, 0.10, seed=7)
+    c = 1e6
+    res = pntm_solve(InverseProblem(operator=as_operator(c * p.operator.to_dense()),
+                                    b=c * p.b, noise_level=c * p.noise_level),
+                     PntmConfig(alpha0=c * c))
+    assert res.converged
+    assert res.trace.column("outer_iter").tolist() == list(range(1, res.n_outer + 1))
+    assert not res.trace.column("inner_iter").any()
+    assert np.isnan(res.trace.column("gamma")).all()
 
 
 def test_warm_start_satisfies_projected_normal_equations(rng):
@@ -314,7 +329,7 @@ def test_outer_budget_exhaustion_flagged():
 
 @pytest.mark.parametrize("noise", [1e-3, 0.1])
 def test_reported_residual_is_the_operators(noise):
-    # inner steps price ||B y - c|| in closed form; the result recomputes
+    # the trace prices ||B y - c|| in closed form; the result recomputes
     # ||A x - b|| from the lifted x
     p = random_uniform_problem(120, 80, noise, seed=7)
     res = pntm_solve(p)
@@ -449,3 +464,49 @@ def test_subnormal_alpha0_reaches_the_same_root():
     ref = pntm_solve(p, PntmConfig(alpha0=1.0))
     assert tiny.converged and ref.converged
     assert tiny.alpha == pytest.approx(ref.alpha, rel=1e-9)
+
+
+def projected_newton_solve(problem, cap, tol=1e-3):
+    """(result, Newton steps) of the paper's projected Newton method: pntm's
+    Krylov loop, taking up to ``cap`` safeguarded Newton steps (case2) from
+    the carried alpha once phi_k < eps, with no secular root."""
+    eps = problem.discrepancy_target
+    steps = 0
+
+    def update(k, spectrum, phi, alpha):
+        nonlocal steps
+        lam, Q, gh, rr = spectrum
+        *_, last = run = list(newton_steps(lam, gh, rr, eps, alpha, StepRule(), tol,
+                                           cap if phi < eps else 0))
+        steps += len(run) - 1
+        F1_norm = float(np.linalg.norm((lam + last.alpha) * last.xh - gh))
+        return Q @ last.xh, last.alpha, F1_norm, last.res_norm
+
+    res = krylov_loop(problem, 1.0, tol, 100, SolveTrace(columns=PNTM_COLUMNS), update)
+    return res, steps
+
+
+def test_projected_newton_study():
+    # pntm takes alpha from the projected secular root; the paper's Newton
+    # steps on the same projected system stay measured here. On random
+    # problems they converge at pntm's outer count to within tol of its alpha;
+    # on the smoothed fixtures the step bound crawls, as in ntm (ROADMAP item
+    # 12), so their counts are only reported
+    for seed in (1000, 1001, 1002):
+        p = random_uniform_problem(700, 500, 0.10, seed)
+        ref = pntm_solve(p)
+        res, steps = projected_newton_solve(p, cap=1000)
+        print(f"STUDY projected Newton (random 700x500 seed {seed}): {res.n_outer} outer "
+              f"(pntm {ref.n_outer}), {steps} steps, alpha gap "
+              f"{abs(res.alpha - ref.alpha) / ref.alpha:.2e}")
+        assert res.converged and ref.converged
+        assert res.n_outer == ref.n_outer
+        assert res.alpha == pytest.approx(ref.alpha, rel=1e-3)
+    for name in ("survey219", "lattice60"):
+        op = load_matrix_market(FIXTURES / f"{name}.mtx")
+        p, _ = priorconditioned_problem(sine_wave_problem(op, 0.10, seed=1),
+                                        RegularizationMatrix(op.cols))
+        res, steps = projected_newton_solve(p, cap=50)
+        print(f"STUDY projected Newton (smoothed {name}): {res.n_outer} outer "
+              f"(pntm {pntm_solve(p).n_outer}), {steps} steps, converged={res.converged}, "
+              f"res/eps {res.residual_norm / p.discrepancy_target:.3g}")
