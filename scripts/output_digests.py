@@ -10,6 +10,8 @@ Each config's [experiment] output moves into a temporary directory, and each
 line reads ``sha256  <config stem>/<path>``. manifest.txt is left out: it
 holds a timestamp. Two checkouts write the same outputs when the listings
 they print are the same, so a diff of two listings is a byte-identity check.
+A config whose run or curve returns nonzero (a solve failed, and runs.csv
+holds its error row) stops the script with exit status 1, naming the config.
 """
 
 import hashlib
@@ -27,9 +29,11 @@ def digests(config_paths):
         for path in config_paths:
             config = load_config(path)
             config.output = str(Path(tmp) / Path(path).stem)
-            run_experiment(config)
-            if config.curve_grid is not None:
-                run_curve(config)
+            status = run_experiment(config)
+            if not status and config.curve_grid is not None:
+                status = run_curve(config)
+            if status:
+                sys.exit(f"{path}: a solve failed (status {status}), so no digest is printed")
             for csv in sorted(Path(config.output).rglob("*.csv")):
                 digest = hashlib.sha256(csv.read_bytes()).hexdigest()
                 lines.append(f"{digest}  {csv.relative_to(tmp).as_posix()}")

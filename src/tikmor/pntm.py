@@ -33,7 +33,7 @@ from .bidiag import BidiagFactorization
 from .errors import ConvergenceFailure
 from .ntm import _EPS, StepRule, check_options, eigen_residual_sq, priced_point
 from .problems import InverseProblem
-from .trace import PNTM_COLUMNS, SolveTrace
+from .trace import KRYLOV_COLUMNS, SolveTrace
 
 
 @dataclass
@@ -117,18 +117,20 @@ def projected_spectrum(B, c, phi):
     return s * s, Qt[::-1].T, s * (c @ W[:, ::-1]), phi * phi
 
 
-def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
-    """Golub-Kahan outer loop shared by pntm and gbit.
+def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, update):
+    """Golub-Kahan outer loop shared by pntm and gbit, and the trace of both.
 
     Each iteration calls ``BidiagFactorization.expand`` (one more column,
     none once final; ``DegenerateRhsError`` if A^T b = 0), takes the
     spectrum (lam, Q, gh, rr) of B and c from ``projected_spectrum``
     (rr = phi^2, phi the LSQR residual min_z ||B z - c||: what
     ``ntm.eigen_residual_sq`` prices a projected point from) and calls
-    ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F1_norm, res)``,
-    with F1_norm = ||B^T (B y - c) + alpha y|| and res =
-    ||B y - c||; ``update`` appends its own trace rows. The stop is scale
-    invariant and full-space. It needs all of:
+    ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F1_norm, res,
+    F_norm)``, with F1_norm = ||B^T (B y - c) + alpha y||, res =
+    ||B y - c|| and F_norm the stacked norm of the projected system at
+    (y, alpha). The loop appends the trace row (k, alpha, res, F_norm,
+    k_B, phi) in ``KRYLOV_COLUMNS``, k_B the columns of B. The stop is
+    scale invariant and full-space. It needs all of:
 
     - phi < eps: the projected discrepancy equation has a root;
     - alpha moved by less than tol alpha_prev (an alpha that underflowed
@@ -146,12 +148,15 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, trace, update):
     A, b, eps = problem.operator, problem.b, problem.morozov_level()
 
     f = BidiagFactorization(A, b, max_iter)
+    trace = SolveTrace(columns=KRYLOV_COLUMNS)
     alpha_prev = alpha = alpha0
     converged = False
     for k in range(1, max_iter + 1):  # max_iter >= 1, as the factorization checked
         f.expand()
         phi = f.lsqr_residual
-        y, alpha, F1_norm, res = update(k, projected_spectrum(f.B, f.c, phi), phi, alpha_prev)
+        spectrum = projected_spectrum(f.B, f.c, phi)
+        y, alpha, F1_norm, res, F_norm = update(k, spectrum, phi, alpha_prev)
+        trace.append(k, alpha, res, F_norm, spectrum[0].size, phi)
         if (
             phi < eps
             and abs(alpha - alpha_prev) < tol * alpha_prev
@@ -179,23 +184,19 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     """Projected Newton solve of the coupled system.
 
     Each outer iteration takes alpha from ``secular_root`` once phi_k < eps and
-    the projected Tikhonov point there, one trace row. Returns the lifted iterate;
+    prices the projected Tikhonov point there. Returns the lifted iterate;
     exhaustion of the outer budget (observed on hard ill-conditioned problems)
     is reported via the flag with the trace intact.
     """
     if config is None:
         config = PntmConfig()
     eps = problem.discrepancy_target
-    trace = SolveTrace(columns=PNTM_COLUMNS)
 
     def update(k, spectrum, phi, alpha):
         lam, Q, gh, rr = spectrum
         if phi < eps:  # else no root yet: alpha is kept
             alpha = secular_root(lam, gh, rr, eps, alpha)
         point, F1h, _ = priced_point(lam, gh, rr, eps, gh / (lam + alpha), alpha)
-        trace.append(len(trace) + 1, *point.row, k, 0, lam.size, phi)
-        return Q @ point.xh, alpha, float(np.linalg.norm(F1h)), point.res_norm
+        return Q @ point.xh, alpha, float(np.linalg.norm(F1h)), point.res_norm, point.F_norm
 
-    return krylov_loop(
-        problem, config.alpha0, config.tol, config.outer_iter_max, trace, update
-    )
+    return krylov_loop(problem, config.alpha0, config.tol, config.outer_iter_max, update)

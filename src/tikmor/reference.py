@@ -20,7 +20,7 @@ from .linop import as_operator, real_vector
 from .ntm import _EPS, check_options, eigen_residual_sq, stacked_norm
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
-from .trace import CGLS_COLUMNS, GBIT_COLUMNS, SIRT_COLUMNS, SolveResult, SolveTrace
+from .trace import CGLS_COLUMNS, SIRT_COLUMNS, SolveResult, SolveTrace
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +57,6 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     if config is None:
         config = GbitConfig()
     eps = problem.discrepancy_target
-    trace = SolveTrace(columns=GBIT_COLUMNS)
 
     def update(k, spectrum, res_z, alpha_prev):
         lam, Q, gh, rr = spectrum
@@ -78,12 +77,9 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
         # y solves the normal equations at alpha_prev, so F1 collapses
         F1 = (alpha - alpha_prev) * y
         F2 = 0.5 * (res_y * res_y - eps * eps)
-        trace.append(k, alpha, res_y, stacked_norm(F1, F2), lam.size, res_z)
-        return y, alpha, float(np.linalg.norm(F1)), res_y
+        return y, alpha, float(np.linalg.norm(F1)), res_y, stacked_norm(F1, F2)
 
-    return krylov_loop(
-        problem, config.alpha0, config.tol, config.max_iter, trace, update
-    )
+    return krylov_loop(problem, config.alpha0, config.tol, config.max_iter, update)
 
 
 # -- SIRT ---------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Per-iteration solve traces, their CSV form, and the result record of a solve.
 
 Every solver appends aligned rows; the CSV schema is fixed per solver so
-runs of different methods can be overlaid by downstream tooling. Missing
-values (e.g. alpha for SIRT) serialize as empty fields. ``write_csv``
-also writes the experiment tables of the CLI.
+runs of different methods can be overlaid by downstream tooling. ntm
+writes one row per Newton step, ``NTM_COLUMNS``; pntm and gbit share
+``KRYLOV_COLUMNS``, one row per outer iteration, written by
+``pntm.krylov_loop``. Missing values (e.g. alpha for SIRT) serialize as
+empty fields. ``write_csv`` also writes the experiment tables of the CLI.
 """
 
 from __future__ import annotations
@@ -16,8 +18,7 @@ import numpy as np
 NTM_COLUMNS = (
     "iter", "alpha", "gamma", "res_norm", "F_norm", "dinv", "theta", "case_id", "dir_norm",
 )
-PNTM_COLUMNS = NTM_COLUMNS + ("outer_iter", "inner_iter", "subspace_dim", "proj_res")
-GBIT_COLUMNS = ("iter", "alpha", "res_norm", "F_norm", "subspace_dim", "lsqr_res")
+KRYLOV_COLUMNS = ("outer_iter", "alpha", "res_norm", "F_norm", "subspace_dim", "lsqr_res")
 SIRT_COLUMNS = ("iter", "alpha", "res_norm")
 CGLS_COLUMNS = ("iter", "alpha", "res_norm")
 

@@ -528,7 +528,7 @@ def test_result_contract_in_edge_regimes(method, regime):
         alphas = r.trace.column("alpha")
         same = alphas[1:] == alphas[:-1]
         if method == "gbit" and same.any():
-            held.append(r.trace.column("iter")[1:][same])
+            held.append(r.trace.column("outer_iter")[1:][same])
         if r.alpha == 0.0:
             zero.append(f"{p.operator.rows}x{p.operator.cols}")
         return r

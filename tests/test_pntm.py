@@ -20,7 +20,7 @@ from tikmor import (
 )
 from tikmor.ntm import eigen_residual_sq, newton_steps
 from tikmor.pntm import krylov_loop, projected_spectrum, secular_root
-from tikmor.trace import PNTM_COLUMNS, SolveTrace
+from tikmor.trace import KRYLOV_COLUMNS
 from conftest import FIXTURES, counting_operator
 from oracles import (
     normal_equation_solve,
@@ -48,6 +48,26 @@ def replayed_factorization(p, n_outer):
         if f.can_expand():
             f.expand()
     return f
+
+
+def lsqr_residuals(p, n_outer):
+    """phi_1, ..., phi_{n_outer} of a replayed factorization of p, held once
+    it is final, as a Krylov solve of p saw them."""
+    f = BidiagFactorization(as_operator(p.operator), p.b, n_outer)
+    phis = []
+    for _ in range(n_outer):
+        if f.can_expand():
+            f.expand()
+        phis.append(f.lsqr_residual)
+    return phis
+
+
+def smoothed_fixture(name):
+    """configs/sparse_fixture.cfg's (lattice_fixture.cfg's) seed-1 problem."""
+    op = load_matrix_market(FIXTURES / f"{name}.mtx")
+    p, _ = priorconditioned_problem(sine_wave_problem(op, 0.10, seed=1),
+                                    RegularizationMatrix(op.cols))
+    return p
 
 
 def test_projected_system_matches_cramer_k1(rng):
@@ -133,17 +153,6 @@ def test_projection_consistency_along_run():
     assert abs(proj - lifted) <= 1e-9 * max(1.0, lifted)
 
 
-def test_trace_projection_consistency_on_inner_rows():
-    p = random_uniform_problem(60, 35, 0.10, seed=41)
-    res = pntm_solve(p)
-    t = res.trace
-    res_norms = t.column("res_norm")
-    proj = t.column("proj_res")
-    assert len(res_norms) > 0
-    assert np.isfinite(res_norms).all()
-    assert np.isfinite(proj).all()
-
-
 def test_one_trace_row_per_outer_iteration():
     # alpha is the projected secular root and no Newton step follows it, even
     # at scale 1e6, where a certifying Newton loop took 50 steps an iteration
@@ -154,8 +163,26 @@ def test_one_trace_row_per_outer_iteration():
                      PntmConfig(alpha0=c * c))
     assert res.converged
     assert res.trace.column("outer_iter").tolist() == list(range(1, res.n_outer + 1))
-    assert not res.trace.column("inner_iter").any()
-    assert np.isnan(res.trace.column("gamma")).all()
+
+
+@pytest.mark.parametrize("problem", ["random", "survey219"])
+@pytest.mark.parametrize("solve", [pntm_solve, gbit_solve], ids=["pntm", "gbit"])
+def test_krylov_trace_contract(solve, problem):
+    # krylov_loop writes both solvers' traces: one row of finite cells per
+    # outer iteration k, whose lsqr_res is the factorization's phi_k, bit for
+    # bit, non-increasing in k
+    if problem == "random":
+        p = random_uniform_problem(60, 35, 0.10, seed=41)
+    else:
+        p = smoothed_fixture(problem)
+    res = solve(p)
+    t = res.trace
+    assert t.columns == KRYLOV_COLUMNS
+    assert np.isfinite(np.array(t.rows, dtype=float)).all()
+    assert t.column("outer_iter").tolist() == list(range(1, res.n_outer + 1))
+    phis = lsqr_residuals(p, res.n_outer)
+    assert t.column("lsqr_res").tolist() == phis
+    assert (np.diff(phis) <= 0).all()
 
 
 def test_warm_start_satisfies_projected_normal_equations(rng):
@@ -306,15 +333,8 @@ def test_trace_proj_res_is_the_lsqr_residual():
     raw = random_uniform_problem(210, 150, 0.10, seed=2005)
     p, _ = priorconditioned_problem(raw, RegularizationMatrix(150))
     res = pntm_solve(p)
-    outer = res.trace.column("outer_iter")
-    proj = res.trace.column("proj_res")
-    f = BidiagFactorization(as_operator(p.operator), p.b, res.n_outer)
-    phis = []
-    for k in range(1, res.n_outer + 1):
-        if f.can_expand():
-            f.expand()
-        phis.append(f.lsqr_residual)
-        assert proj[outer == k] == pytest.approx(phis[-1], rel=1e-12, abs=0)
+    phis = lsqr_residuals(p, res.n_outer)
+    assert res.trace.column("lsqr_res").tolist() == phis
     assert (np.diff(phis) <= 0).all()
     assert phis[0] >= p.discrepancy_target > phis[-1]
 
@@ -370,9 +390,7 @@ def test_alpha_stagnation_clause_keeps_the_subspace_growing():
     # full-space normal residual already meet tol at k = 7, with alpha
     # 25.27; only the alpha clause carries pntm on to k = 11 and 27.22,
     # where the subspace has stopped moving the root
-    op = load_matrix_market(FIXTURES / "survey219.mtx")
-    p, _ = priorconditioned_problem(sine_wave_problem(op, 0.10, seed=1),
-                                    RegularizationMatrix(op.cols))
+    p = smoothed_fixture("survey219")
     res = pntm_solve(p, PntmConfig(inner_cap_large=1000))
     assert res.converged
     assert res.n_outer == 11
@@ -411,10 +429,7 @@ def test_pntm_csv_schema(tmp_path):
     out = tmp_path / "t.csv"
     res.trace.write_csv(out)
     header = out.read_text().splitlines()[0]
-    assert header == (
-        "iter,alpha,gamma,res_norm,F_norm,dinv,theta,case_id,dir_norm,"
-        "outer_iter,inner_iter,subspace_dim,proj_res"
-    )
+    assert header == "outer_iter,alpha,res_norm,F_norm,subspace_dim,lsqr_res"
 
 
 @pytest.mark.parametrize("seed", [2005, 2008, 2020, 2025, 2027])
@@ -480,9 +495,9 @@ def projected_newton_solve(problem, cap, tol=1e-3):
                                            cap if phi < eps else 0))
         steps += len(run) - 1
         F1_norm = float(np.linalg.norm((lam + last.alpha) * last.xh - gh))
-        return Q @ last.xh, last.alpha, F1_norm, last.res_norm
+        return Q @ last.xh, last.alpha, F1_norm, last.res_norm, last.F_norm
 
-    res = krylov_loop(problem, 1.0, tol, 100, SolveTrace(columns=PNTM_COLUMNS), update)
+    res = krylov_loop(problem, 1.0, tol, 100, update)
     return res, steps
 
 
@@ -503,9 +518,7 @@ def test_projected_newton_study():
         assert res.n_outer == ref.n_outer
         assert res.alpha == pytest.approx(ref.alpha, rel=1e-3)
     for name in ("survey219", "lattice60"):
-        op = load_matrix_market(FIXTURES / f"{name}.mtx")
-        p, _ = priorconditioned_problem(sine_wave_problem(op, 0.10, seed=1),
-                                        RegularizationMatrix(op.cols))
+        p = smoothed_fixture(name)
         res, steps = projected_newton_solve(p, cap=50)
         print(f"STUDY projected Newton (smoothed {name}): {res.n_outer} outer "
               f"(pntm {pntm_solve(p).n_outer}), {steps} steps, converged={res.converged}, "
