@@ -40,6 +40,7 @@ config classes and of ``sirt_solve`` and ``cgls``):
 * sirt: ``max_iter``
 * cgls: ``max_iter``
 
+``tol`` is the relative stop of pntm and gbit, and r = max(tol^2, 1e-12) of ntm.
 ``alpha0`` and ``tol`` are positive and finite (NaN and inf are neither),
 every iteration budget (``max_iter``, ``outer_max``) is at least 1 and
 ``omega`` lies strictly inside (0, 1);

@@ -22,6 +22,10 @@ follows from a scalar Schur complement and ||D^-1|| from a root of a
 monotone secular equation. F2 is priced in range coordinates by
 ``eigen_residual_sq``, so a step is O(n) and touches neither Q nor A;
 the solve forms x = Q xh and A x - b once, at the end.
+
+The iteration stops on one relative test, ``at_root``: |res - eps| <= r eps
+and ||F1|| <= r ||A^T b||, r = max(tol^2, 1e-12), the same on (c A, c b, c eps)
+as on (A, b, eps); the floor keeps a tiny tol reachable in floating point.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ SOLVE_RTOL = 1e-12  # backward error a Newton direction solve must reach
 # bound on ||(x, F1, F2)|| / alpha: the rescaled system's norms fit in a float
 RESCALE_LIMIT = 1e300
 _EPS = float(np.finfo(float).eps)
-
-
-def stacked_norm(F1, F2) -> float:
-    return float(np.sqrt(F1 @ F1 + F2 * F2))
 
 
 def spectral_gram(G):
@@ -248,6 +248,7 @@ class NewtonStep(NamedTuple):
     xh: np.ndarray
     alpha: float
     res_norm: float
+    F1_norm: float
     F_norm: float
     gamma: Optional[float] = None
     dinv: Optional[float] = None
@@ -255,32 +256,35 @@ class NewtonStep(NamedTuple):
     case_id: Optional[int] = None
     dir_norm: Optional[float] = None
 
-    @property
-    def row(self):
-        """The trace fields after ``iter``, in NTM_COLUMNS order."""
-        return (self.alpha, self.gamma, self.res_norm, self.F_norm,
-                self.dinv, self.theta, self.case_id, self.dir_norm)
-
 
 def priced_point(lam, gh, rr, eps, xh, alpha, *step):
-    """(NewtonStep(xh, alpha, res, ||F||, *step), F1h, F2) of the coupled system at
-    (Q xh, alpha), G = Q diag(lam) Q^T, in O(n): F1h = Q^T F1 = (lam + alpha) xh - gh,
-    F2 = 0.5 res^2 - 0.5 eps^2 and res = ||A Q xh - b|| by ``eigen_residual_sq``."""
+    """(NewtonStep(xh, alpha, res, ||F1||, ||F||, *step), F1h, F2) at (Q xh, alpha),
+    G = Q diag(lam) Q^T, in O(n): F1h = Q^T F1 = (lam + alpha) xh - gh, F2 =
+    0.5 res^2 - 0.5 eps^2 and res = ||A Q xh - b|| by ``eigen_residual_sq``."""
     r2 = eigen_residual_sq(lam, gh, rr, xh)
     F1h, F2 = (lam + alpha) * xh - gh, 0.5 * r2 - 0.5 * eps * eps
-    return NewtonStep(xh, alpha, math.sqrt(r2), stacked_norm(F1h, F2), *step), F1h, F2
+    F1_sq = float(F1h @ F1h)
+    point = NewtonStep(xh, alpha, math.sqrt(r2), math.sqrt(F1_sq), math.sqrt(F1_sq + F2 * F2), *step)
+    return point, F1h, F2
+
+
+def at_root(point, eps, atb_norm, tol) -> bool:
+    """Whether ntm stops at ``point``, by the module docstring's relative test."""
+    r = max(tol * tol, 1e-12)
+    return abs(point.res_norm - eps) <= r * eps and point.F1_norm <= r * atb_norm
 
 
 def newton_steps(lam, gh, rr, eps, alpha, rule, tol, cap):
     """Safeguarded Newton steps on the coupled system in the eigenbasis of its Gram
     matrix G = Q diag(lam) Q^T (``gram_spectrum``'s gh = Q^T A^T b and rr), from the
     Tikhonov point xh = gh / (lam + alpha), each point by ``priced_point``. Yields
-    the start point, then one record per step, and stops once ||F|| < tol or
-    after ``cap`` steps."""
+    the start point, then one record per step, and stops at the first point that
+    is ``at_root`` (||A^T b|| = ||gh||) or after ``cap`` steps."""
+    atb_norm = float(np.linalg.norm(gh))
     point, F1h, F2 = priced_point(lam, gh, rr, eps, gh / (lam + alpha), alpha)
     yield point
     for _ in range(cap):
-        if point.F_norm < tol:
+        if at_root(point, eps, atb_norm, tol):
             return
         xh, alpha = point.xh, point.alpha
         dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2)
@@ -300,10 +304,10 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
 
     Starts on the discrepancy curve (x0 solves the Tikhonov normal
     equations at alpha0, in the eigenbasis of A^T A) and iterates
-    safeguarded Newton steps until the stacked residual norm drops below
-    tol. Non-convergence within the iteration budget is reported through
-    the result flag, never raised; an A^T A + alpha0 I that is not
-    numerically positive definite raises ``ConvergenceFailure``.
+    safeguarded Newton steps until one is ``at_root``, the test
+    ``newton_steps`` stops on. Non-convergence within the iteration budget
+    is reported through the result flag, never raised; an A^T A + alpha0 I
+    that is not numerically positive definite raises ``ConvergenceFailure``.
     """
     if config is None:
         config = NtmConfig()
@@ -317,18 +321,18 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
         )
 
     trace = SolveTrace(columns=NTM_COLUMNS)
-    steps = newton_steps(
-        lam, gh, rr, eps, config.alpha0, config.step_rule, config.tol, config.max_iter
-    )
+    steps = newton_steps(lam, gh, rr, eps, config.alpha0, config.step_rule, config.tol,
+                         config.max_iter)
     for k, step in enumerate(steps):
-        trace.append(k, *step.row)
+        trace.append(k, step.alpha, step.gamma, step.res_norm, step.F_norm, step.dinv,
+                     step.theta, step.case_id, step.dir_norm)
 
     x = Q @ step.xh
     return SolveResult(
         x=x,
         alpha=float(step.alpha),
         trace=trace,
-        converged=step.F_norm < config.tol,
+        converged=at_root(step, eps, float(np.linalg.norm(gh)), config.tol),
         n_iter=k,
         residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
     )

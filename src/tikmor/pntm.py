@@ -9,8 +9,8 @@ carried unchanged. Once it is, alpha is the root of the projected secular
 equation (``secular_root``), Newton in 1/alpha on what is left of the
 projected coupled system once y is eliminated, so F vanishes at the
 projected Tikhonov solution yh = (Q^T B^T c) / (lam + alpha) there up to
-rounding. ``ntm.priced_point`` prices yh in eigen-coordinates, ||B Q yh - c||
-in O(k) on top of phi_k^2, with no product with Q or B, as gbit does. The
+rounding. ``krylov_loop`` prices yh, and gbit's point, by ``ntm.priced_point``:
+||B Q yh - c|| in O(k) on top of phi_k^2, with no product with Q or B. The
 outer loop stops on one scale-invariant test of the full-space point
 x = V y (see ``krylov_loop``): residual within tol eps of eps,
 normal-equation residual within tol ||A^T b|| by the Golub-Kahan identity,
@@ -123,14 +123,13 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, update):
     Each iteration calls ``BidiagFactorization.expand`` (one more column,
     none once final; ``DegenerateRhsError`` if A^T b = 0), takes the
     spectrum (lam, Q, gh, rr) of B and c from ``projected_spectrum``
-    (rr = phi^2, phi the LSQR residual min_z ||B z - c||: what
-    ``ntm.eigen_residual_sq`` prices a projected point from) and calls
-    ``update(k, spectrum, phi, alpha_prev) -> (y, alpha, F1_norm, res,
-    F_norm)``, with F1_norm = ||B^T (B y - c) + alpha y||, res =
-    ||B y - c|| and F_norm the stacked norm of the projected system at
-    (y, alpha). The loop appends the trace row (k, alpha, res, F_norm,
-    k_B, phi) in ``KRYLOV_COLUMNS``, k_B the columns of B. The stop is
-    scale invariant and full-space. It needs all of:
+    (rr = phi^2, phi the LSQR residual min_z ||B z - c||) and calls
+    ``update(k, lam, gh, rr, phi, alpha_prev) -> (yh, alpha)``, which only
+    chooses the point, yh = Q^T y. The loop prices it by ``ntm.priced_point``
+    (res = ||B y - c||, F1_norm = ||B^T (B y - c) + alpha y||, F_norm the
+    stacked norm), lifts y = Q yh and appends the trace row (k, alpha, res,
+    F_norm, k_B, phi) in ``KRYLOV_COLUMNS``, k_B the columns of B. The stop
+    is scale invariant and full-space. It needs all of:
 
     - phi < eps: the projected discrepancy equation has a root;
     - alpha moved by less than tol alpha_prev (an alpha that underflowed
@@ -154,14 +153,16 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, update):
     for k in range(1, max_iter + 1):  # max_iter >= 1, as the factorization checked
         f.expand()
         phi = f.lsqr_residual
-        spectrum = projected_spectrum(f.B, f.c, phi)
-        y, alpha, F1_norm, res, F_norm = update(k, spectrum, phi, alpha_prev)
-        trace.append(k, alpha, res, F_norm, spectrum[0].size, phi)
+        lam, Q, gh, rr = projected_spectrum(f.B, f.c, phi)
+        yh, alpha = update(k, lam, gh, rr, phi, alpha_prev)
+        point, *_ = priced_point(lam, gh, rr, eps, yh, alpha)
+        y = Q @ yh
+        trace.append(k, alpha, point.res_norm, point.F_norm, lam.size, phi)
         if (
             phi < eps
             and abs(alpha - alpha_prev) < tol * alpha_prev
-            and abs(res - eps) <= tol * eps
-            and math.hypot(F1_norm, f.normal_tail(y)) <= tol * f.atb_norm
+            and abs(point.res_norm - eps) <= tol * eps
+            and math.hypot(point.F1_norm, f.normal_tail(y)) <= tol * f.atb_norm
         ):
             converged = True
             break
@@ -184,7 +185,7 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     """Projected Newton solve of the coupled system.
 
     Each outer iteration takes alpha from ``secular_root`` once phi_k < eps and
-    prices the projected Tikhonov point there. Returns the lifted iterate;
+    chooses the projected Tikhonov point there. Returns the lifted iterate;
     exhaustion of the outer budget (observed on hard ill-conditioned problems)
     is reported via the flag with the trace intact.
     """
@@ -192,11 +193,9 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
         config = PntmConfig()
     eps = problem.discrepancy_target
 
-    def update(k, spectrum, phi, alpha):
-        lam, Q, gh, rr = spectrum
+    def update(k, lam, gh, rr, phi, alpha):
         if phi < eps:  # else no root yet: alpha is kept
             alpha = secular_root(lam, gh, rr, eps, alpha)
-        point, F1h, _ = priced_point(lam, gh, rr, eps, gh / (lam + alpha), alpha)
-        return Q @ point.xh, alpha, float(np.linalg.norm(F1h)), point.res_norm, point.F_norm
+        return gh / (lam + alpha), alpha
 
     return krylov_loop(problem, config.alpha0, config.tol, config.outer_iter_max, update)

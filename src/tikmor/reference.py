@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConvergenceFailure, InfeasibleDiscrepancyError, ZeroSumError, check_count
 from .linop import as_operator, real_vector
-from .ntm import _EPS, check_options, eigen_residual_sq, stacked_norm
+from .ntm import _EPS, check_options, eigen_residual_sq
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
 from .trace import CGLS_COLUMNS, SIRT_COLUMNS, SolveResult, SolveTrace
@@ -51,18 +51,16 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     max(alpha, 4 eps_mach lam_min), lam_min the smallest positive projected
     eigenvalue, where the gap is positive (B^T B is unreduced tridiagonal:
     no gh_i vanishes); one that underflows anyway raises
-    ``ConvergenceFailure``. Stops on ``pntm.krylov_loop``'s test, as pntm
-    does.
+    ``ConvergenceFailure``. ``pntm.krylov_loop`` prices (yh, alpha), F1 the
+    computed residual of the computed y, and stops on its test, as for pntm.
     """
     if config is None:
         config = GbitConfig()
     eps = problem.discrepancy_target
 
-    def update(k, spectrum, res_z, alpha_prev):
-        lam, Q, gh, rr = spectrum
+    def update(k, lam, gh, rr, res_z, alpha_prev):
         alpha_prev = max(alpha_prev, 4.0 * _EPS * np.min(lam, where=lam > 0, initial=np.inf))
         yh = gh / (lam + alpha_prev)  # (B^T B + alpha_prev I) Q yh = B^T c
-        y = Q @ yh
         gap = eigen_residual_sq(lam, gh, 0.0, yh)  # res_y^2 - res_z^2
         if gap == 0.0:
             raise ConvergenceFailure(
@@ -72,12 +70,7 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
         res_y = math.sqrt(rr + gap)
         # the secant sees residuals only relative to res_z: res_y - res_z as
         # priced, which a tiny alpha_prev does not round away to 0
-        alpha = abs((eps - res_z) / (gap / (res_y + res_z))) * alpha_prev
-
-        # y solves the normal equations at alpha_prev, so F1 collapses
-        F1 = (alpha - alpha_prev) * y
-        F2 = 0.5 * (res_y * res_y - eps * eps)
-        return y, alpha, float(np.linalg.norm(F1)), res_y, stacked_norm(F1, F2)
+        return yh, abs((eps - res_z) / (gap / (res_y + res_z))) * alpha_prev
 
     return krylov_loop(problem, config.alpha0, config.tol, config.max_iter, update)
 

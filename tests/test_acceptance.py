@@ -362,7 +362,7 @@ def test_criterion_11_ssim_suite():
 
 
 SCALE_XFAIL = pytest.mark.xfail(
-    strict=True, reason="absolute stop tests are not scale invariant (ROADMAP item 2)"
+    strict=True, reason="ntm's step bound is not scale invariant (ROADMAP item 12)"
 )
 
 
@@ -403,23 +403,17 @@ def test_scaled_problem_solves_like_unscaled(method, c):
     assert scaled_alpha == pytest.approx(alpha, rel=1e-9)
 
 
-# item 2: the absolute ||F|| < tol stop accepts any res up to sqrt(eps^2 + 2 tol)
-ITEM2_XFAIL = pytest.mark.xfail(reason="ntm's absolute stop (ROADMAP item 2)")
-# items 2/12: that stop, and ntm's step bound in the units of a scaled problem
-ITEM12_XFAIL = pytest.mark.xfail(reason="ntm's absolute stop and step units (ROADMAP items 2, 12)")
+# item 1: gram_spectrum's rr carries eps_mach ||b||^2, so F2 at res far below ||b|| does too
+ITEM1_XFAIL = pytest.mark.xfail(reason="ntm prices from eigh's small eigenvalues (ROADMAP item 1)")
 
 
 def _contract_cells():
     """(method, noise, scale) cells of the contract sweep; ntm's known-off
-    cells are xfails, strict by the pytest config."""
+    cell is an xfail, strict by the pytest config."""
     for method, noise, scale in itertools.product(
         ("ntm", "pntm", "gbit"), (1e-1, 1e-3, 1e-5, 1e-7), (1e-3, 1.0, 1e3)
     ):
-        marks = ()
-        if method == "ntm" and (scale == 1e-3 or (scale == 1.0 and noise <= 1e-3)):
-            marks = ITEM2_XFAIL
-        elif method == "ntm" and scale == 1e3 and noise <= 1e-5:
-            marks = ITEM12_XFAIL
+        marks = ITEM1_XFAIL if (method, noise, scale) == ("ntm", 1e-7, 1.0) else ()
         yield pytest.param(method, noise, scale, marks=marks)
 
 
@@ -470,33 +464,32 @@ def _sweep_problems(noise, scale=1.0, rank_deficient=False):
 
 @pytest.mark.parametrize("method, noise, scale", _contract_cells())
 def test_result_contract_sweep(method, noise, scale):
-    # every result with default options is on the discrepancy level (pntm
-    # and gbit: and on the normal equations), flagged unconverged, or a
-    # typed error; A, b and eps scaled by ``scale``
+    # every result with default options is on the discrepancy level and on
+    # the normal equations, flagged unconverged, or a typed error; A, b and
+    # eps scaled by ``scale``
     solve = {"ntm": ntm_solve, "pntm": pntm_solve, "gbit": gbit_solve}[method]
-    off = _off_band(solve, _sweep_problems(noise, scale), normal=method != "ntm")
+    off = _off_band(solve, _sweep_problems(noise, scale), normal=True)
     assert not off, "; ".join(off)
 
 
-# item 2(c): squares of norms in F2 underflow at 1e-150 and overflow at 1e150
+# item 2(c): squares of norms in F2 overflow at 1e150
 ITEM2C_REASON = "F2 squares norms at extreme scale (ROADMAP item 2(c))"
-ITEM2C_XFAIL = pytest.mark.xfail(reason=ITEM2C_REASON)
 ITEM2C_OVERFLOW = pytest.mark.xfail(reason=ITEM2C_REASON, raises=RuntimeWarning)
 
 # regime -> (noise, scale, alpha0, rank_deficient, {method: xfail mark})
 REGIMES = {
     "rank-half-noise-1e-1": (1e-1, 1.0, 1.0, True, {}),
-    "rank-half-noise-1e-3": (1e-3, 1.0, 1.0, True, {"ntm": ITEM2_XFAIL}),
+    "rank-half-noise-1e-3": (1e-3, 1.0, 1.0, True, {}),
     "noise-0.9": (0.9, 1.0, 1.0, False, {}),
     "noise-0.99": (0.99, 1.0, 1.0, False, {}),
     "alpha0-1e4-noise-1e-1": (1e-1, 1.0, 1e4, False, {}),
     "alpha0-1e4-noise-1e-3": (1e-3, 1.0, 1e4, False, {}),
     "alpha0-1e-12-noise-1e-1": (1e-1, 1.0, 1e-12, False, {}),
-    "alpha0-1e-12-noise-1e-3": (1e-3, 1.0, 1e-12, False, {"ntm": ITEM2_XFAIL}),
-    "alpha0-1e-16": (1e-3, 1.0, 1e-16, False, {"ntm": ITEM2_XFAIL}),
-    "alpha0-1e-30": (1e-3, 1.0, 1e-30, False, {"ntm": ITEM2_XFAIL}),
-    "alpha0-1e-100": (1e-3, 1.0, 1e-100, False, {"ntm": ITEM2_XFAIL}),
-    "scale-1e-150": (1e-3, 1e-150, 1.0, False, {"ntm": ITEM2C_XFAIL}),
+    "alpha0-1e-12-noise-1e-3": (1e-3, 1.0, 1e-12, False, {}),
+    "alpha0-1e-16": (1e-3, 1.0, 1e-16, False, {}),
+    "alpha0-1e-30": (1e-3, 1.0, 1e-30, False, {}),
+    "alpha0-1e-100": (1e-3, 1.0, 1e-100, False, {}),
+    "scale-1e-150": (1e-3, 1e-150, 1.0, False, {}),
     "scale-1e150": (
         1e-3, 1e150, 1.0, False,
         {"ntm": ITEM2C_OVERFLOW, "pntm": ITEM2C_OVERFLOW, "gbit": ITEM2C_OVERFLOW},
@@ -533,7 +526,7 @@ def test_result_contract_in_edge_regimes(method, regime):
             zero.append(f"{p.operator.rows}x{p.operator.cols}")
         return r
 
-    off = _off_band(solve, _sweep_problems(noise, scale, rank_deficient), normal=method != "ntm")
+    off = _off_band(solve, _sweep_problems(noise, scale, rank_deficient), normal=True)
     assert not off, "; ".join(off)
     assert not held, f"gbit held alpha at iterations {held}"
     assert not zero, f"alpha 0 on the {zero} problems"

@@ -142,6 +142,25 @@ def test_krylov_loop_stops_once_no_root_can_appear(solve):
     assert res.n_outer <= f.k + 1
 
 
+def test_krylov_loop_prices_the_point_update_chooses():
+    # an update that keeps y = 0 and alpha: the loop, not the callback,
+    # prices the point, so every row reads res = ||b|| and ||F|| =
+    # hypot(||A^T b||, (||b||^2 - eps^2) / 2), as ||gh|| = ||B^T c|| =
+    # ||A^T b|| at every k, and the run never converges
+    def update(k, lam, gh, rr, phi, alpha_prev):
+        return np.zeros_like(gh), alpha_prev
+
+    p = random_uniform_problem(40, 30, 0.1, 3)
+    res = krylov_loop(p, 1.0, 1e-3, 12, update)
+    bnorm, eps = np.linalg.norm(p.b), p.discrepancy_target
+    F_norm = np.hypot(np.linalg.norm(p.operator.rmatvec(p.b)), 0.5 * (bnorm**2 - eps**2))
+    assert len(res.trace) == 12 and not res.converged
+    assert np.allclose(res.trace.column("res_norm"), bnorm, rtol=1e-13, atol=0)
+    assert np.allclose(res.trace.column("F_norm"), F_norm, rtol=1e-13, atol=0)
+    assert (res.trace.column("alpha") == 1.0).all()
+    assert res.residual_norm == pytest.approx(bnorm, rel=1e-13)
+
+
 def test_projection_consistency_along_run():
     p = random_uniform_problem(80, 50, 0.10, seed=9)
     res = pntm_solve(p)
@@ -488,14 +507,12 @@ def projected_newton_solve(problem, cap, tol=1e-3):
     eps = problem.discrepancy_target
     steps = 0
 
-    def update(k, spectrum, phi, alpha):
+    def update(k, lam, gh, rr, phi, alpha):
         nonlocal steps
-        lam, Q, gh, rr = spectrum
         *_, last = run = list(newton_steps(lam, gh, rr, eps, alpha, StepRule(), tol,
                                            cap if phi < eps else 0))
         steps += len(run) - 1
-        F1_norm = float(np.linalg.norm((lam + last.alpha) * last.xh - gh))
-        return Q @ last.xh, last.alpha, F1_norm, last.res_norm, last.F_norm
+        return last.xh, last.alpha
 
     res = krylov_loop(problem, 1.0, tol, 100, update)
     return res, steps
