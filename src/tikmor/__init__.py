@@ -30,7 +30,7 @@ from .linop import (
     load_matrix_market,
     save_matrix_market,
 )
-from .metrics import ImageView, ssim
+from .metrics import ssim
 from .ntm import (
     NtmConfig,
     StepRule,
@@ -70,7 +70,6 @@ __all__ = [
     "DenseOperator",
     "DimensionError",
     "GbitConfig",
-    "ImageView",
     "InfeasibleDiscrepancyError",
     "InverseProblem",
     "KrylovResult",

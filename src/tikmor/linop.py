@@ -278,7 +278,9 @@ def load_matrix_market(path) -> LinearOperator:
     """Read a real Matrix Market file into an operator.
 
     Coordinate files become sparse operators, array files dense ones.
-    Symmetric and skew-symmetric storage is expanded. Complex and
+    Symmetric and skew-symmetric storage is expanded from its lower triangle
+    (skew: below the diagonal); a coordinate entry outside it, or an integer
+    field's value not written as an integer, is malformed. Complex and
     pattern fields are rejected. The file is read in one pass, straight
     into the value arrays, which are allocated only for a size line that the
     file's bytes can hold (each entry takes at least 2). A malformed file
@@ -289,6 +291,11 @@ def load_matrix_market(path) -> LinearOperator:
     except MatrixMarketError as err:  # each carries its line: "line <n>: <what>"
         err.args = (f"{path} {err}",)
         raise
+
+
+def _mm_value(token, field):
+    """A stored value as a float; an integer field's must be written as an integer."""
+    return float(int(token) if field == "integer" else token)
 
 
 def _read_matrix_market(path) -> LinearOperator:
@@ -306,6 +313,8 @@ def _read_matrix_market(path) -> LinearOperator:
             raise UnsupportedFormatError(f"unsupported field {field!r}", line=1)
         if symmetry not in ("general", "symmetric", "skew-symmetric"):
             raise UnsupportedFormatError(f"unsupported symmetry {symmetry!r}", line=1)
+        skew = int(symmetry == "skew-symmetric")  # stored triangle: j < i, else j <= i
+        sign = -1.0 if skew else 1.0  # of the mirrored entries
 
         # skip comments/blank lines; keep real line numbers for diagnostics
         numbered = enumerate(fh, start=2)
@@ -361,19 +370,24 @@ def _read_matrix_market(path) -> LinearOperator:
                 if len(toks) != 3:
                     raise MatrixMarketError(f"bad entry {ln!r}", line=lineno)
                 try:
-                    i, j, v = int(toks[0]), int(toks[1]), float(toks[2])
-                except ValueError:
-                    raise MatrixMarketError(f"bad entry {ln!r}", line=lineno)
+                    i, j, v = int(toks[0]), int(toks[1]), _mm_value(toks[2], field)
+                except (ValueError, OverflowError):
+                    raise MatrixMarketError(f"bad entry {ln!r} for field {field!r}", line=lineno)
                 if not (1 <= i <= m and 1 <= j <= n):
                     raise MatrixMarketError(f"index ({i},{j}) outside {m}x{n}", line=lineno)
+                if symmetry != "general" and j + skew > i:
+                    raise MatrixMarketError(
+                        f"entry ({i},{j}) outside the triangle {symmetry} storage keeps",
+                        line=lineno,
+                    )
                 rows[idx], cols[idx], vals[idx] = i - 1, j - 1, v
             else:  # array layout: column-major dense values
                 if len(toks) != 1:
                     raise MatrixMarketError(f"expected one value per line, got {ln!r}", line=lineno)
                 try:
-                    vals[idx] = float(toks[0])
-                except ValueError:
-                    raise MatrixMarketError(f"bad value {ln!r}", line=lineno)
+                    vals[idx] = _mm_value(toks[0], field)
+                except (ValueError, OverflowError):
+                    raise MatrixMarketError(f"bad value {ln!r} for field {field!r}", line=lineno)
         if found != expected:
             raise MatrixMarketError(f"expected {expected} {what}, found {found}", line=size_lineno)
 
@@ -381,7 +395,6 @@ def _read_matrix_market(path) -> LinearOperator:
         if symmetry == "general":
             A = vals.reshape((n, m)).T.copy()
         else:  # the stored lower triangle, column by column, and its mirror
-            sign, skew = (-1.0, 1) if symmetry == "skew-symmetric" else (1.0, 0)
             A, end = np.zeros((m, n)), 0
             for j in range(n):
                 start, end = end, end + n - j - skew
@@ -391,7 +404,6 @@ def _read_matrix_market(path) -> LinearOperator:
         return DenseOperator(A)
     if symmetry != "general":
         off = rows != cols
-        sign = -1.0 if symmetry == "skew-symmetric" else 1.0
         rows, cols, vals = (
             np.concatenate([rows, cols[off]]),
             np.concatenate([cols, rows[off]]),

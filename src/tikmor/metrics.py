@@ -8,37 +8,22 @@ score 1 and the value always lies in [-1, 1]; larger means more similar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError
-from .linop import real_vector
+from .linop import _real_array
 
 SSIM_C1 = 0.01**2
 SSIM_C2 = 0.03**2
 
 
-@dataclass(frozen=True)
-class ImageView:
-    """Row-major view of a flat vector as a width x height image."""
-
-    data: np.ndarray
-    width: int
-    height: int
-
-    def __post_init__(self):
-        size = self.width * self.height
-        object.__setattr__(self, "data", real_vector(self.data, size, "image data", "width*height"))
-
-
-def ssim(x: ImageView, y: ImageView) -> float:
-    """Global structural similarity of two equally sized images."""
-    if (x.width, x.height) != (y.width, y.height):
-        raise DimensionError(
-            f"image sizes differ: {x.width}x{x.height} vs {y.width}x{y.height}"
-        )
-    a, b = x.data, y.data
+def ssim(x, y) -> float:
+    """Global structural similarity of two real images, arrays of the same shape;
+    complex or non-numeric entries raise ``UnsupportedFormatError``."""
+    a = np.asarray(_real_array(x, "image x"), dtype=float)
+    b = np.asarray(_real_array(y, "image y"), dtype=float)
+    if a.shape != b.shape:
+        raise DimensionError(f"image shapes differ: {a.shape} vs {b.shape}")
     mu_x = float(a.mean())
     mu_y = float(b.mean())
     var_x = float(((a - mu_x) ** 2).mean())  # population (1/N) convention

@@ -243,28 +243,23 @@ class NtmConfig:
 
 class NewtonStep(NamedTuple):
     """One point of a safeguarded Newton run, the iterate in eigen-coordinates
-    xh = Q^T x; the step fields are None at the start."""
+    xh = Q^T x."""
 
     xh: np.ndarray
     alpha: float
     res_norm: float
     F1_norm: float
     F_norm: float
-    gamma: Optional[float] = None
-    dinv: Optional[float] = None
-    theta: Optional[float] = None
-    case_id: Optional[int] = None
-    dir_norm: Optional[float] = None
 
 
-def priced_point(lam, gh, rr, eps, xh, alpha, *step):
-    """(NewtonStep(xh, alpha, res, ||F1||, ||F||, *step), F1h, F2) at (Q xh, alpha),
+def priced_point(lam, gh, rr, eps, xh, alpha):
+    """(NewtonStep(xh, alpha, res, ||F1||, ||F||), F1h, F2) at (Q xh, alpha),
     G = Q diag(lam) Q^T, in O(n): F1h = Q^T F1 = (lam + alpha) xh - gh, F2 =
     0.5 res^2 - 0.5 eps^2 and res = ||A Q xh - b|| by ``eigen_residual_sq``."""
     r2 = eigen_residual_sq(lam, gh, rr, xh)
     F1h, F2 = (lam + alpha) * xh - gh, 0.5 * r2 - 0.5 * eps * eps
     F1_sq = float(F1h @ F1h)
-    point = NewtonStep(xh, alpha, math.sqrt(r2), math.sqrt(F1_sq), math.sqrt(F1_sq + F2 * F2), *step)
+    point = NewtonStep(xh, alpha, math.sqrt(r2), math.sqrt(F1_sq), math.sqrt(F1_sq + F2 * F2))
     return point, F1h, F2
 
 
@@ -277,15 +272,17 @@ def at_root(point, eps, atb_norm, tol) -> bool:
 def newton_steps(lam, gh, rr, eps, alpha, rule, tol, cap):
     """Safeguarded Newton steps on the coupled system in the eigenbasis of its Gram
     matrix G = Q diag(lam) Q^T (``gram_spectrum``'s gh = Q^T A^T b and rr), from the
-    Tikhonov point xh = gh / (lam + alpha), each point by ``priced_point``. Yields
-    the start point, then one record per step, and stops at the first point that
-    is ``at_root`` (||A^T b|| = ||gh||) or after ``cap`` steps."""
+    Tikhonov point xh = gh / (lam + alpha), each point by ``priced_point``. Stops at
+    the first point that is ``at_root`` (||A^T b|| = ||gh||) or after ``cap`` steps
+    and returns (last point, trace): the trace in ``NTM_COLUMNS`` has the start row,
+    its step cells empty, and one row per step."""
     atb_norm = float(np.linalg.norm(gh))
+    trace = SolveTrace(columns=NTM_COLUMNS)
     point, F1h, F2 = priced_point(lam, gh, rr, eps, gh / (lam + alpha), alpha)
-    yield point
-    for _ in range(cap):
+    trace.append(0, alpha, None, point.res_norm, point.F_norm, None, None, None, None)
+    for k in range(1, cap + 1):
         if at_root(point, eps, atb_norm, tol):
-            return
+            break
         xh, alpha = point.xh, point.alpha
         dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2)
         dinv = dinv_norm(lam, xh, alpha)
@@ -294,9 +291,10 @@ def newton_steps(lam, gh, rr, eps, alpha, rule, tol, cap):
         if alpha <= 0:  # only underflow gets past the interval rule
             raise SingularJacobianError("step safeguard failed to keep alpha positive")
         dir_norm = float(np.sqrt(dxh @ dxh + dalpha * dalpha))
-        point, F1h, F2 = priced_point(lam, gh, rr, eps, xh + gamma * dxh, alpha,
-                                      gamma, dinv, theta, case_id, dir_norm)
-        yield point
+        point, F1h, F2 = priced_point(lam, gh, rr, eps, xh + gamma * dxh, alpha)
+        trace.append(k, alpha, gamma, point.res_norm, point.F_norm, dinv, theta, case_id,
+                     dir_norm)
+    return point, trace
 
 
 def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> SolveResult:
@@ -320,19 +318,14 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
             f"alpha0 = {config.alpha0!r}"
         )
 
-    trace = SolveTrace(columns=NTM_COLUMNS)
-    steps = newton_steps(lam, gh, rr, eps, config.alpha0, config.step_rule, config.tol,
-                         config.max_iter)
-    for k, step in enumerate(steps):
-        trace.append(k, step.alpha, step.gamma, step.res_norm, step.F_norm, step.dinv,
-                     step.theta, step.case_id, step.dir_norm)
-
-    x = Q @ step.xh
+    point, trace = newton_steps(lam, gh, rr, eps, config.alpha0, config.step_rule, config.tol,
+                                config.max_iter)
+    x = Q @ point.xh
     return SolveResult(
         x=x,
-        alpha=float(step.alpha),
+        alpha=float(point.alpha),
         trace=trace,
-        converged=at_root(step, eps, float(np.linalg.norm(gh)), config.tol),
-        n_iter=k,
+        converged=at_root(point, eps, float(np.linalg.norm(gh)), config.tol),
+        n_iter=len(trace) - 1,
         residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
     )

@@ -20,7 +20,7 @@ from .linop import as_operator, real_vector
 from .ntm import _EPS, check_options, eigen_residual_sq
 from .pntm import KrylovResult, krylov_loop
 from .problems import InverseProblem
-from .trace import CGLS_COLUMNS, SIRT_COLUMNS, SolveResult, SolveTrace
+from .trace import RESIDUAL_COLUMNS, SolveResult, SolveTrace
 
 logger = logging.getLogger(__name__)
 
@@ -78,16 +78,9 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
 # -- SIRT ---------------------------------------------------------------------
 
 
-@dataclass
-class SirtOperators:
-    """Cached inverse row/column sum scalings."""
-
-    row_scale: np.ndarray  # diagonal of R
-    col_scale: np.ndarray  # diagonal of C
-
-
-def sirt_operators(A) -> SirtOperators:
-    """Inverse row and column sums of A.
+def sirt_operators(A):
+    """(row_scale, col_scale): the inverse row and column sums of A, the
+    diagonals of SIRT's R and C.
 
     Raw sums are used as written for nonnegative matrices; any negative
     entry switches both sums to absolute values (logged), since raw sums
@@ -107,7 +100,7 @@ def sirt_operators(A) -> SirtOperators:
         bad = np.flatnonzero(sums == 0.0)
         if bad.size:
             raise ZeroSumError(kind, int(bad[0]))
-    return SirtOperators(row_scale=1.0 / row_sums, col_scale=1.0 / col_sums)
+    return 1.0 / row_sums, 1.0 / col_sums
 
 
 def _finite(name, value):
@@ -126,16 +119,16 @@ def sirt_solve(problem: InverseProblem, max_iter=1000) -> SolveResult:
     A = problem.operator
     b = problem.b
     eps = problem.discrepancy_target
-    ops = sirt_operators(A)
+    row_scale, col_scale = sirt_operators(A)
 
-    trace = SolveTrace(columns=SIRT_COLUMNS)
+    trace = SolveTrace(columns=RESIDUAL_COLUMNS)
     x = np.zeros(A.cols)
     reached = False
     n_iter = 0
     r = b  # b - A x at x = 0
     res = float(np.linalg.norm(b))
     for k in range(1, max_iter + 1):
-        x = x + ops.col_scale * A.rmatvec(ops.row_scale * r)
+        x = x + col_scale * A.rmatvec(row_scale * r)
         r = b - A.matvec(x)
         res = _finite("SIRT residual norm", float(np.linalg.norm(r)))
         n_iter = k
@@ -170,7 +163,7 @@ def cgls(A, b, eps, max_iter=1000) -> SolveResult:
     s = A.rmatvec(r)
     p = s.copy()
     gamma = _finite("CGLS gamma", float(s @ s))
-    trace = SolveTrace(columns=CGLS_COLUMNS)
+    trace = SolveTrace(columns=RESIDUAL_COLUMNS)
     res = _finite("CGLS residual norm", float(np.linalg.norm(r)))
     trace.append(0, None, res)
     converged = res <= eps

@@ -17,14 +17,16 @@ import tikmor
 from tikmor import (
     BidiagFactorization,
     ConvergenceFailure,
+    DenseOperator,
     DimensionError,
-    ImageView,
     InfeasibleDiscrepancyError,
     InverseProblem,
     MatrixMarketError,
     NtmConfig,
+    PriorconditionedOperator,
     RegularizationMatrix,
     SparseOperator,
+    StepRule,
     TikmorError,
     UnsupportedFormatError,
     as_operator,
@@ -39,6 +41,7 @@ from tikmor import (
     save_problem,
     sine_wave_problem,
     sirt_solve,
+    ssim,
 )
 
 REMOVED = (
@@ -57,6 +60,7 @@ REMOVED = (
     "BidiagBreakdown",
     "RelativeStats",
     "relative_stats",
+    "ImageView",
 )
 
 
@@ -214,8 +218,17 @@ BAD_INPUTS = {
                                r"x length \(3,\) does not match operator cols 5"),
     "cgls-b-complex": (lambda: cgls(A, B + 1j, 0.1), UnsupportedFormatError,
                        "rhs has complex128 entries"),
-    "image-complex": (lambda: ImageView(np.ones(4) * 1j, 2, 2), UnsupportedFormatError,
-                      "image data has complex128 entries"),
+    "image-complex": (lambda: ssim(np.ones(4) * 1j, np.ones(4)), UnsupportedFormatError,
+                      "image x has complex128 entries"),
+    "dense-1d": (lambda: DenseOperator(np.ones(3)), DimensionError,
+                 "dense operator needs a 2-d array, got ndim=1"),
+    "priorconditioned-reg-size": (lambda: PriorconditionedOperator(A, RegularizationMatrix(4)),
+                                  DimensionError,
+                                  "regularizer dim 4 does not match operator cols 5"),
+    "steprule-omega-0": (lambda: StepRule(omega=0.0), ValueError, r"strictly inside \(0, 1\)"),
+    "steprule-omega-1": (lambda: StepRule(omega=1.0), ValueError, r"strictly inside \(0, 1\)"),
+    "steprule-omega-nan": (lambda: StepRule(omega=float("nan")), ValueError,
+                           r"strictly inside \(0, 1\)"),
 }
 
 

@@ -636,6 +636,12 @@ MALFORMED = {
     "alpha_min-nan": (("alpha_min = 0.01", "alpha_min = nan"), ["[curve]", "'alpha_min'", "nan"]),
     "alpha_max-inf": (("alpha_min = 0.01", "alpha_min = 0.01\nalpha_max = inf"),
                       ["[curve]", "'alpha_max'", "inf"]),
+    # the unlabelled [solver], the second section, is labelled solver1
+    "duplicate-labels": (("[solver gbit]", "[solver]\nmethod = sirt\n\n[solver solver1]\n"
+                          "method = sirt\n\n[solver gbit]"),
+                         ["duplicate solver labels", "'solver1', 'solver1'"]),
+    "directory-without-path": (("type = randomUniform", "type = directory"),
+                               ["problem type directory needs a path"]),
 }
 
 # main(argv) for every argv in one interpreter, each with its own stderr; the
@@ -693,8 +699,9 @@ def test_malformed_config_is_one_config_error(malformed_runs, case):
         ("pntm", "outer_max = 0", "outer_max must be >= 1, got 0"),
         ("ntm", "rule = case3", "rule must be case1 or case2, got 'case3'"),
         ("ntm", "rule = variant", "rule must be case1 or case2, got 'variant'"),
+        ("ntm", "omega = 1.0", "omega must lie strictly inside (0, 1)"),
     ],
-    ids=["outer_max", "rule", "rule-value-is-a-field"],
+    ids=["outer_max", "rule", "rule-value-is-a-field", "omega"],
 )
 def test_solver_option_error_names_ini_key(tmp_path, caplog, method, line, message):
     # PntmConfig and StepRule name their fields; the error names the key
@@ -713,6 +720,24 @@ def test_undecodable_config_is_config_error(tmp_path):
     path.write_bytes(b"[problem]\ntype = \xff\n")
     with pytest.raises(ConfigError):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", None, "cannot read config file"),
+        ("curve", BASE_CFG, "curve subcommand needs a [curve] section"),
+    ],
+    ids=["unreadable-file", "curve-without-section"],
+)
+def test_config_fault_is_one_logged_error(tmp_path, caplog, command, text, message):
+    path = tmp_path / "exp.cfg"
+    if text is not None:
+        path.write_text(text.format(reps=1, out=tmp_path / "o"))
+    assert main([command, str(path)]) == 1
+    [logged] = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert message in logged
+    assert not (tmp_path / "o").exists()
 
 
 def test_curve_and_gen_read_no_solver_section(tmp_path, monkeypatch):

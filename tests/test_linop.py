@@ -451,6 +451,8 @@ def test_mm_negative_size_rejected(tmp_path, layout, body):
 
 COORD = "%%MatrixMarket matrix coordinate real general\n"
 ARRAY = "%%MatrixMarket matrix array real general\n"
+SYM = "%%MatrixMarket matrix coordinate real symmetric\n"
+SKEW = "%%MatrixMarket matrix coordinate real skew-symmetric\n"
 
 
 @pytest.mark.parametrize(
@@ -471,11 +473,25 @@ ARRAY = "%%MatrixMarket matrix array real general\n"
         (ARRAY + "2 1\n1.0\nx\n", MatrixMarketError, 4, "bad value"),
         (COORD + "2 2 2\n1 1 1.0\n", MatrixMarketError, 2, "expected 2 entries, found 1"),
         (ARRAY + "2 1\n1\n2\n3\n", MatrixMarketError, 2, "expected 2 values, found 3"),
+        # storing both 2 1 and 1 2 used to load the off-diagonal as their sum
+        (SYM + "2 2 3\n1 1 1.0\n2 1 3.0\n1 2 3.0\n", MatrixMarketError, 5,
+         r"entry \(1,2\) outside the triangle symmetric storage keeps"),
+        # a diagonal entry used to load a matrix that is not skew-symmetric
+        (SKEW + "2 2 2\n2 1 3.0\n1 1 5.0\n", MatrixMarketError, 4,
+         r"entry \(1,1\) outside the triangle skew-symmetric storage keeps"),
+        (SKEW + "2 2 1\n1 2 3.0\n", MatrixMarketError, 3, r"entry \(1,2\) outside"),
+        (COORD.replace("real", "integer") + "2 2 2\n1 1 2\n2 2 1.5\n", MatrixMarketError, 4,
+         "bad entry '2 2 1.5' for field 'integer'"),
+        (ARRAY.replace("real", "integer") + "2 1\n1\n0.5\n", MatrixMarketError, 4,
+         "bad value '0.5' for field 'integer'"),
+        (ARRAY.replace("real", "integer") + "2 1\n1\n" + "9" * 400 + "\n", MatrixMarketError, 4,
+         "bad value '9+' for field 'integer'"),
     ],
     ids=[
         "empty", "header", "layout", "symmetry", "no-size-line", "size-not-integer",
         "size-fields", "entry-tokens", "index-outside", "array-two-values",
-        "array-not-number", "too-few", "too-many",
+        "array-not-number", "too-few", "too-many", "symmetric-upper", "skew-diagonal",
+        "skew-upper", "integer-coordinate", "integer-array", "integer-overflow",
     ],
 )
 def test_mm_malformed_input_names_its_line(tmp_path, text, error, line, match):
@@ -485,6 +501,16 @@ def test_mm_malformed_input_names_its_line(tmp_path, text, error, line, match):
         load_matrix_market(path)
     assert type(err.value) is error
     assert err.value.line == line
+
+
+@pytest.mark.parametrize("layout, body", [
+    ("coordinate", "2 2 3\n1 1 -7\n2 1 3\n2 2 +4\n"), ("array", "2 2\n-7\n3\n3\n4\n"),
+])
+def test_mm_integer_field_loads_its_values(tmp_path, layout, body):
+    path = tmp_path / "int.mtx"
+    path.write_text(f"%%MatrixMarket matrix {layout} integer general\n{body}")
+    want = [[-7.0, 0.0], [3.0, 4.0]] if layout == "coordinate" else [[-7.0, 3.0], [3.0, 4.0]]
+    assert np.array_equal(load_matrix_market(path).to_dense(), want)
 
 
 def test_mm_round_trip_sparse(tmp_path, rng):

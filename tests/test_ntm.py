@@ -658,11 +658,26 @@ def test_spectral_gram_rejects_nonfinite(G):
         spectral_gram(np.array(G))
 
 
-def test_nonconvergence_flagged_with_trace():
-    p = random_uniform_problem(40, 25, 0.10, seed=2)
-    res = ntm_solve(p, NtmConfig(alpha0=200.0, max_iter=2))
-    assert not res.converged
-    assert len(res.trace) == 3  # initial state + two steps
+NTM_RUNS = {
+    "identity-converged": (lambda: ntm_solve(identity_problem(3), NtmConfig(alpha0=3.0)),
+                           True, None),
+    "max_iter-1": (lambda: ntm_solve(random_uniform_problem(40, 25, 0.10, seed=2),
+                                     NtmConfig(alpha0=200.0, max_iter=1)), False, 1),
+    "budget-exhausted": (lambda: ntm_solve(random_uniform_problem(40, 25, 0.10, seed=2),
+                                           NtmConfig(alpha0=200.0, max_iter=2)), False, 2),
+}
+
+
+@pytest.mark.parametrize("case", NTM_RUNS)
+def test_nonconvergence_flagged_with_trace(case):
+    # newton_steps returns the trace with the last point: the start row, one row
+    # per step, and the last row at the returned alpha
+    run, converged, n_iter = NTM_RUNS[case]
+    res = run()
+    assert res.converged == converged
+    assert n_iter is None or res.n_iter == n_iter
+    assert len(res.trace) == res.n_iter + 1
+    assert res.trace.column("alpha")[-1] == res.alpha
 
 
 def test_trace_csv_schema(tmp_path):

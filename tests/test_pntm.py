@@ -509,9 +509,9 @@ def projected_newton_solve(problem, cap, tol=1e-3):
 
     def update(k, lam, gh, rr, phi, alpha):
         nonlocal steps
-        *_, last = run = list(newton_steps(lam, gh, rr, eps, alpha, StepRule(), tol,
-                                           cap if phi < eps else 0))
-        steps += len(run) - 1
+        last, trace = newton_steps(lam, gh, rr, eps, alpha, StepRule(), tol,
+                                   cap if phi < eps else 0)
+        steps += len(trace) - 1
         return last.xh, last.alpha
 
     res = krylov_loop(problem, 1.0, tol, 100, update)

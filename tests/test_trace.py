@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from tikmor.trace import format_cell, write_csv
+from tikmor.trace import SolveTrace, format_cell, write_csv
 
 
 @pytest.mark.parametrize(
@@ -34,3 +34,13 @@ def test_write_csv_quotes_string_fields(tmp_path):
     assert text.endswith("\n1,ok\n")
     with open(tmp_path / "t.csv", newline="") as fh:
         assert list(csv.reader(fh)) == [["alpha", "error"], ["0.5", message], ["1", "ok"]]
+
+
+def test_solve_trace_rejects_a_wrong_row_or_column():
+    trace = SolveTrace(columns=("iter", "alpha"))
+    trace.append(0, None)
+    with pytest.raises(ValueError, match="expected 2 values, got 3"):
+        trace.append(1, 0.5, 0.1)
+    with pytest.raises(KeyError, match="gamma"):
+        trace.column("gamma")
+    assert len(trace) == 1 and np.isnan(trace.column("alpha")[0])
