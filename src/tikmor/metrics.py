@@ -19,9 +19,14 @@ SSIM_C2 = 0.03**2
 
 def ssim(x, y) -> float:
     """Global structural similarity of two real images, arrays of the same shape;
-    complex or non-numeric entries raise ``UnsupportedFormatError``."""
-    a = np.asarray(_real_array(x, "image x"), dtype=float)
-    b = np.asarray(_real_array(y, "image y"), dtype=float)
+    complex or non-numeric entries raise ``UnsupportedFormatError``, an empty image
+    ``DimensionError`` and a NaN or inf entry ``ValueError``, each naming the image."""
+    a, b = (np.asarray(_real_array(v, f"image {n}"), dtype=float) for n, v in zip("xy", (x, y)))
+    for name, v in zip("xy", (a, b)):
+        if v.size == 0:
+            raise DimensionError(f"image {name} is empty")
+        if not np.isfinite(v).all():
+            raise ValueError(f"image {name} has entries that are not finite")
     if a.shape != b.shape:
         raise DimensionError(f"image shapes differ: {a.shape} vs {b.shape}")
     mu_x = float(a.mean())

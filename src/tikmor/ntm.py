@@ -23,9 +23,9 @@ monotone secular equation. F2 is priced in range coordinates by
 ``eigen_residual_sq``, so a step is O(n) and touches neither Q nor A;
 the solve forms x = Q xh and A x - b once, at the end.
 
-The iteration stops on one relative test, ``at_root``: |res - eps| <= r eps
-and ||F1|| <= r ||A^T b||, r = max(tol^2, 1e-12), the same on (c A, c b, c eps)
-as on (A, b, eps); the floor keeps a tiny tol reachable in floating point.
+The iteration stops on ``at_root``, r = max(tol^2, 1e-12): |res - eps| <= r eps
+and ||F1|| <= r ||A^T b||, the same on (c A, c b, c eps) as on (A, b, eps); the
+floor keeps a tiny tol reachable in floating point. The Krylov loop takes r = tol.
 """
 
 from __future__ import annotations
@@ -263,26 +263,26 @@ def priced_point(lam, gh, rr, eps, xh, alpha):
     return point, F1h, F2
 
 
-def at_root(point, eps, atb_norm, tol) -> bool:
-    """Whether ntm stops at ``point``, by the module docstring's relative test."""
-    r = max(tol * tol, 1e-12)
-    return abs(point.res_norm - eps) <= r * eps and point.F1_norm <= r * atb_norm
+def at_root(res_norm, F1_norm, eps, atb_norm, r) -> bool:
+    """|res - eps| <= r eps and ||F1|| <= r ||A^T b||: the coupled system's stop
+    test, ntm's and ``pntm.krylov_loop``'s (module docstring)."""
+    return bool(abs(res_norm - eps) <= r * eps and F1_norm <= r * atb_norm)
 
 
 def newton_steps(lam, gh, rr, eps, alpha, rule, tol, cap):
     """Safeguarded Newton steps on the coupled system in the eigenbasis of its Gram
     matrix G = Q diag(lam) Q^T (``gram_spectrum``'s gh = Q^T A^T b and rr), from the
-    Tikhonov point xh = gh / (lam + alpha), each point by ``priced_point``. Stops at
-    the first point that is ``at_root`` (||A^T b|| = ||gh||) or after ``cap`` steps
-    and returns (last point, trace): the trace in ``NTM_COLUMNS`` has the start row,
-    its step cells empty, and one row per step."""
-    atb_norm = float(np.linalg.norm(gh))
+    Tikhonov point xh = gh / (lam + alpha), each point by ``priced_point``, until one
+    is ``at_root`` (||A^T b|| = ||gh||) or ``cap`` steps; returns (last point, trace,
+    converged): the trace in ``NTM_COLUMNS`` has the start row, its step cells empty,
+    and one row per step."""
+    atb_norm, r = float(np.linalg.norm(gh)), max(tol * tol, 1e-12)
     trace = SolveTrace(columns=NTM_COLUMNS)
     point, F1h, F2 = priced_point(lam, gh, rr, eps, gh / (lam + alpha), alpha)
     trace.append(0, alpha, None, point.res_norm, point.F_norm, None, None, None, None)
     for k in range(1, cap + 1):
-        if at_root(point, eps, atb_norm, tol):
-            break
+        if at_root(point.res_norm, point.F1_norm, eps, atb_norm, r):
+            return point, trace, True
         xh, alpha = point.xh, point.alpha
         dxh, dalpha = solve_rescaled_system(lam, xh, alpha, F1h, F2)
         dinv = dinv_norm(lam, xh, alpha)
@@ -294,7 +294,7 @@ def newton_steps(lam, gh, rr, eps, alpha, rule, tol, cap):
         point, F1h, F2 = priced_point(lam, gh, rr, eps, xh + gamma * dxh, alpha)
         trace.append(k, alpha, gamma, point.res_norm, point.F_norm, dinv, theta, case_id,
                      dir_norm)
-    return point, trace
+    return point, trace, at_root(point.res_norm, point.F1_norm, eps, atb_norm, r)
 
 
 def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> SolveResult:
@@ -318,14 +318,14 @@ def ntm_solve(problem: InverseProblem, config: Optional[NtmConfig] = None) -> So
             f"alpha0 = {config.alpha0!r}"
         )
 
-    point, trace = newton_steps(lam, gh, rr, eps, config.alpha0, config.step_rule, config.tol,
-                                config.max_iter)
+    point, trace, converged = newton_steps(lam, gh, rr, eps, config.alpha0, config.step_rule,
+                                           config.tol, config.max_iter)
     x = Q @ point.xh
     return SolveResult(
         x=x,
         alpha=float(point.alpha),
         trace=trace,
-        converged=at_root(point, eps, float(np.linalg.norm(gh)), config.tol),
+        converged=converged,
         n_iter=len(trace) - 1,
         residual_norm=float(np.linalg.norm(A.matvec(x) - b)),
     )

@@ -11,14 +11,12 @@ projected coupled system once y is eliminated, so F vanishes at the
 projected Tikhonov solution yh = (Q^T B^T c) / (lam + alpha) there up to
 rounding. ``krylov_loop`` prices yh, and gbit's point, by ``ntm.priced_point``:
 ||B Q yh - c|| in O(k) on top of phi_k^2, with no product with Q or B. The
-outer loop stops on one scale-invariant test of the full-space point
-x = V y (see ``krylov_loop``): residual within tol eps of eps,
-normal-equation residual within tol ||A^T b|| by the Golub-Kahan identity,
-and alpha stagnated, since the projected system can be solved accurately
-long before the subspace is rich enough for the full problem. It stops
-unconverged once the factorization is final (a breakdown, or
-k = min(m, n)) with phi_k still at or above eps, since no root can
-appear after that.
+outer loop stops on ntm's scale-invariant test, ``ntm.at_root`` with r = tol,
+at the full-space point x = V y once alpha has stagnated (see ``krylov_loop``),
+since the projected system can be solved accurately long before the subspace
+is rich enough for the full problem. It stops unconverged once the
+factorization is final (a breakdown, or k = min(m, n)) with phi_k still at or
+above eps, since no root can appear after that.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 
 from .bidiag import BidiagFactorization
 from .errors import ConvergenceFailure
-from .ntm import _EPS, StepRule, check_options, eigen_residual_sq, priced_point
+from .ntm import _EPS, StepRule, at_root, check_options, eigen_residual_sq, priced_point
 from .problems import InverseProblem
 from .trace import KRYLOV_COLUMNS, SolveTrace
 
@@ -120,24 +118,24 @@ def projected_spectrum(B, c, phi):
 def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, update):
     """Golub-Kahan outer loop shared by pntm and gbit, and the trace of both.
 
-    Each iteration calls ``BidiagFactorization.expand`` (one more column,
-    none once final; ``DegenerateRhsError`` if A^T b = 0), takes the
-    spectrum (lam, Q, gh, rr) of B and c from ``projected_spectrum``
-    (rr = phi^2, phi the LSQR residual min_z ||B z - c||) and calls
-    ``update(k, lam, gh, rr, phi, alpha_prev) -> (yh, alpha)``, which only
-    chooses the point, yh = Q^T y. The loop prices it by ``ntm.priced_point``
-    (res = ||B y - c||, F1_norm = ||B^T (B y - c) + alpha y||, F_norm the
-    stacked norm), lifts y = Q yh and appends the trace row (k, alpha, res,
-    F_norm, k_B, phi) in ``KRYLOV_COLUMNS``, k_B the columns of B. The stop
-    is scale invariant and full-space. It needs all of:
+    The loop owns eps, ``problem.morozov_level()``. Each iteration calls
+    ``BidiagFactorization.expand`` (one more column, none once final;
+    ``DegenerateRhsError`` if A^T b = 0), takes the spectrum (lam, Q, gh, rr)
+    of B and c from ``projected_spectrum`` (rr = phi^2, phi the LSQR residual
+    min_z ||B z - c||) and calls ``update(lam, gh, phi, alpha_prev, eps) ->
+    (yh, alpha)``, which only chooses the point, yh = Q^T y. The loop prices it
+    by ``ntm.priced_point`` (res = ||B y - c||, F1_norm = ||B^T (B y - c) +
+    alpha y||, F_norm the stacked norm), lifts y = Q yh and appends the trace
+    row (k, alpha, res, F_norm, k_B, phi) in ``KRYLOV_COLUMNS``, k_B the
+    columns of B. The stop is scale invariant and full-space. It needs all of:
 
     - phi < eps: the projected discrepancy equation has a root;
     - alpha moved by less than tol alpha_prev (an alpha that underflowed
       to 0 never has): the subspace has stopped moving the root, which a
       solved projected system alone does not show;
-    - |res - eps| <= tol eps, res = ||A x - b|| for x = V y;
-    - ||A^T (A x - b) + alpha x|| <= tol ||A^T b||, priced in O(1) from
-      F1_norm and ``BidiagFactorization.normal_tail``.
+    - ``ntm.at_root`` with r = tol at x = V y: |res - eps| <= tol eps,
+      res = ||A x - b||, and ||A^T (A x - b) + alpha x|| <= tol ||A^T b||,
+      priced in O(1) from F1_norm and ``BidiagFactorization.normal_tail``.
 
     The last test costs the rmatvec half of the next expansion, which that
     expansion reuses, so a solve makes at most one product more than its
@@ -154,15 +152,12 @@ def krylov_loop(problem: InverseProblem, alpha0, tol, max_iter, update):
         f.expand()
         phi = f.lsqr_residual
         lam, Q, gh, rr = projected_spectrum(f.B, f.c, phi)
-        yh, alpha = update(k, lam, gh, rr, phi, alpha_prev)
+        yh, alpha = update(lam, gh, phi, alpha_prev, eps)
         point, *_ = priced_point(lam, gh, rr, eps, yh, alpha)
         y = Q @ yh
         trace.append(k, alpha, point.res_norm, point.F_norm, lam.size, phi)
-        if (
-            phi < eps
-            and abs(alpha - alpha_prev) < tol * alpha_prev
-            and abs(point.res_norm - eps) <= tol * eps
-            and math.hypot(point.F1_norm, f.normal_tail(y)) <= tol * f.atb_norm
+        if phi < eps and abs(alpha - alpha_prev) < tol * alpha_prev and at_root(
+            point.res_norm, math.hypot(point.F1_norm, f.normal_tail(y)), eps, f.atb_norm, tol
         ):
             converged = True
             break
@@ -191,11 +186,10 @@ def pntm_solve(problem: InverseProblem, config: Optional[PntmConfig] = None) -> 
     """
     if config is None:
         config = PntmConfig()
-    eps = problem.discrepancy_target
 
-    def update(k, lam, gh, rr, phi, alpha):
+    def update(lam, gh, phi, alpha, eps):
         if phi < eps:  # else no root yet: alpha is kept
-            alpha = secular_root(lam, gh, rr, eps, alpha)
+            alpha = secular_root(lam, gh, phi * phi, eps, alpha)
         return gh / (lam + alpha), alpha
 
     return krylov_loop(problem, config.alpha0, config.tol, config.outer_iter_max, update)

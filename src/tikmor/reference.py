@@ -51,23 +51,22 @@ def gbit_solve(problem: InverseProblem, config: Optional[GbitConfig] = None) -> 
     max(alpha, 4 eps_mach lam_min), lam_min the smallest positive projected
     eigenvalue, where the gap is positive (B^T B is unreduced tridiagonal:
     no gh_i vanishes); one that underflows anyway raises
-    ``ConvergenceFailure``. ``pntm.krylov_loop`` prices (yh, alpha), F1 the
-    computed residual of the computed y, and stops on its test, as for pntm.
+    ``ConvergenceFailure``. ``pntm.krylov_loop`` gives eps, prices (yh, alpha),
+    F1 the computed residual of the computed y, and stops as for pntm.
     """
     if config is None:
         config = GbitConfig()
-    eps = problem.discrepancy_target
 
-    def update(k, lam, gh, rr, res_z, alpha_prev):
+    def update(lam, gh, res_z, alpha_prev, eps):
         alpha_prev = max(alpha_prev, 4.0 * _EPS * np.min(lam, where=lam > 0, initial=np.inf))
         yh = gh / (lam + alpha_prev)  # (B^T B + alpha_prev I) Q yh = B^T c
         gap = eigen_residual_sq(lam, gh, 0.0, yh)  # res_y^2 - res_z^2
         if gap == 0.0:
             raise ConvergenceFailure(
-                f"secant update degenerate at iteration {k}: the residual at "
+                f"secant update degenerate at subspace dimension {lam.size}: the residual at "
                 f"alpha = {alpha_prev:.3g} does not rise above r(z) = {res_z:.6g}"
             )
-        res_y = math.sqrt(rr + gap)
+        res_y = math.sqrt(res_z * res_z + gap)
         # the secant sees residuals only relative to res_z: res_y - res_z as
         # priced, which a tiny alpha_prev does not round away to 0
         return yh, abs((eps - res_z) / (gap / (res_y + res_z))) * alpha_prev
@@ -132,7 +131,7 @@ def sirt_solve(problem: InverseProblem, max_iter=1000) -> SolveResult:
         r = b - A.matvec(x)
         res = _finite("SIRT residual norm", float(np.linalg.norm(r)))
         n_iter = k
-        trace.append(k, None, res)
+        trace.append(k, res)
         if res <= eps:
             reached = True
             break
@@ -165,8 +164,8 @@ def cgls(A, b, eps, max_iter=1000) -> SolveResult:
     gamma = _finite("CGLS gamma", float(s @ s))
     trace = SolveTrace(columns=RESIDUAL_COLUMNS)
     res = _finite("CGLS residual norm", float(np.linalg.norm(r)))
-    trace.append(0, None, res)
-    converged = res <= eps
+    trace.append(0, res)
+    converged = bool(res <= eps)
     n_iter = 0
     for k in range(1, max_iter + 1):
         if converged or gamma == 0.0:
@@ -180,7 +179,7 @@ def cgls(A, b, eps, max_iter=1000) -> SolveResult:
         r = r - step * q
         res = _finite("CGLS residual norm", float(np.linalg.norm(r)))
         n_iter = k
-        trace.append(k, None, res)
+        trace.append(k, res)
         if res <= eps:
             converged = True
             break

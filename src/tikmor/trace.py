@@ -5,7 +5,7 @@ runs of different methods can be overlaid by downstream tooling. ntm
 writes one row per Newton step, ``NTM_COLUMNS``, in ``ntm.newton_steps``;
 pntm and gbit share ``KRYLOV_COLUMNS``, one row per outer iteration,
 written by ``pntm.krylov_loop``; sirt and cgls share ``RESIDUAL_COLUMNS``.
-Missing values (e.g. alpha for SIRT) serialize as empty fields.
+Missing values (the step cells of ntm's start row) serialize as empty fields.
 ``write_csv`` also writes the experiment tables of the CLI.
 """
 
@@ -20,7 +20,7 @@ NTM_COLUMNS = (
     "iter", "alpha", "gamma", "res_norm", "F_norm", "dinv", "theta", "case_id", "dir_norm",
 )
 KRYLOV_COLUMNS = ("outer_iter", "alpha", "res_norm", "F_norm", "subspace_dim", "lsqr_res")
-RESIDUAL_COLUMNS = ("iter", "alpha", "res_norm")
+RESIDUAL_COLUMNS = ("iter", "res_norm")
 
 
 def format_cell(value) -> str:

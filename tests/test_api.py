@@ -19,10 +19,12 @@ from tikmor import (
     ConvergenceFailure,
     DenseOperator,
     DimensionError,
+    GbitConfig,
     InfeasibleDiscrepancyError,
     InverseProblem,
     MatrixMarketError,
     NtmConfig,
+    PntmConfig,
     PriorconditionedOperator,
     RegularizationMatrix,
     SparseOperator,
@@ -220,6 +222,9 @@ BAD_INPUTS = {
                        "rhs has complex128 entries"),
     "image-complex": (lambda: ssim(np.ones(4) * 1j, np.ones(4)), UnsupportedFormatError,
                       "image x has complex128 entries"),
+    "image-empty": (lambda: ssim(np.zeros(0), np.zeros(0)), DimensionError, "image x is empty"),
+    "image-nan": (lambda: ssim(np.ones(4), [1.0, np.nan, 1.0, 1.0]), ValueError,
+                  "image y has entries that are not finite"),
     "dense-1d": (lambda: DenseOperator(np.ones(3)), DimensionError,
                  "dense operator needs a 2-d array, got ndim=1"),
     "priorconditioned-reg-size": (lambda: PriorconditionedOperator(A, RegularizationMatrix(4)),
@@ -341,6 +346,13 @@ SOLVERS = {
     "cgls": lambda p: cgls(p.operator, p.b, p.discrepancy_target),
 }
 COUNTS = ("n_iter", "n_outer", "n_inner_total")
+UNCONVERGED = {  # a run of each solver that its budget stops short
+    "ntm": lambda p: ntm_solve(p, NtmConfig(alpha0=200.0, max_iter=2)),
+    "pntm": lambda p: pntm_solve(p, PntmConfig(outer_iter_max=1)),
+    "gbit": lambda p: gbit_solve(p, GbitConfig(max_iter=1)),
+    "sirt": lambda p: sirt_solve(p, max_iter=1),
+    "cgls": lambda p: cgls(p.operator, p.b, p.discrepancy_target, max_iter=1),
+}
 
 
 @pytest.mark.parametrize("method", SOLVERS)
@@ -364,6 +376,14 @@ def test_solvers_take_a_matrix_as_given(method):
     assert np.allclose(results["ndarray"].x, results["csr"].x, rtol=1e-10, atol=0)
     for count in COUNTS:
         assert getattr(results["ndarray"], count, None) == getattr(results["csr"], count, None)
+
+
+@pytest.mark.parametrize("method", SOLVERS)
+def test_converged_is_a_python_bool(method):
+    # a numpy.bool_ flag is neither True nor False under `is`
+    p = random_uniform_problem(40, 25, 0.10, seed=2)
+    for result, expected in ((SOLVERS[method](p), True), (UNCONVERGED[method](p), False)):
+        assert type(result.converged) is bool and result.converged == expected
 
 
 def test_morozov_level_is_eps_where_the_coupled_system_has_a_root():

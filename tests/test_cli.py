@@ -440,6 +440,8 @@ def test_discrepancy_curve_rejects_bad_grids():
     for grid in ([np.nan, 1.0], [1.0, np.nan], [1.0, np.inf]):
         with pytest.raises(ValueError, match="positive and finite"):
             sample_discrepancy_curve(p, grid)
+    with pytest.raises(ValueError, match="nonempty"):
+        sample_discrepancy_curve(p, [])
 
 
 def test_precondition_smooth_problem(tmp_path):
@@ -579,12 +581,13 @@ def test_curve_applies_operator_once():
         ("type = randomUniform", "type = sine_wave"),
         ("type = randomUniform", "type = matrix_market\npath = survey219.mtx"),
         ("[solver gbit]", "[solver pntm]\nmethod = pntm\ninner_small = 10\n\n[solver gbit]"),
+        ("[solver ntm-case2]", "[curve]\npoints = 0\n\n[solver ntm-case2]"),
     ],
     ids=[
         "curve-spacing", "sinewave-without-size", "matrixmarket-without-path",
         "matrixmarket-with-path",
         "curve-alphas", "type-random_uniform", "type-sine_wave", "type-matrix_market",
-        "pntm-inner_small",
+        "pntm-inner_small", "curve-points-0",
     ],
 )
 def test_bad_problem_or_curve_fails_before_work(tmp_path, edit):

@@ -146,8 +146,10 @@ def test_krylov_loop_prices_the_point_update_chooses():
     # an update that keeps y = 0 and alpha: the loop, not the callback,
     # prices the point, so every row reads res = ||b|| and ||F|| =
     # hypot(||A^T b||, (||b||^2 - eps^2) / 2), as ||gh|| = ||B^T c|| =
-    # ||A^T b|| at every k, and the run never converges
-    def update(k, lam, gh, rr, phi, alpha_prev):
+    # ||A^T b|| at every k, and the run never converges; the loop hands
+    # the callback the problem's eps
+    def update(lam, gh, phi, alpha_prev, eps):
+        assert eps == p.morozov_level()
         return np.zeros_like(gh), alpha_prev
 
     p = random_uniform_problem(40, 30, 0.1, 3)
@@ -504,13 +506,12 @@ def projected_newton_solve(problem, cap, tol=1e-3):
     """(result, Newton steps) of the paper's projected Newton method: pntm's
     Krylov loop, taking up to ``cap`` safeguarded Newton steps (case2) from
     the carried alpha once phi_k < eps, with no secular root."""
-    eps = problem.discrepancy_target
     steps = 0
 
-    def update(k, lam, gh, rr, phi, alpha):
+    def update(lam, gh, phi, alpha, eps):
         nonlocal steps
-        last, trace = newton_steps(lam, gh, rr, eps, alpha, StepRule(), tol,
-                                   cap if phi < eps else 0)
+        last, trace, _ = newton_steps(lam, gh, phi * phi, eps, alpha, StepRule(), tol,
+                                      cap if phi < eps else 0)
         steps += len(trace) - 1
         return last.xh, last.alpha
 

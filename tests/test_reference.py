@@ -251,6 +251,15 @@ def test_cgls_stops_at_zero_when_rhs_orthogonal_to_range():
     assert (r.n_iter, r.converged, r.residual_norm) == (0, False, 1.0)
 
 
+def test_residual_csv_schema(tmp_path):
+    # sirt and cgls have no alpha: their traces carry the residual alone
+    p = random_uniform_problem(30, 20, 0.10, seed=1)
+    for res in (sirt_solve(p, max_iter=3), cgls(p.operator, p.b, p.discrepancy_target)):
+        out = tmp_path / "t.csv"
+        res.trace.write_csv(out)
+        assert out.read_text().splitlines()[0] == "iter,res_norm"
+
+
 def test_cgls_nonconvergence_flagged(rng):
     A = rng.standard_normal((20, 15))
     b = rng.standard_normal(20)
