@@ -39,11 +39,10 @@ class BidiagFactorization:
 
     Storage for cap = min(m, n, k_max) columns of V is allocated once. The
     bases are stored as rows (``_U`` is cap+1 x m, ``_V`` cap x n), so each
-    basis vector and each Gram-Schmidt block is contiguous; ``U``/``V``
-    expose transposed views of the active rows (m x k+1 and n x k) and
-    ``B`` a copy of the active block. A new mu or nu at or below 1e-14
-    ||B_k||_F (itself included) is a breakdown; one that is not finite
-    raises ``ConvergenceFailure``. On a nu-breakdown the exactly zero
+    basis vector and each Gram-Schmidt block is contiguous; ``B`` is a copy of
+    the active block. A new mu or nu at or below 1e-14 ||B_k||_F (itself
+    included) is a breakdown; one that is not finite raises
+    ``ConvergenceFailure``. On a nu-breakdown the exactly zero
     trailing row of B is dropped together with the never-created u_{k+1},
     which leaves A V = U B intact with square B.
 
@@ -89,14 +88,6 @@ class BidiagFactorization:
     @property
     def k(self) -> int:
         return self._nv
-
-    @property
-    def U(self):
-        return self._U[: self._nu].T
-
-    @property
-    def V(self):
-        return self._V[: self._nv].T
 
     @property
     def B(self):

@@ -5,7 +5,7 @@ representations are supported: dense (ndarray), sparse (CSR) and the
 composite right-preconditioned product ``A @ inv(L)`` used to reduce
 general-form Tikhonov problems to standard form. Tikhonov systems
 (G + alpha I) x = g are not solved here: the solvers solve them in the
-eigenbasis of the dense Gram matrix ``gram()``.
+eigenbasis of A^T A, formed from ``to_dense()`` by ``ntm.gram_spectrum``.
 
 Everything is float64: ``real_vector`` takes each vector from outside and the
 operators each matrix, real entries as float64, complex or non-numeric ones as
@@ -49,11 +49,6 @@ class LinearOperator:
 
     def to_dense(self):
         raise NotImplementedError
-
-    def gram(self):
-        """Dense A^T A, diagonalized once per full-space solve (``ntm.spectral_gram``)."""
-        A = self.to_dense()
-        return A.T @ A
 
 
 def _real(a, what):

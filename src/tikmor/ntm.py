@@ -46,18 +46,6 @@ RESCALE_LIMIT = 1e300
 _EPS = float(np.finfo(float).eps)
 
 
-def spectral_gram(G):
-    """(lam, Q) with G = Q diag(lam) Q^T, lam ascending; G is semidefinite,
-    so roundoff-negative lam are set to 0 and lam + alpha > 0 for alpha > 0."""
-    try:
-        lam, Q = np.linalg.eigh(G)
-    except np.linalg.LinAlgError as exc:  # LAPACK gives up on NaN/inf entries
-        raise ConvergenceFailure(f"Gram matrix is not finite: {exc}") from exc
-    if not (np.isfinite(lam).all() and math.isfinite(Q.sum())):  # |Q_ij| <= 1: no overflow
-        raise ConvergenceFailure("Gram matrix is not finite: its eigenpairs are not")
-    return np.maximum(lam, 0.0), Q
-
-
 def eigen_residual_sq(lam, gh, rr, xh) -> float:
     """||A Q xh - b||^2 in O(n) from A^T A = Q diag(lam) Q^T, gh = Q^T A^T b and
     rr = min_z ||A z - b||^2, in range coordinates: rr + sum_{lam_i > 0}
@@ -72,12 +60,21 @@ def eigen_residual_sq(lam, gh, rr, xh) -> float:
 
 
 def gram_spectrum(A, b):
-    """(lam, Q, gh, rr) of operator A: A^T A = Q diag(lam) Q^T by ``spectral_gram``,
-    gh = Q^T A^T b and rr = ||b||^2 - sum_{lam_i > 0} gh_i^2 / lam_i, which price
-    any Tikhonov point in O(n). rr is not clamped: its roundoff, of order
-    eps_mach ||b||^2 and below 0 where min_z ||A z - b|| is, cancels against
-    the same terms in ``eigen_residual_sq``'s sum."""
-    lam, Q = spectral_gram(A.gram())
+    """(lam, Q, gh, rr) of operator A: A^T A = Q diag(lam) Q^T from one ``eigh`` of
+    the dense Gram matrix, lam ascending and clamped at 0 (A^T A is semidefinite,
+    so lam + alpha > 0 for alpha > 0), gh = Q^T A^T b and rr = ||b||^2 -
+    sum_{lam_i > 0} gh_i^2 / lam_i, which price any Tikhonov point in O(n). rr is
+    not clamped: its roundoff, of order eps_mach ||b||^2 and below 0 where
+    min_z ||A z - b|| is, cancels against the same terms in ``eigen_residual_sq``'s
+    sum. A Gram matrix whose eigenpairs are not finite: ConvergenceFailure."""
+    D = A.to_dense()
+    try:
+        lam, Q = np.linalg.eigh(D.T @ D)
+    except np.linalg.LinAlgError as exc:  # LAPACK gives up on NaN/inf entries
+        raise ConvergenceFailure(f"Gram matrix is not finite: {exc}") from exc
+    if not (np.isfinite(lam).all() and math.isfinite(Q.sum())):  # |Q_ij| <= 1: no overflow
+        raise ConvergenceFailure("Gram matrix is not finite: its eigenpairs are not")
+    lam = np.maximum(lam, 0.0)
     gh = A.rmatvec(b) @ Q
     return lam, Q, gh, float(b @ b) - eigen_residual_sq(lam, gh, 0.0, np.zeros_like(gh))
 

@@ -104,7 +104,7 @@ def secular_root(lam, gh, rr, eps, alpha):
 
 def projected_spectrum(B, c, phi):
     """(lam, Q, gh, rr) of the projected problem min ||B y - c||, lam ascending
-    as ``ntm.spectral_gram`` gives them: B = W diag(s) Q^T, lam = s^2,
+    as ``ntm.gram_spectrum`` gives them: B = W diag(s) Q^T, lam = s^2,
     gh = Q^T B^T c = s (W^T c) and rr = phi^2. From the SVD of B, not
     ``eigh(B^T B)``: a small s_i then carries roundoff eps_mach s_max, not
     eps_mach s_max^2 / s_i, and gh_i^2 / lam_i = (W^T c)_i^2 holds to

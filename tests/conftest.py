@@ -24,12 +24,13 @@ def random_operator(rng, m, n, scale=1.0):
 
 
 def counting_operator(A):
-    """(op, calls): a DenseOperator of A whose gram, matvec and rmatvec calls
-    are counted in the dict ``calls``."""
+    """(op, calls): a DenseOperator of A whose to_dense, matvec and rmatvec
+    calls are counted in the dict ``calls``; ``ntm.gram_spectrum`` forms A^T A
+    from one to_dense."""
     from tikmor import DenseOperator
 
     op = DenseOperator(np.asarray(A, dtype=float))
-    calls = {"gram": 0, "matvec": 0, "rmatvec": 0}
+    calls = {"to_dense": 0, "matvec": 0, "rmatvec": 0}
 
     def counted(name):
         method = getattr(op, name)
@@ -40,5 +41,5 @@ def counting_operator(A):
 
         return spy
 
-    op.gram, op.matvec, op.rmatvec = counted("gram"), counted("matvec"), counted("rmatvec")
+    op.to_dense, op.matvec, op.rmatvec = counted("to_dense"), counted("matvec"), counted("rmatvec")
     return op, calls

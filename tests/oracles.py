@@ -6,19 +6,39 @@ matrix and its closed-form inverse explicitly, solve the Tikhonov normal
 equations by a dense LU factorization, evaluate the coupled system at a
 given point from its definition (one matvec and one rmatvec), and rotate
 that point into the eigenbasis and the direction out of it around the
-same ``solve_rescaled_system`` the solvers run.
+same ``solve_rescaled_system`` the solvers run. They keep their own copy of
+the Gram matrix and its eigenpairs, and read a factorization's bases.
 """
 
 import numpy as np
 
 from tikmor import as_operator
-from tikmor.ntm import solve_rescaled_system, spectral_gram
+from tikmor.ntm import solve_rescaled_system
+
+
+def gram(A):
+    """Dense A^T A of operator (or array) A, the product ``ntm.gram_spectrum`` forms."""
+    D = as_operator(A).to_dense()
+    return D.T @ D
+
+
+def spectral_gram(G):
+    """(lam, Q) with G = Q diag(lam) Q^T, lam ascending and clamped at 0 as in
+    ``ntm.gram_spectrum``, so lam + alpha > 0 for alpha > 0."""
+    lam, Q = np.linalg.eigh(G)
+    return np.maximum(lam, 0.0), Q
+
+
+def bases(f):
+    """(U, V) of BidiagFactorization f: m x (k+1) (m x k after a nu-breakdown)
+    and n x k, with A V = U B."""
+    return f._U[: f._nu].T, f._V[: f.k].T
 
 
 def normal_equation_solve(A, b, alpha):
     """x with (A^T A + alpha I) x = A^T b, by a dense LU solve."""
     A = as_operator(A)
-    G = A.gram()
+    G = gram(A)
     return np.linalg.solve(G + alpha * np.eye(A.cols), A.rmatvec(np.asarray(b, dtype=float)))
 
 
@@ -62,7 +82,7 @@ def solve_newton_system(A, b, eps, x, alpha):
     A = as_operator(A)
     x = np.asarray(x, dtype=float)
     F1, F2 = eval_F(A, b, eps, x, alpha)
-    return spectral_direction(A.gram(), x, alpha, F1, F2)
+    return spectral_direction(gram(A), x, alpha, F1, F2)
 
 
 def projected_eval_F(B, c, eps, y, alpha):
@@ -108,7 +128,7 @@ def bordered_matrix(G, x, alpha):
     return D
 
 
-def schur_inverse(A, x, alpha, gram=None):
+def schur_inverse(A, x, alpha):
     """Closed-form inverse of D(x, alpha) via its scalar Schur complement.
 
     With K = A^T A + alpha I, t = K^{-1} x and s = x^T t:
@@ -117,7 +137,7 @@ def schur_inverse(A, x, alpha, gram=None):
     """
     A = as_operator(A)
     x = np.asarray(x, dtype=float)
-    G = A.gram() if gram is None else gram
+    G = gram(A)
     n = x.shape[0]
     K = G + alpha * np.eye(n)
     Kinv = np.linalg.inv(K)

@@ -61,5 +61,7 @@ def test_tracer_misses_only_the_known_entry_points():
         "tikmor.pntm.init_bidiag",
         "tikmor.reference.init_bidiag",
         "tikmor.linop.LinearOperator|DenseOperator|SparseOperator"
+        "|PriorconditionedOperator.gram",
+        "tikmor.linop.LinearOperator|DenseOperator|SparseOperator"
         "|PriorconditionedOperator.frobenius_norm",
     ]

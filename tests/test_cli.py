@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from tikmor import (
+    DenseOperator,
     InverseProblem,
-    LinearOperator,
     as_operator,
     load_problem,
     random_uniform_problem,
@@ -546,11 +546,12 @@ method = gbit
 
 
 def test_curve_forms_gram_once(monkeypatch):
-    # more columns than the old 600-column cut-off for reusing the Gram matrix
+    # more columns than the old 600-column cut-off for reusing the Gram matrix,
+    # which gram_spectrum forms from one to_dense
     calls = []
-    gram = LinearOperator.gram
+    to_dense = DenseOperator.to_dense
     monkeypatch.setattr(
-        LinearOperator, "gram", lambda self: calls.append(1) or gram(self)
+        DenseOperator, "to_dense", lambda self: calls.append(1) or to_dense(self)
     )
     p = random_uniform_problem(610, 601, 0.10, seed=4)
     pts = sample_discrepancy_curve(p, [1e-2, 1.0, 1e2])
@@ -559,14 +560,14 @@ def test_curve_forms_gram_once(monkeypatch):
 
 
 def test_curve_applies_operator_once():
-    # every grid point is priced in eigen-coordinates: one gram for the
-    # eigenpairs, one rmatvec for Q^T A^T b and no matvec
+    # every grid point is priced in eigen-coordinates: one to_dense for the
+    # Gram matrix's eigenpairs, one rmatvec for Q^T A^T b and no matvec
     p = random_uniform_problem(60, 40, 0.10, seed=5)
     op, calls = counting_operator(p.operator.to_dense())
     problem = InverseProblem(operator=op, b=p.b, noise_level=p.noise_level)
     pts = sample_discrepancy_curve(problem, np.geomspace(1e-3, 1e3, 12))
     assert len(pts) == 12
-    assert calls == {"gram": 1, "matvec": 0, "rmatvec": 1}
+    assert calls == {"to_dense": 1, "matvec": 0, "rmatvec": 1}
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,6 @@ from tikmor.ntm import (
     eigen_residual_sq,
     gram_spectrum,
     solve_rescaled_system,
-    spectral_gram,
 )
 
 from conftest import counting_operator
@@ -46,6 +45,7 @@ from oracles import (
     rescaled_jacobian,
     schur_inverse,
     solve_newton_system,
+    spectral_gram,
 )
 
 
@@ -516,16 +516,16 @@ def test_case1_direction_norms_strictly_decrease():
 
 def test_step_applies_operator_once():
     # a step takes F1 and the residual from the eigenpairs, Q^T A^T b and
-    # ||b||^2, so a solve makes one gram, one rmatvec and one matvec, the
-    # last for the residual it reports
+    # ||b||^2, so a solve makes one to_dense (for the Gram matrix), one
+    # rmatvec and one matvec, the last for the residual it reports
     p = random_uniform_problem(60, 40, 0.10, seed=5)
     op, calls = counting_operator(p.operator.to_dense())
     problem = InverseProblem(operator=op, b=p.b, noise_level=p.noise_level)
     for variant in ("case1", "case2"):
-        calls.update(gram=0, matvec=0, rmatvec=0)
+        calls.update(to_dense=0, matvec=0, rmatvec=0)
         res = ntm_solve(problem, NtmConfig(alpha0=0.01, step_rule=StepRule(variant=variant)))
         assert res.converged and res.n_iter >= 4
-        assert calls == {"gram": 1, "matvec": 1, "rmatvec": 1}
+        assert calls == {"to_dense": 1, "matvec": 1, "rmatvec": 1}
 
 
 @pytest.mark.parametrize(
@@ -653,9 +653,17 @@ def test_config_rejects_options_outside_their_domain(config, key, bad):
     [[np.nan, 0.5], [0.5, 2.0]],  # LAPACK returns finite eigenvalues, NaN vectors
     [[1.0, 0.5], [0.5, np.inf]],
 ])
-def test_spectral_gram_rejects_nonfinite(G):
+def test_spectral_gram_rejects_nonfinite(G, monkeypatch):
+    # gram_spectrum fails typed on the operator G, whose D^T D is not finite,
+    # and where eigh is handed G itself: no D^T D has the middle G's finite
+    # eigenvalues and NaN vectors
+    G, b = np.array(G), np.ones(2)
     with pytest.raises(ConvergenceFailure, match="not finite"):
-        spectral_gram(np.array(G))
+        gram_spectrum(as_operator(G), b)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda _: eigh(G))
+    with pytest.raises(ConvergenceFailure, match="not finite"):
+        gram_spectrum(as_operator(np.eye(2)), b)
 
 
 NTM_RUNS = {
