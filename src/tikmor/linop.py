@@ -17,14 +17,20 @@ and copies anything else. ``scipy.sparse`` is imported on first sparse use.
 A dense ``matvec`` or ``rmatvec`` over at least ``SPLIT_ENTRIES`` matrix entries
 runs, where numpy's BLAS has one thread, as one BLAS call per CPU in
 ``os.sched_getaffinity(0)``, each on a block of rows of A (of A^T) aligned to 64
-rows, on the calling thread and persistent helper threads, with the bits of the
-whole call whatever the CPU count; ``taskset -c 0`` runs every product whole.
+rows, on the calling thread and persistent helper threads (one per extra CPU,
+woken and awaited through plain locks). The blocks are sized from the rows per
+second each reached on earlier products of that size, so that they finish
+together. A product has the bits of the whole call whatever the CPU count and
+the cuts; ``taskset -c 0`` runs every product whole, as does a thread that
+finds the helpers busy with another thread's product.
 """
 
 from __future__ import annotations
 
 import os
 import sys
+import threading
+from time import perf_counter
 
 import numpy as np
 
@@ -92,14 +98,22 @@ _threads = [os.environ.get(v, "").strip()
             for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")]
 _SPLIT = next(filter(None, _threads), "") == "1"
 
-# One ThreadPoolExecutor for the process, whose CPUs every operator shares;
-# started on the first split product, not on import.
+# Persistent helper threads for the process, whose CPUs every operator shares:
+# one per extra CPU, started on the first split product, not on import. A
+# product claims them all or, finding them busy, runs whole.
 _helpers = None
+_claim = threading.Lock()
+
+# Each block's share of the rows, per (rows, parts): an exponential average of
+# the rows per second each block reached on earlier products, normalized, so
+# that the blocks finish together.
+_shares = {}
+_LEARN = 0.125  # weight of the newest product in the average
 
 
 def _forget_helpers():
-    global _helpers
-    _helpers = None  # a fork child has none of its parent's threads
+    global _helpers, _claim
+    _helpers, _claim = None, threading.Lock()  # a fork child has none of its parent's threads
 
 
 if hasattr(os, "register_at_fork"):
@@ -113,43 +127,103 @@ def _cpus():
         return os.cpu_count() or 1
 
 
+def _chunks(rows):
+    """Row chunks that blocks are made of: _ALIGN rows each but the last, which
+    holds the rest, at least 2 rows (numpy takes a one-row block as a dot
+    product, summed differently)."""
+    return (rows + _ALIGN - 2) // _ALIGN
+
+
+def _cuts(rows, shares):
+    """Block boundaries ``0 < c_1 < ... < rows`` splitting ``rows`` in proportion
+    to ``shares``: each inner one a multiple of _ALIGN, each block at least one chunk."""
+    chunks, parts = _chunks(rows), len(shares)
+    cuts, acc = [0], 0.0
+    for i, share in enumerate(shares[:-1], start=1):
+        acc += share
+        cuts.append(min(max(round(acc * rows / _ALIGN), cuts[-1] + 1), chunks - parts + i))
+    return [_ALIGN * c for c in cuts] + [rows]
+
+
+def _block(M, x, y, err):
+    with np.errstate(**err):
+        np.matmul(M, x, out=y)
+
+
+class _Helper:
+    """A thread that computes one block per wake-up: ``go`` hands it a job,
+    ``done`` hands back the block, written, with its end time and exception."""
+
+    def __init__(self, name):
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.job = self.error = None
+        threading.Thread(target=self._serve, name=name, daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            try:
+                _block(*self.job)  # whose frame, not this one, holds the operands
+            except BaseException as exc:  # raised by the caller
+                self.error = exc
+            self.end = perf_counter()
+            self.job = None  # holds no operand between products
+            self.done.release()
+
+
 def _product(M, x):
     """``M @ x``, bit for bit: split into one row block of M per CPU when M is large.
 
     Each block is one BLAS gemv into its slice of the output, so every entry is
     summed by the same kernel in the same order as in the whole call (at one
-    BLAS thread). The caller computes the first block and helper threads the
-    others, under the caller's floating-point error state.
+    BLAS thread), wherever the cuts fall. The caller computes the first block
+    and helper threads the others, under the caller's floating-point error
+    state; the blocks are sized by the learned ``_shares``.
     """
     if not _SPLIT or M.size < SPLIT_ENTRIES:
         return M @ x
     rows = M.shape[0]
-    chunks = -(-rows // _ALIGN)
-    parts = min(_cpus(), chunks)
-    cuts = [min(rows, _ALIGN * (chunks * i // parts)) for i in range(parts + 1)]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]  # numpy takes a one-row block as a dot product, summed differently
-    if len(cuts) < 3:
-        return M @ x
+    parts = min(_cpus(), _chunks(rows))
+    if parts < 2 or not _claim.acquire(blocking=False):
+        return M @ x  # one CPU, too few rows, or the helpers are busy
+    try:
+        return _split(M, x, rows, parts)
+    finally:
+        _claim.release()
+
+
+def _split(M, x, rows, parts):
     global _helpers
     if _helpers is None:
-        from concurrent.futures import ThreadPoolExecutor
-        _helpers = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="tikmor-product")
+        _helpers = []
+    while len(_helpers) < parts - 1:
+        _helpers.append(_Helper(f"tikmor-product-{len(_helpers) + 1}"))
+    helpers = _helpers[: parts - 1]
+    key = (rows, parts)
+    shares = _shares.get(key) or [1 / parts] * parts
+    cuts = _cuts(rows, shares)
     y = np.empty(rows)
     err = np.geterr()
-
-    def block(lo, hi):
-        with np.errstate(**err):
-            np.matmul(M[lo:hi], x, out=y[lo:hi])
-
-    pending = [_helpers.submit(block, lo, hi) for lo, hi in zip(cuts[1:-1], cuts[2:])]
+    start = perf_counter()
+    for helper, lo, hi in zip(helpers, cuts[1:], cuts[2:]):
+        helper.job = (M[lo:hi], x, y[lo:hi], err)
+        helper.go.release()
+    failed = None
     try:
         np.matmul(M[: cuts[1]], x, out=y[: cuts[1]])
+        ends = [perf_counter()]
     finally:
-        for done in pending:
-            done.exception()  # wait for every block before y is returned or dropped
-    for done in pending:
-        done.result()
+        for helper in helpers:  # every block is written before y is returned or dropped
+            helper.done.acquire()
+            failed, helper.error = failed or helper.error, None
+    if failed is not None:
+        raise failed
+    ends += [helper.end for helper in helpers]
+    speeds = [(hi - lo) / (end - start) for lo, hi, end in zip(cuts, cuts[1:], ends)]
+    total = sum(speeds)
+    _shares[key] = [s + _LEARN * (v / total - s) for s, v in zip(shares, speeds)]
     return y
 
 
@@ -180,7 +254,8 @@ class SparseOperator(LinearOperator):
         import scipy.sparse as sp
         # object or complex entries fail typed, before scipy sees them
         matrix = _real(matrix, "matrix") if sp.issparse(matrix) else _real_array(matrix, "matrix")
-        A = sp.csr_matrix(matrix).astype(float)
+        A = sp.csr_matrix(matrix).astype(float)  # own copy
+        A.sum_duplicates()  # canonical, columns sorted in each row: one summation order
         self._A = A
         self.rows, self.cols = A.shape
 

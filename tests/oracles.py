@@ -8,12 +8,15 @@ given point from its definition (one matvec and one rmatvec), and rotate
 that point into the eigenbasis and the direction out of it around the
 same ``solve_rescaled_system`` the solvers run. They keep their own copy of
 the Gram matrix and its eigenpairs, and read a factorization's bases.
+``trace_breaches`` audits a solve's trace against the rules of its method.
 """
+
+import math
 
 import numpy as np
 
-from tikmor import as_operator
-from tikmor.ntm import solve_rescaled_system
+from tikmor import NtmConfig, PntmConfig, as_operator
+from tikmor.ntm import at_root, solve_rescaled_system
 
 
 def gram(A):
@@ -160,3 +163,67 @@ def rescaled_jacobian(G, x, alpha, F1, F2):
     J[n, :n] = F1 / alpha - x
     rhs = np.append(-F1, -F2 / alpha)
     return J, rhs
+
+
+_EPS = float(np.finfo(float).eps)
+
+
+def trace_breaches(result, problem, config):
+    """What in ``result``'s trace breaks the rules of its method (an empty list
+    if nothing does), ``config`` an NtmConfig, PntmConfig or GbitConfig.
+
+    ntm, from each step row with dalpha = (alpha_k - alpha_{k-1}) / gamma and
+    ||dx|| = sqrt(dir_norm^2 - dalpha^2): alpha > 0; case_id follows the sign
+    rule of dalpha; gamma equals min(1, 1 / (dinv (|dalpha| + theta ||dx||)))
+    under case2 and is at most that otherwise (case1 adds a term, case3 clips),
+    each to the roundoff of the recovered dalpha; a converged run's last row is
+    ``at_root``, with ||F1|| = sqrt(F_norm^2 - F2^2) less its roundoff. Krylov:
+    alpha > 0; lsqr_res never increases; subspace_dim equals outer_iter until
+    the factorization is final; pntm carries alpha unchanged while lsqr_res >= eps.
+    """
+    t, eps = result.trace, problem.morozov_level()
+    alpha = t.column("alpha")
+    out = [f"row {i}: alpha {a!r}" for i, a in enumerate(alpha) if not a > 0]
+    if not isinstance(config, NtmConfig):
+        phi, dims = t.column("lsqr_res"), t.column("subspace_dim")
+        if (np.diff(phi) > 0).any():
+            out.append(f"lsqr_res increases: {phi}")
+        if not np.array_equal(dims, np.minimum(t.column("outer_iter"), dims[-1])):
+            out.append(f"subspace_dim {dims} against outer_iter")
+        if isinstance(config, PntmConfig):
+            prev = np.concatenate([[config.alpha0], alpha[:-1]])
+            for k in np.flatnonzero((phi >= eps) & (alpha != prev)):
+                out.append(f"outer {k + 1}: alpha moved at lsqr_res {phi[k]!r} >= eps")
+        return out
+    for k, row in enumerate(t.rows[1:], start=1):
+        _, a, gamma, _, _, dinv, theta, case_id, dir_norm = map(float, row)
+        a0 = float(t.rows[k - 1][1])
+        if not gamma > 0:
+            if a != a0:
+                out.append(f"step {k}: alpha moved at gamma {gamma!r}")
+            continue
+        dalpha = (a - a0) / gamma
+        err = 2 * _EPS * (max(a, a0) / gamma + abs(dalpha))  # of the recovered dalpha
+        case = {1: -err <= dalpha, 2: dalpha <= err and a0 + dalpha > -err,
+                3: a0 + dalpha <= err}[case_id]
+        if not case:
+            out.append(f"step {k}: case {case_id:g} at alpha {a0!r}, dalpha {dalpha!r}")
+        dx = math.sqrt(max(dir_norm * dir_norm - dalpha * dalpha, 0.0))
+        base = abs(dalpha) + theta * dx
+        # the error of base: dx moves by dalpha's error and by dir_norm's roundoff
+        base_err = (err + theta * (err * abs(dalpha) + 2 * _EPS * dir_norm**2) / dx
+                    if dx else math.inf)
+        bound = min(1.0, 1.0 / (dinv * base))
+        rel = 8 * _EPS + base_err / base
+        if not (abs(gamma - bound) <= rel * bound if case_id == 2 else gamma <= bound * (1 + rel)):
+            out.append(f"step {k}: gamma {gamma!r} against the case{case_id:g} bound {bound!r}")
+    if result.converged:
+        res, F_norm = t.rows[-1][3], t.rows[-1][4]
+        F2 = 0.5 * res * res - 0.5 * eps * eps
+        slack = 4 * _EPS * (F_norm * F_norm + abs(F2) * res * res)
+        F1 = math.sqrt(max(F_norm * F_norm - F2 * F2 - slack, 0.0))
+        A = problem.operator
+        r = max(config.tol ** 2, 1e-12)
+        if not at_root(res, F1, eps, float(np.linalg.norm(A.rmatvec(problem.b))), r):
+            out.append(f"converged, but the last row (res {res!r}, ||F1|| {F1!r}) is not at_root")
+    return out

@@ -48,6 +48,7 @@ from oracles import (
     schur_inverse,
     solve_newton_system,
     spectral_gram,
+    trace_breaches,
 )
 
 TOL = 1e-3
@@ -59,6 +60,11 @@ def report(num, name, ok, detail=""):
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
+def table1_config(variant):
+    return NtmConfig(alpha0=1.0, tol=TOL, max_iter=500,
+                     step_rule=StepRule(variant=variant, omega=0.9))
+
+
 @pytest.fixture(scope="module")
 def table1_batch():
     """20 seeded NTM runs at 700x500 under both step rules."""
@@ -67,11 +73,7 @@ def table1_batch():
         problem = random_uniform_problem(700, 500, 0.10, seed)
         entry = {"seed": seed, "eps": problem.noise_level}
         for variant in ("case1", "case2"):
-            cfg = NtmConfig(
-                alpha0=1.0, tol=TOL, max_iter=500,
-                step_rule=StepRule(variant=variant, omega=0.9),
-            )
-            entry[variant] = ntm_solve(problem, cfg)
+            entry[variant] = ntm_solve(problem, table1_config(variant))
         runs.append(entry)
     return runs
 
@@ -219,6 +221,20 @@ def test_criterion_6_safeguard_monotonicity(table1_batch):
         6, "search-direction decrease under case1", strict,
         f"checked {len(table1_batch)} runs, no singular Jacobian signaled",
     )
+
+
+def test_traces_keep_their_step_rules(table1_batch, scaled_krylov_batch):
+    # ROADMAP item 19's audit: each ntm step's case and gamma follow from the
+    # step rule, and each Krylov trace is monotone in lsqr_res and subspace
+    breaches = []
+    for r in table1_batch:
+        problem = random_uniform_problem(700, 500, 0.10, r["seed"])
+        for variant in ("case1", "case2"):
+            breaches += trace_breaches(r[variant], problem, table1_config(variant))
+    for r in scaled_krylov_batch:
+        breaches += trace_breaches(r["pntm"], r["problem"], PntmConfig())
+        breaches += trace_breaches(r["gbit"], r["problem"], GbitConfig())
+    assert not breaches, "; ".join(breaches)
 
 
 def test_criterion_7_bidiagonalization_suite():
@@ -462,11 +478,22 @@ def _sweep_problems(noise, scale=1.0, rank_deficient=False):
 @pytest.mark.parametrize("method, noise, scale", _contract_cells())
 def test_result_contract_sweep(method, noise, scale):
     # every result with default options is on the discrepancy level and on
-    # the normal equations, flagged unconverged, or a typed error; A, b and
-    # eps scaled by ``scale``
-    solve = {"ntm": ntm_solve, "pntm": pntm_solve, "gbit": gbit_solve}[method]
+    # the normal equations, flagged unconverged, or a typed error, and its
+    # trace keeps its step rules; A, b and eps scaled by ``scale``
+    solver, config = {
+        "ntm": (ntm_solve, NtmConfig()), "pntm": (pntm_solve, PntmConfig()),
+        "gbit": (gbit_solve, GbitConfig()),
+    }[method]
+    breaches = []
+
+    def solve(p):
+        r = solver(p, config)
+        breaches.extend(trace_breaches(r, p, config))
+        return r
+
     off = _off_band(solve, _sweep_problems(noise, scale), normal=True)
     assert not off, "; ".join(off)
+    assert not breaches, "; ".join(breaches)
 
 
 # item 2(c): squares of norms in F2 overflow at 1e150

@@ -82,8 +82,10 @@ def test_removed_names_are_not_exported():
 
 
 def test_import_does_not_load_scipy_linalg():
-    # every Tikhonov solve runs in an eigenbasis from numpy's eigh; scipy.linalg
-    # would add its import time and resident memory to every run
+    # ntm's Tikhonov solves run in an eigenbasis from numpy's eigh, and pntm and
+    # gbit take their projected spectra from numpy's SVD; importing scipy.linalg
+    # on top of tikmor measured +26-27 MB peak RSS and 0.25-0.33 s (2 vCPU),
+    # which every run would pay
     code = "import sys, tikmor, tikmor.cli; print('scipy.linalg' in sys.modules)"
     src = str(Path(tikmor.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}

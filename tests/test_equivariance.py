@@ -49,10 +49,10 @@ def column_permutation(rng, m, n):
 
 def column_signs(rng, m, n):
     s = rng.choice([-1.0, 1.0], n)
-    # A @ diags(s) would leave a CSR matrix's column indices unsorted, which
-    # reorders the sums of its products; multiply keeps every entry in place
+    # A @ diags(s) leaves a CSR matrix's column indices unsorted in each row;
+    # SparseOperator sorts its copy, so its products sum as on A
     def map_A(A):
-        return A.multiply(s).tocsr() if sp.issparse(A) else A * s
+        return A @ sp.diags(s) if sp.issparse(A) else A * s
 
     return map_A, (lambda b: b), (lambda x: s * x)
 

@@ -59,6 +59,21 @@ def test_sparse_adjoint_consistency(rng):
     assert adjoint_defect(op, rng) <= 1e-12
 
 
+def test_sparse_operator_sums_each_row_in_one_order(rng):
+    # A @ diags(s) leaves each row's column indices unsorted, A.multiply(s)
+    # sorted; the operator sorts its own copy, so both sum their products alike
+    A = sp.random(60, 40, density=0.3, random_state=3, format="csr")
+    s = rng.choice([-1.0, 1.0], 40)
+    unsorted = (A @ sp.diags(s)).tocsr()
+    indices = unsorted.indices.copy()
+    assert not unsorted.has_sorted_indices
+    ops = SparseOperator(unsorted), SparseOperator(A.multiply(s).tocsr())
+    v, w = rng.standard_normal(40), rng.standard_normal(60)
+    assert ops[0].matvec(v).tobytes() == ops[1].matvec(v).tobytes()
+    assert ops[0].rmatvec(w).tobytes() == ops[1].rmatvec(w).tobytes()
+    assert np.array_equal(unsorted.indices, indices)  # the caller's matrix is left as it is
+
+
 def test_composite_adjoint_consistency(rng):
     base = DenseOperator(rng.standard_normal((12, 8)))
     op = PriorconditionedOperator(base, RegularizationMatrix(8))
@@ -243,6 +258,93 @@ def test_split_products_are_bitwise_the_whole_products():
     run_in_child("check_split_products_bitwise()", **dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 
+class PinnedShares(dict):
+    """Learned shares that the products cannot move."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def recording_cuts(seen):
+    """``linop._cuts``, appending the cuts of each split product to ``seen``."""
+    cuts = linop._cuts
+    return lambda rows, shares: seen.append(cuts(rows, shares)) or seen[-1]
+
+
+def check_uneven_shares_bitwise():
+    """With the learned shares pinned uneven, every split product of
+    SPLIT_SHAPES, directly and through a PriorconditionedOperator, has the bits
+    of the whole BLAS call, and the blocks follow the shares."""
+    rng = np.random.default_rng(4)
+    seen = []
+    linop._cuts = recording_cuts(seen)
+    for shares in ([0.05, 0.95], [0.3, 0.7], [0.1, 0.3, 0.6]):
+        cpus = len(shares)
+        os.sched_getaffinity = lambda pid: set(range(cpus))
+        for m, n in SPLIT_SHAPES:
+            linop._shares = PinnedShares({(rows, cpus): shares for rows in (m, n)})
+            A = rng.standard_normal((m, n))
+            v, w = rng.standard_normal(n), rng.standard_normal(m)
+            op = DenseOperator(A)
+            pc = PriorconditionedOperator(op, RegularizationMatrix(n))
+            pairs = {
+                "matvec": (op.matvec(v), A @ v),
+                "rmatvec": (op.rmatvec(w), A.T @ w),
+                "pc matvec": (pc.matvec(v), A @ pc.reg.solve(v)),
+                "pc rmatvec": (pc.rmatvec(w), pc.reg.solve_transpose(A.T @ w)),
+            }
+            for what, (split, whole) in pairs.items():
+                assert split.tobytes() == whole.tobytes(), f"{m}x{n}, shares {shares}: {what}"
+    # 1100 rows (matvec and pc matvec): the first block takes 1, 5 and 2 of 17 chunks
+    assert [c[1] for c in seen if c[-1] == 1100] == [64] * 2 + [320] * 2 + [128] * 2
+
+
+def test_uneven_shares_keep_the_bits():
+    run_in_child("check_uneven_shares_bitwise()", **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+
+def assert_whole_chunks(rows, cuts):
+    """Cuts that make every block at least one chunk: inner ones multiples of
+    _ALIGN, increasing, the last block at least 2 rows."""
+    assert cuts[0] == 0 and cuts[-1] == rows
+    assert all(c % linop._ALIGN == 0 for c in cuts[1:-1])
+    assert all(hi - lo >= linop._ALIGN for lo, hi in zip(cuts, cuts[1:-1]))
+    assert rows - cuts[-2] >= 2
+
+
+@pytest.mark.parametrize("shares", [[1e-9, 1 - 1e-9], [1 - 1e-9, 1e-9], [0.5, 0.5],
+                                    [0.998, 1e-3, 1e-3], [1e-3, 1e-3, 0.998]])
+def test_cuts_keep_whole_chunks(shares):
+    # 70 rows: 2 chunks, the last of 6 rows; 129: 2, the last of 65 (not 64 + 1)
+    for rows in (70, 129, 1100, 17143):
+        if len(shares) <= linop._chunks(rows):  # a product takes no more blocks than chunks
+            cuts = linop._cuts(rows, shares)
+            assert len(cuts) == len(shares) + 1
+            assert_whole_chunks(rows, cuts)
+
+
+def test_learned_shares_sum_to_one(monkeypatch, rng):
+    # after a run of products on 2 and 3 CPUs, each learned set of shares is a
+    # split of the rows, and every product was cut into whole chunks
+    seen = []
+    monkeypatch.setattr(linop, "_cuts", recording_cuts(seen))
+    monkeypatch.setattr(linop, "_shares", {})
+    for cpus in (2, 3):
+        report_cpus(monkeypatch, cpus)
+        for m, n in SPLIT_SHAPES:
+            op = DenseOperator(rng.standard_normal((m, n)))
+            v, w = rng.standard_normal(n), rng.standard_normal(m)
+            for _ in range(20):
+                op.matvec(v), op.rmatvec(w)
+    assert {key[1] for key in linop._shares} == {2, 3}
+    for (rows, parts), shares in linop._shares.items():
+        assert len(shares) == parts and min(shares) > 0
+        assert sum(shares) == pytest.approx(1, abs=1e-12)
+    assert len(seen) == 2 * 20 * 7  # 65 rows take one chunk: that product runs whole
+    for c in seen:
+        assert_whole_chunks(c[-1], c)
+
+
 def check_split_follows_blas_threads(split):
     """A large product on 2 CPUs starts a helper thread if and only if ``split``."""
     os.sched_getaffinity = lambda pid: {0, 1}
@@ -284,10 +386,11 @@ def test_helper_block_runs_under_the_callers_error_state(monkeypatch, rng, produ
         apply(x)
 
 
-def test_concurrent_callers_share_the_helpers(monkeypatch, rng):
-    # more calling threads than CPUs, switching threads often: each product
-    # still gets its own blocks back
-    report_cpus(monkeypatch, 2)
+def check_concurrent_callers():
+    """More calling threads than CPUs, switching threads often: each product
+    still gets its own blocks back, split or, where the helpers are busy, whole."""
+    os.sched_getaffinity = lambda pid: {0, 1}
+    rng = np.random.default_rng(5)
     op = DenseOperator(rng.standard_normal(SPLIT_SHAPES[-1]))
     xs = [rng.standard_normal(op.cols) for _ in range(6)]
     expected = [op.matvec(x) for x in xs]
@@ -299,8 +402,16 @@ def test_concurrent_callers_share_the_helpers(monkeypatch, rng):
             results = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
+    assert linop._helpers is not None
     for i, y in enumerate(results):
         assert np.array_equal(y, expected[i // 3])
+
+
+def test_concurrent_callers_share_the_helpers():
+    # at one BLAS thread, as the split runs: a whole product (helpers busy)
+    # and a split one at any cuts have the same bits; a BLAS that threads
+    # its calls sums differently at different cuts
+    run_in_child("check_concurrent_callers()", **dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 
 def _apply_and_compare(op, v, expected):
