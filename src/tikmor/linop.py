@@ -18,11 +18,12 @@ A dense ``matvec`` or ``rmatvec`` over at least ``SPLIT_ENTRIES`` matrix entries
 runs, where numpy's BLAS has one thread, as one BLAS call per CPU in
 ``os.sched_getaffinity(0)``, each on a block of rows of A (of A^T) aligned to 64
 rows, on the calling thread and persistent helper threads (one per extra CPU,
-woken and awaited through plain locks). The blocks are sized from the rows per
-second each reached on earlier products of that size, so that they finish
-together. A product has the bits of the whole call whatever the CPU count and
-the cuts; ``taskset -c 0`` runs every product whole, as does a thread that
-finds the helpers busy with another thread's product.
+woken and awaited through plain locks). The helpers split evenly what the
+caller's block leaves; that block grows by a chunk after a product on which the
+caller waited for a helper and shrinks by one after a product on which it did
+not. A product has the bits of the whole call whatever the CPU count and the
+cuts; ``taskset -c 0`` runs every product whole, as does a thread that finds
+the helpers busy with another thread's product.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from time import perf_counter
 
 import numpy as np
 
@@ -75,19 +75,22 @@ def _real_array(a, what):
 
 def real_vector(v, size, what, against):
     """``v`` as a float64 vector of ``size`` entries, ``v`` itself if it is one (as on
-    every product); complex or non-numeric: UnsupportedFormatError, other shapes: DimensionError."""
+    every product); complex or non-numeric: UnsupportedFormatError, other shapes: DimensionError.
+    A reversed or broadcast vector (stride <= 0) is copied: numpy multiplies it
+    outside BLAS, to other bits than those of the copy."""
     if not (isinstance(v, np.ndarray) and v.dtype == float and v.shape == (size,)):
         v = np.asarray(_real_array(v, what), dtype=float)
         if v.shape != (size,):
             raise DimensionError(f"{what} length {v.shape} does not match {against} {size}")
-    return v
+    return v if v.strides[0] > 0 else np.ascontiguousarray(v)
 
 
 # -- dense products split across the CPUs --------------------------------------
 
-# A dense product over at least this many matrix entries is split; below it the
-# hand-off to a helper costs more than the second CPU saves (2 vCPU, 1 BLAS
-# thread: 1.1M entries slower split, 1.3M faster). table1's 700x500 stays whole.
+# A dense product over at least this many matrix entries is split; near it the
+# hand-off to a helper costs about what the second CPU saves (2 vCPU, 1 BLAS
+# thread, matvec and rmatvec back to back, split over whole: 1.06-1.17 at 1.13M
+# entries, 0.93-1.06 at 1.3M-1.4M, 0.73-0.82 at 1.7M-2M). table1's 700x500 stays whole.
 SPLIT_ENTRIES = 1_200_000
 _ALIGN = 64  # block boundaries: a row keeps its alignment and its place in gemv's row groups
 
@@ -104,11 +107,10 @@ _SPLIT = next(filter(None, _threads), "") == "1"
 _helpers = None
 _claim = threading.Lock()
 
-# Each block's share of the rows, per (rows, parts): an exponential average of
-# the rows per second each block reached on earlier products, normalized, so
-# that the blocks finish together.
-_shares = {}
-_LEARN = 0.125  # weight of the newest product in the average
+# The caller's block in chunks, per (rows, parts): one more after a product on
+# which a helper was still running when the caller finished its own block, one
+# fewer after a product on which none was.
+_own = {}
 
 
 def _forget_helpers():
@@ -134,15 +136,13 @@ def _chunks(rows):
     return (rows + _ALIGN - 2) // _ALIGN
 
 
-def _cuts(rows, shares):
-    """Block boundaries ``0 < c_1 < ... < rows`` splitting ``rows`` in proportion
-    to ``shares``: each inner one a multiple of _ALIGN, each block at least one chunk."""
-    chunks, parts = _chunks(rows), len(shares)
-    cuts, acc = [0], 0.0
-    for i, share in enumerate(shares[:-1], start=1):
-        acc += share
-        cuts.append(min(max(round(acc * rows / _ALIGN), cuts[-1] + 1), chunks - parts + i))
-    return [_ALIGN * c for c in cuts] + [rows]
+def _cuts(rows, parts, own):
+    """Block boundaries ``0 < c_1 < ... < rows``: the caller's block ``own``
+    chunks, the rest split evenly among ``parts - 1`` helper blocks, each at
+    least one chunk (``1 <= own <= chunks - parts + 1``)."""
+    rest = _chunks(rows) - own
+    cuts = [own + rest * i // (parts - 1) for i in range(parts - 1)]
+    return [0] + [_ALIGN * c for c in cuts] + [rows]
 
 
 def _block(M, x, y, err):
@@ -152,7 +152,7 @@ def _block(M, x, y, err):
 
 class _Helper:
     """A thread that computes one block per wake-up: ``go`` hands it a job,
-    ``done`` hands back the block, written, with its end time and exception."""
+    ``done`` hands back the block, written, with its exception."""
 
     def __init__(self, name):
         self.go, self.done = threading.Lock(), threading.Lock()
@@ -168,7 +168,6 @@ class _Helper:
                 _block(*self.job)  # whose frame, not this one, holds the operands
             except BaseException as exc:  # raised by the caller
                 self.error = exc
-            self.end = perf_counter()
             self.job = None  # holds no operand between products
             self.done.release()
 
@@ -180,7 +179,7 @@ def _product(M, x):
     summed by the same kernel in the same order as in the whole call (at one
     BLAS thread), wherever the cuts fall. The caller computes the first block
     and helper threads the others, under the caller's floating-point error
-    state; the blocks are sized by the learned ``_shares``.
+    state; the caller's block is ``_own`` chunks.
     """
     if not _SPLIT or M.size < SPLIT_ENTRIES:
         return M @ x
@@ -201,29 +200,26 @@ def _split(M, x, rows, parts):
     while len(_helpers) < parts - 1:
         _helpers.append(_Helper(f"tikmor-product-{len(_helpers) + 1}"))
     helpers = _helpers[: parts - 1]
-    key = (rows, parts)
-    shares = _shares.get(key) or [1 / parts] * parts
-    cuts = _cuts(rows, shares)
+    key, chunks = (rows, parts), _chunks(rows)
+    own = _own.get(key, chunks // parts)
+    cuts = _cuts(rows, parts, own)
     y = np.empty(rows)
     err = np.geterr()
-    start = perf_counter()
     for helper, lo, hi in zip(helpers, cuts[1:], cuts[2:]):
         helper.job = (M[lo:hi], x, y[lo:hi], err)
         helper.go.release()
-    failed = None
+    failed, waited = None, False
     try:
         np.matmul(M[: cuts[1]], x, out=y[: cuts[1]])
-        ends = [perf_counter()]
     finally:
         for helper in helpers:  # every block is written before y is returned or dropped
-            helper.done.acquire()
+            if not helper.done.acquire(blocking=False):  # still running
+                waited = True
+                helper.done.acquire()
             failed, helper.error = failed or helper.error, None
     if failed is not None:
         raise failed
-    ends += [helper.end for helper in helpers]
-    speeds = [(hi - lo) / (end - start) for lo, hi, end in zip(cuts, cuts[1:], ends)]
-    total = sum(speeds)
-    _shares[key] = [s + _LEARN * (v / total - s) for s, v in zip(shares, speeds)]
+    _own[key] = min(max(own + (1 if waited else -1), 1), chunks - parts + 1)
     return y
 
 

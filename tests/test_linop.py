@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -258,8 +259,43 @@ def test_split_products_are_bitwise_the_whole_products():
     run_in_child("check_split_products_bitwise()", **dict.fromkeys(BLAS_THREAD_VARS, "1"))
 
 
-class PinnedShares(dict):
-    """Learned shares that the products cannot move."""
+def check_strided_vectors_bitwise():
+    """A reversed vector and a broadcast one (strides < 0 and 0) have the
+    products of their contiguous copies, bit for bit: dense operators whole
+    and split on 2 and 3 CPUs, sparse ones and a PriorconditionedOperator."""
+    rng = np.random.default_rng(6)
+    for m, n in [(120, 80), (700, 500)] + SPLIT_SHAPES:
+        A = rng.standard_normal((m, n))
+        ops = [DenseOperator(A), SparseOperator(sp.random(m, n, 0.05, random_state=rng)),
+               PriorconditionedOperator(DenseOperator(A), RegularizationMatrix(n))]
+        for cpus in (2, 3):
+            os.sched_getaffinity = lambda pid: set(range(cpus))
+            for op in ops:
+                for apply, size in ((op.matvec, n), (op.rmatvec, m)):
+                    for v in (rng.standard_normal(size)[::-1],
+                              np.broadcast_to(rng.standard_normal(), (size,))):
+                        got, want = apply(v), apply(v.copy())
+                        what = f"{type(op).__name__}.{apply.__name__}"
+                        assert got.tobytes() == want.tobytes(), f"{m}x{n} on {cpus} CPUs: {what}"
+    assert linop._helpers is not None, "no product was split"
+
+
+def test_strided_vectors_keep_the_bits_of_their_copies():
+    # numpy multiplies a vector of stride <= 0 outside BLAS, to other bits
+    run_in_child("check_strided_vectors_bitwise()", **dict.fromkeys(BLAS_THREAD_VARS, "1"))
+
+
+class PinnedOwn(dict):
+    """``linop._own`` held at a clamp, which the products cannot move: the
+    caller's block is one chunk (``high`` false) or leaves one to each helper."""
+
+    def __init__(self, high):
+        super().__init__()
+        self.high = high
+
+    def get(self, key, default=None):
+        rows, parts = key
+        return linop._chunks(rows) - parts + 1 if self.high else 1
 
     def __setitem__(self, key, value):
         pass
@@ -268,21 +304,20 @@ class PinnedShares(dict):
 def recording_cuts(seen):
     """``linop._cuts``, appending the cuts of each split product to ``seen``."""
     cuts = linop._cuts
-    return lambda rows, shares: seen.append(cuts(rows, shares)) or seen[-1]
+    return lambda rows, parts, own: seen.append(cuts(rows, parts, own)) or seen[-1]
 
 
 def check_uneven_shares_bitwise():
-    """With the learned shares pinned uneven, every split product of
+    """With the caller's block pinned at either clamp, every split product of
     SPLIT_SHAPES, directly and through a PriorconditionedOperator, has the bits
-    of the whole BLAS call, and the blocks follow the shares."""
+    of the whole BLAS call, and the blocks follow the pinned block."""
     rng = np.random.default_rng(4)
     seen = []
     linop._cuts = recording_cuts(seen)
-    for shares in ([0.05, 0.95], [0.3, 0.7], [0.1, 0.3, 0.6]):
-        cpus = len(shares)
+    for cpus, high in ((2, False), (2, True), (3, False), (3, True)):
         os.sched_getaffinity = lambda pid: set(range(cpus))
+        linop._own = PinnedOwn(high)
         for m, n in SPLIT_SHAPES:
-            linop._shares = PinnedShares({(rows, cpus): shares for rows in (m, n)})
             A = rng.standard_normal((m, n))
             v, w = rng.standard_normal(n), rng.standard_normal(m)
             op = DenseOperator(A)
@@ -294,9 +329,10 @@ def check_uneven_shares_bitwise():
                 "pc rmatvec": (pc.rmatvec(w), pc.reg.solve_transpose(A.T @ w)),
             }
             for what, (split, whole) in pairs.items():
-                assert split.tobytes() == whole.tobytes(), f"{m}x{n}, shares {shares}: {what}"
-    # 1100 rows (matvec and pc matvec): the first block takes 1, 5 and 2 of 17 chunks
-    assert [c[1] for c in seen if c[-1] == 1100] == [64] * 2 + [320] * 2 + [128] * 2
+                assert split.tobytes() == whole.tobytes(), f"{m}x{n}, {cpus} CPUs, high {high}: {what}"
+    # 1100 rows (matvec and pc matvec), 18 chunks: the caller's block is 1, 17, 1 and 16 of them
+    assert [c[1:-1] for c in seen if c[-1] == 1100] == (
+        [[64]] * 2 + [[1088]] * 2 + [[64, 576]] * 2 + [[1024, 1088]] * 2)
 
 
 def test_uneven_shares_keep_the_bits():
@@ -312,37 +348,63 @@ def assert_whole_chunks(rows, cuts):
     assert rows - cuts[-2] >= 2
 
 
-@pytest.mark.parametrize("shares", [[1e-9, 1 - 1e-9], [1 - 1e-9, 1e-9], [0.5, 0.5],
-                                    [0.998, 1e-3, 1e-3], [1e-3, 1e-3, 0.998]])
-def test_cuts_keep_whole_chunks(shares):
+def test_cuts_keep_whole_chunks():
     # 70 rows: 2 chunks, the last of 6 rows; 129: 2, the last of 65 (not 64 + 1)
     for rows in (70, 129, 1100, 17143):
-        if len(shares) <= linop._chunks(rows):  # a product takes no more blocks than chunks
-            cuts = linop._cuts(rows, shares)
-            assert len(cuts) == len(shares) + 1
-            assert_whole_chunks(rows, cuts)
+        chunks = linop._chunks(rows)
+        for parts in (2, 3):
+            if parts > chunks:  # a product takes no more blocks than chunks
+                continue
+            for own in range(1, chunks - parts + 2):
+                cuts = linop._cuts(rows, parts, own)
+                assert len(cuts) == parts + 1 and cuts[1] == own * linop._ALIGN
+                assert_whole_chunks(rows, cuts)
+                bounds = [c // linop._ALIGN for c in cuts[1:-1]] + [chunks]
+                helper_chunks = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+                assert max(helper_chunks) - min(helper_chunks) <= 1  # the rest, split evenly
 
 
-def test_learned_shares_sum_to_one(monkeypatch, rng):
-    # after a run of products on 2 and 3 CPUs, each learned set of shares is a
-    # split of the rows, and every product was cut into whole chunks
+class DelayedMatmul:
+    """numpy, but ``np.matmul`` sleeps 50 ms first on the caller's thread
+    (``late`` false) or on the helpers' (``late`` true): far longer than the
+    other side's block of a 600x40 product takes, even on a loaded host."""
+
+    def __init__(self, late):
+        self.late = late
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        if (threading.current_thread() is not threading.main_thread()) == self.late:
+            time.sleep(0.05)
+        return np.matmul(*args, **kwargs)
+
+
+@pytest.mark.parametrize("late", [True, False], ids=["late-helper", "early-helper"])
+def test_wait_rule_drives_the_callers_block_to_a_clamp(monkeypatch, rng, late):
+    # each product moves the caller's block by one chunk: up to leaving one to
+    # each helper while a helper is late, down to one while every helper is early
     seen = []
     monkeypatch.setattr(linop, "_cuts", recording_cuts(seen))
-    monkeypatch.setattr(linop, "_shares", {})
-    for cpus in (2, 3):
-        report_cpus(monkeypatch, cpus)
-        for m, n in SPLIT_SHAPES:
-            op = DenseOperator(rng.standard_normal((m, n)))
-            v, w = rng.standard_normal(n), rng.standard_normal(m)
-            for _ in range(20):
-                op.matvec(v), op.rmatvec(w)
-    assert {key[1] for key in linop._shares} == {2, 3}
-    for (rows, parts), shares in linop._shares.items():
-        assert len(shares) == parts and min(shares) > 0
-        assert sum(shares) == pytest.approx(1, abs=1e-12)
-    assert len(seen) == 2 * 20 * 7  # 65 rows take one chunk: that product runs whole
+    monkeypatch.setattr(linop, "_own", {})
+    monkeypatch.setattr(linop, "np", DelayedMatmul(late))
+    monkeypatch.setattr(linop, "SPLIT_ENTRIES", 0)
+    A = rng.standard_normal((600, 40))  # 10 chunks, the last of 24 rows
+    op, v = DenseOperator(A), rng.standard_normal(40)
+    chunks = linop._chunks(600)
+    for parts in (2, 3):
+        report_cpus(monkeypatch, parts)
+        start, clamp = chunks // parts, (chunks - parts + 1 if late else 1)
+        owns = []
+        for _ in range(abs(clamp - start) + 2):
+            assert np.allclose(op.matvec(v), A @ v, rtol=0, atol=1e-12)  # bitwise at one BLAS thread: above
+            owns.append(seen[-1][1] // linop._ALIGN)
+        step = 1 if late else -1
+        assert owns == list(range(start, clamp, step)) + [clamp] * 2
+        assert linop._own[(600, parts)] == clamp
     for c in seen:
-        assert_whole_chunks(c[-1], c)
+        assert_whole_chunks(600, c)
 
 
 def check_split_follows_blas_threads(split):
