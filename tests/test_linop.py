@@ -348,20 +348,39 @@ def assert_whole_chunks(rows, cuts):
     assert rows - cuts[-2] >= 2
 
 
-def test_cuts_keep_whole_chunks():
+def assert_cuts_for_own(rows, parts, own):
+    """``_cuts`` gives the caller ``own`` whole chunks and splits the rest
+    evenly among the helpers, in whole chunks."""
+    chunks = linop._chunks(rows)
+    cuts = linop._cuts(rows, parts, own)
+    assert len(cuts) == parts + 1 and cuts[1] == own * linop._ALIGN
+    assert_whole_chunks(rows, cuts)
+    bounds = [c // linop._ALIGN for c in cuts[1:-1]] + [chunks]
+    helper_chunks = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+    assert max(helper_chunks) - min(helper_chunks) <= 1  # the rest, split evenly
+
+
+@pytest.mark.parametrize("shares", [[1e-9, 1 - 1e-9], [1 - 1e-9, 1e-9], [0.5, 0.5],
+                                    [0.998, 1e-3, 1e-3], [1e-3, 1e-3, 0.998]])
+def test_cuts_keep_whole_chunks(shares):
+    # the caller's block asks for shares[0] of the rows over len(shares) blocks:
+    # the nearest allowed block, so extreme shares land on the clamps.
     # 70 rows: 2 chunks, the last of 6 rows; 129: 2, the last of 65 (not 64 + 1)
+    parts = len(shares)
+    for rows in (70, 129, 1100, 17143):
+        chunks = linop._chunks(rows)
+        if parts <= chunks:  # a product takes no more blocks than chunks
+            own = min(max(round(shares[0] * chunks), 1), chunks - parts + 1)
+            assert_cuts_for_own(rows, parts, own)
+
+
+def test_cuts_keep_whole_chunks_at_every_own():
     for rows in (70, 129, 1100, 17143):
         chunks = linop._chunks(rows)
         for parts in (2, 3):
-            if parts > chunks:  # a product takes no more blocks than chunks
-                continue
-            for own in range(1, chunks - parts + 2):
-                cuts = linop._cuts(rows, parts, own)
-                assert len(cuts) == parts + 1 and cuts[1] == own * linop._ALIGN
-                assert_whole_chunks(rows, cuts)
-                bounds = [c // linop._ALIGN for c in cuts[1:-1]] + [chunks]
-                helper_chunks = [hi - lo for lo, hi in zip(bounds, bounds[1:])]
-                assert max(helper_chunks) - min(helper_chunks) <= 1  # the rest, split evenly
+            if parts <= chunks:
+                for own in range(1, chunks - parts + 2):
+                    assert_cuts_for_own(rows, parts, own)
 
 
 class DelayedMatmul:
